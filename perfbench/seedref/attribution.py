@@ -1,0 +1,456 @@
+"""Two-point PnL decomposition into FX, rate, market, and carry parts.
+
+The EUR PnL of holding an asset over (t, T] is A_T * chi_T - A_t * chi_t,
+where chi is the EUR price of one unit of the asset currency. The split
+works off cross-evaluated prices: the asset repriced at one date's
+timestamp with the discount curve of a second date and the residual market
+factors of a third. Writing a(s; r, x) for the price at time s under curve
+r and factors x, and subscripting states by their observation date:
+
+    rate   = mean of the curve-only repricing move at both period ends
+    market = mean of the factors-only repricing move at both period ends
+    carry  = mean of the two mixed time moves that hold one of r, x at the
+             start state and the other at the end state
+
+Each asset-currency piece is converted at an FX weight (average of the two
+quotes, or in the start/end variant the end quote), and the FX part itself
+is the quote change earned on an asset-value weight. Parts sum to the
+total by construction, not by calibration: the residual is floating-point
+round-off and construction rejects anything worse.
+
+Coupons break the single-period telescope because the dirty price drops by
+the coupon amount at payment. The period is therefore segmented at every
+cashflow and transaction date; each subperiod starts at the ex-coupon
+price, the coupon is frozen into carry at the FX level around its payment
+date (or at the period-end quote in the sophis variant), and subperiod
+results add componentwise.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+
+from .errors import (
+    DuplicatePositionId,
+    EmptyPeriod,
+    EngineError,
+    MissingSnapshot,
+    PricerEvaluationFailed,
+    ScheduleOutsideGrid,
+)
+from .pricers import CashflowSchedule
+
+#: Additivity tolerance, relative to max(1, |total|).
+ADDITIVITY_TOL = 1e-9
+
+
+class FxMode(Enum):
+    """How the FX part and the asset-to-EUR conversion weight are formed."""
+
+    AVERAGE = "average"      # FX change on the average asset value, parts at the average quote
+    START_END = "start-end"  # FX change on the start value, parts at the end quote
+
+
+class CarryMode(Enum):
+    """How coupons enter the carry part across subperiods."""
+
+    CORRECTED = "corrected"  # subperiods start ex-coupon; parts reconcile to realized PnL
+    LITERAL = "literal"      # subperiods start at the pre-coupon price; the parts sum
+                             # then falls short of realized PnL by interior coupons
+    SOPHIS = "sophis"        # ex-coupon starts, but coupons converted at the period-end
+                             # quote, as the SOPHIS front-office column does
+
+
+def _fx_rate(quote) -> float:
+    rate = float(getattr(quote, "rate", quote))
+    if not rate > 0.0:
+        raise ValueError(f"fx quote must be > 0, got {rate}")
+    return rate
+
+
+def _price_fn(pricer):
+    price = getattr(pricer, "price", None)
+    if callable(price):
+        return price
+    if callable(pricer):
+        return pricer
+    raise TypeError(f"pricer {pricer!r} is neither callable nor has a price method")
+
+
+@dataclass(frozen=True)
+class AttributionResult:
+    """EUR PnL split into four additive parts.
+
+    residual = total - (fx + rate + market + carry) and must vanish to
+    round-off; it is kept visible so reports can prove the reconciliation.
+    """
+
+    fx: float
+    rate: float
+    market: float
+    carry: float
+    total: float
+
+    def __post_init__(self):
+        parts = (self.fx, self.rate, self.market, self.carry, self.total)
+        if not all(math.isfinite(v) for v in parts):
+            raise ValueError(f"attribution parts must be finite, got {parts}")
+        if abs(self.residual) > ADDITIVITY_TOL * max(1.0, abs(self.total)):
+            raise ValueError(
+                f"parts do not sum to total: residual {self.residual:g} against total {self.total:g}"
+            )
+
+    @property
+    def residual(self) -> float:
+        return self.total - (self.fx + self.rate + self.market + self.carry)
+
+    def scaled(self, factor: float) -> "AttributionResult":
+        return AttributionResult(
+            fx=factor * self.fx,
+            rate=factor * self.rate,
+            market=factor * self.market,
+            carry=factor * self.carry,
+            total=factor * self.total,
+        )
+
+    @classmethod
+    def zero(cls) -> "AttributionResult":
+        return cls(0.0, 0.0, 0.0, 0.0, 0.0)
+
+    @classmethod
+    def combine(cls, results: Iterable["AttributionResult"]) -> "AttributionResult":
+        """Componentwise sum (compensated) of any number of results."""
+        results = list(results)
+        if not results:
+            return cls.zero()
+        return cls(
+            fx=math.fsum(r.fx for r in results),
+            rate=math.fsum(r.rate for r in results),
+            market=math.fsum(r.market for r in results),
+            carry=math.fsum(r.carry for r in results),
+            total=math.fsum(r.total for r in results),
+        )
+
+
+def fx_split(a_start, a_end, chi_start, chi_end, mode: FxMode = FxMode.AVERAGE):
+    """Split a_end*chi_end - a_start*chi_start into (fx_part, asset_part).
+
+    AVERAGE earns the full quote change on the mean asset value and
+    converts the asset move at the mean quote; START_END earns the quote
+    change on the start value and converts at the end quote. Both splits
+    sum to the same total exactly.
+    """
+    cs, ce = _fx_rate(chi_start), _fx_rate(chi_end)
+    if mode is FxMode.AVERAGE:
+        fx_part = 0.5 * (a_start + a_end) * (ce - cs)
+        asset_part = 0.5 * (cs + ce) * (a_end - a_start)
+    elif mode is FxMode.START_END:
+        fx_part = a_start * (ce - cs)
+        asset_part = ce * (a_end - a_start)
+    else:
+        raise ValueError(f"unknown fx mode {mode!r}")
+    return fx_part, asset_part
+
+
+def _evaluate(price, label: str, s, curve, factors) -> float:
+    try:
+        value = float(price(s, curve, factors))
+    except Exception as exc:
+        raise PricerEvaluationFailed(f"{label} raised: {exc}") from exc
+    if not math.isfinite(value):
+        raise PricerEvaluationFailed(f"{label} returned non-finite value {value!r}")
+    return value
+
+
+def four_way_split(pricer, t, T, snap_t, snap_T, fx_mode: FxMode = FxMode.AVERAGE) -> AttributionResult:
+    """Decompose the EUR PnL of one asset over (t, T] into the four parts.
+
+    `pricer` is anything with price(s, curve, factors), or bare callable
+    with that signature. Snapshots only need curve, factors, and fx
+    attributes; they are handed to the pricer opaquely, which is what lets
+    the same code run on production curve objects and on scalar toy states.
+    """
+    if not t < T:
+        raise EmptyPeriod(f"period start {t!r} not before end {T!r}")
+    price = _price_fn(pricer)
+    r_t, x_t, chi_t = snap_t.curve, snap_t.factors, _fx_rate(snap_t.fx)
+    r_T, x_T, chi_T = snap_T.curve, snap_T.factors, _fx_rate(snap_T.fx)
+
+    end_new = _evaluate(price, "end price under end curve and end factors", T, r_T, x_T)
+    end_old_curve = _evaluate(price, "end price under start curve and end factors", T, r_t, x_T)
+    end_old_factors = _evaluate(price, "end price under end curve and start factors", T, r_T, x_t)
+    start_old = _evaluate(price, "start price under start curve and start factors", t, r_t, x_t)
+    start_new_curve = _evaluate(price, "start price under end curve and start factors", t, r_T, x_t)
+    start_new_factors = _evaluate(price, "start price under start curve and end factors", t, r_t, x_T)
+
+    rate_move = 0.5 * ((end_new - end_old_curve) + (start_new_curve - start_old))
+    market_move = 0.5 * ((end_new - end_old_factors) + (start_new_factors - start_old))
+    carry_move = 0.5 * ((end_old_factors - start_new_factors) + (end_old_curve - start_new_curve))
+
+    fx_part, _ = fx_split(start_old, end_new, chi_t, chi_T, fx_mode)
+    weight = 0.5 * (chi_t + chi_T) if fx_mode is FxMode.AVERAGE else chi_T
+    return AttributionResult(
+        fx=fx_part,
+        rate=weight * rate_move,
+        market=weight * market_move,
+        carry=weight * carry_move,
+        total=end_new * chi_T - start_old * chi_t,
+    )
+
+
+class Bucket(str, Enum):
+    """Fund reporting categories for positions."""
+
+    CAPITAL_STRUCTURE = "CapitalStructure"
+    SENIOR_SUB = "SeniorSub"
+    MISMATCH_BASIS = "MismatchBasis"
+    MATCHED_BASIS = "MatchedBasis"
+    OTHER = "Other"
+    HEDGE = "Hedge"
+    CASH = "Cash"
+
+
+class Transaction(NamedTuple):
+    date: Any
+    quantity_change: float
+    cost_eur: float
+
+
+@dataclass(frozen=True)
+class Position:
+    """One holding: a pricer plus its cashflow schedule and trade history.
+
+    The schedule carries absolute currency amounts matching the pricer's
+    units. Holdings start at notional_sign and move by the transaction
+    quantity changes; transaction costs are EUR amounts reported separately
+    from the four parts, never netted into them.
+    """
+
+    id: str
+    bucket: Bucket
+    pricer: Any
+    notional_sign: int = 1
+    schedule: CashflowSchedule = CashflowSchedule()
+    transactions: tuple[Transaction, ...] = ()
+
+    def __post_init__(self):
+        if self.notional_sign not in (1, -1):
+            raise ValueError(f"notional_sign must be +1 or -1, got {self.notional_sign}")
+        object.__setattr__(self, "bucket", Bucket(self.bucket))
+        txns = tuple(Transaction(*t) for t in self.transactions)
+        for txn in txns:
+            if txn.cost_eur < 0.0:
+                raise ValueError(f"transaction costs must be >= 0, got {txn.cost_eur}")
+        object.__setattr__(self, "transactions", txns)
+
+    def quantity_at(self, when) -> float:
+        """Holdings in force just after `when` (sign plus booked changes)."""
+        q = float(self.notional_sign)
+        for txn in self.transactions:
+            if txn.date <= when:
+                q += txn.quantity_change
+        return q
+
+    def costs_in(self, start, end) -> float:
+        """EUR transaction costs booked on dates in [start, end]."""
+        return math.fsum(t.cost_eur for t in self.transactions if start <= t.date <= end)
+
+
+@dataclass(frozen=True)
+class Portfolio:
+    positions: tuple[Position, ...]
+    base_currency: str = "EUR"
+
+    def __post_init__(self):
+        object.__setattr__(self, "positions", tuple(self.positions))
+        if self.base_currency != "EUR":
+            raise ValueError("portfolio base currency is fixed to EUR")
+        seen = set()
+        for pos in self.positions:
+            if pos.id in seen:
+                raise DuplicatePositionId(f"duplicate position id {pos.id!r}")
+            seen.add(pos.id)
+
+
+def segment_period(scope, t, T) -> list:
+    """Grid t = t_0 < ... < t_n = T containing every transaction and
+    cashflow date in (t, T] of every position in scope.
+
+    `scope` is a Position or a Portfolio.
+    """
+    if not t < T:
+        raise EmptyPeriod(f"period start {t!r} not before end {T!r}")
+    positions = scope.positions if isinstance(scope, Portfolio) else (scope,)
+    dates = {t, T}
+    for pos in positions:
+        dates.update(txn.date for txn in pos.transactions if t < txn.date <= T)
+        dates.update(d for d, _ in pos.schedule.entries if t < d <= T)
+    return sorted(dates)
+
+
+def _as_snapshot_map(snapshots) -> Mapping:
+    if isinstance(snapshots, Mapping):
+        return snapshots
+    return {snap.as_of: snap for snap in snapshots}
+
+
+def _with_start_coupon(price, start, amount):
+    # pre-coupon start price for the literal carry mode
+    def pre_coupon(s, curve, factors):
+        value = price(s, curve, factors)
+        return value + amount if s == start else value
+
+    return pre_coupon
+
+
+def attribute_position(
+    position: Position,
+    snapshots,
+    grid: Sequence,
+    fx_mode: FxMode = FxMode.AVERAGE,
+    carry_mode: CarryMode = CarryMode.CORRECTED,
+) -> tuple[list[AttributionResult], AttributionResult]:
+    """Attribute one position over a snapshot grid, subperiod by subperiod.
+
+    Returns the per-subperiod results over (grid[i-1], grid[i]] and their
+    componentwise sum. In CORRECTED mode the aggregate total equals the
+    realized EUR PnL including coupons converted around their payment
+    dates; in LITERAL mode each subperiod starts at the pre-coupon price,
+    reproducing the shortfall that motivates the correction.
+    """
+    snaps = _as_snapshot_map(snapshots)
+    grid = list(grid)
+    if len(grid) < 2:
+        raise EmptyPeriod("attribution grid needs at least a start and an end date")
+    for u in grid:
+        if u not in snaps:
+            raise MissingSnapshot(f"no market snapshot at {u!r}")
+    grid_set = set(grid)
+    start, end = grid[0], grid[-1]
+    for d, amount in position.schedule.entries:
+        if start < d <= end and amount != 0.0 and d not in grid_set:
+            raise ScheduleOutsideGrid(f"cashflow at {d!r} not on the attribution grid")
+
+    base_price = _price_fn(position.pricer)
+    chi_period_end = _fx_rate(snaps[end].fx)
+    results: list[AttributionResult] = []
+    for u_prev, u_cur in zip(grid, grid[1:]):
+        price = base_price
+        if carry_mode is CarryMode.LITERAL:
+            coupon_at_start = position.schedule.amount_on(u_prev)
+            if coupon_at_start != 0.0:
+                price = _with_start_coupon(base_price, u_prev, coupon_at_start)
+
+        split = four_way_split(price, u_prev, u_cur, snaps[u_prev], snaps[u_cur], fx_mode)
+        quantity = position.quantity_at(u_prev)
+        if quantity != 1.0:
+            split = split.scaled(quantity)
+
+        coupon = position.schedule.amount_on(u_cur)
+        if coupon != 0.0:
+            if carry_mode is CarryMode.SOPHIS:
+                fx_weight = chi_period_end
+            else:
+                fx_weight = 0.5 * (_fx_rate(snaps[u_prev].fx) + _fx_rate(snaps[u_cur].fx))
+            coupon_eur = quantity * coupon * fx_weight
+            split = AttributionResult(
+                fx=split.fx,
+                rate=split.rate,
+                market=split.market,
+                carry=split.carry + coupon_eur,
+                total=split.total + coupon_eur,
+            )
+        results.append(split)
+
+    return results, AttributionResult.combine(results)
+
+
+@dataclass(frozen=True)
+class PositionAttribution:
+    """Per-position outcome: subperiod trail, aggregate, and EUR costs."""
+
+    position_id: str
+    bucket: Bucket
+    subperiods: tuple[AttributionResult, ...]
+    aggregate: AttributionResult
+    costs: float
+
+    @property
+    def hedged_pnl(self) -> float:
+        """market + carry - costs: the contribution left after rate and FX
+        moves are neutralized by fund-level hedges."""
+        return self.aggregate.market + self.aggregate.carry - self.costs
+
+
+@dataclass(frozen=True)
+class PortfolioAttribution:
+    period: tuple[Any, Any]
+    grid: tuple
+    positions: tuple[PositionAttribution, ...]
+    buckets: Mapping[Bucket, AttributionResult]
+    fund: AttributionResult
+
+    def by_id(self, position_id: str) -> PositionAttribution:
+        for pos in self.positions:
+            if pos.position_id == position_id:
+                return pos
+        raise KeyError(position_id)
+
+
+def attribute_portfolio(
+    portfolio: Portfolio,
+    snapshots,
+    t,
+    T,
+    fx_mode: FxMode = FxMode.AVERAGE,
+    carry_mode: CarryMode = CarryMode.CORRECTED,
+    *,
+    snapshots_by_position: Mapping[str, Any] | None = None,
+) -> PortfolioAttribution:
+    """Attribute every position on the common transaction/coupon grid.
+
+    All positions share `snapshots` unless `snapshots_by_position` supplies
+    a dedicated series for an id (multi-currency books need per-currency fx
+    quotes). Fund and bucket results are componentwise sums in input order,
+    so the output is independent of any internal scheduling.
+    """
+    grid = segment_period(portfolio, t, T)
+    shared = _as_snapshot_map(snapshots) if snapshots is not None else None
+    per_position: list[PositionAttribution] = []
+    for pos in portfolio.positions:
+        pos_snaps = shared
+        if snapshots_by_position is not None and pos.id in snapshots_by_position:
+            pos_snaps = _as_snapshot_map(snapshots_by_position[pos.id])
+        if pos_snaps is None:
+            raise MissingSnapshot(f"position {pos.id}: no snapshot source given")
+        try:
+            subperiods, aggregate = attribute_position(pos, pos_snaps, grid, fx_mode, carry_mode)
+        except EngineError as exc:
+            exc.args = (f"position {pos.id}: {exc.args[0] if exc.args else exc}",) + tuple(exc.args[1:])
+            raise
+        per_position.append(
+            PositionAttribution(
+                position_id=pos.id,
+                bucket=pos.bucket,
+                subperiods=tuple(subperiods),
+                aggregate=aggregate,
+                costs=pos.costs_in(t, T),
+            )
+        )
+
+    buckets = {}
+    for bucket in Bucket:
+        members = [p.aggregate for p in per_position if p.bucket is bucket]
+        if members:
+            buckets[bucket] = AttributionResult.combine(members)
+    fund = AttributionResult.combine(p.aggregate for p in per_position)
+    return PortfolioAttribution(
+        period=(t, T),
+        grid=tuple(grid),
+        positions=tuple(per_position),
+        buckets=buckets,
+        fund=fund,
+    )

@@ -1,0 +1,241 @@
+"""Market state containers: zero curves, credit factors, FX quotes, snapshots.
+
+A snapshot bundles everything a pricer needs at one observation date. The
+attribution scheme only ever swaps whole snapshots between dates, so these
+are immutable value objects with no bump or rebuild machinery.
+
+The FX convention throughout is the EUR price of one unit of the asset
+currency (so a falling EUR-USD market quote means a RISING fx rate here).
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from dataclasses import dataclass
+from datetime import date
+from typing import IO, Iterable
+
+import numpy as np
+
+from .errors import (
+    DuplicateDate,
+    EmptyNodes,
+    MissingField,
+    NegativeTenor,
+    NonMonotoneTenors,
+    ParseError,
+)
+
+MARKET_CSV_COLUMNS = (
+    "date",
+    "fx",
+    "hazard",
+    "recovery",
+    "basis",
+    "curve_tenors",
+    "curve_rates",
+)
+
+
+@dataclass(frozen=True)
+class ZeroCurve:
+    """Continuously compounded zero curve, linear in zero rate between nodes.
+
+    Nodes are (tenor, rate) pairs with tenors as ACT/365F year fractions
+    from anchor_date. Rates interpolate linearly between nodes and
+    extrapolate flat beyond both ends.
+    """
+
+    anchor_date: date
+    nodes: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        nodes = tuple((float(t), float(r)) for t, r in self.nodes)
+        if not nodes:
+            raise EmptyNodes("zero curve needs at least one node")
+        tenors = [t for t, _ in nodes]
+        if tenors[0] < 0.0:
+            raise NonMonotoneTenors(f"tenors must be >= 0, got {tenors[0]}")
+        if any(b <= a for a, b in zip(tenors, tenors[1:])):
+            raise NonMonotoneTenors(f"tenors must be strictly increasing, got {tenors}")
+        object.__setattr__(self, "nodes", nodes)
+
+    def zero_rate(self, tenor: float) -> float:
+        """Interpolated zero rate at the given year fraction."""
+        tenors = [t for t, _ in self.nodes]
+        rates = [r for _, r in self.nodes]
+        return float(np.interp(tenor, tenors, rates))
+
+    def discount_factor(self, tenor: float) -> float:
+        """exp(-z(tenor) * tenor); strictly positive for tenor >= 0."""
+        if tenor < 0.0:
+            raise NegativeTenor(f"tenor must be >= 0, got {tenor}")
+        return math.exp(-self.zero_rate(tenor) * tenor)
+
+
+def build_zero_curve(anchor: date, nodes: Iterable[tuple[float, float]]) -> ZeroCurve:
+    """Build a curve from (tenor, zero rate) pairs; see ZeroCurve for rules."""
+    return ZeroCurve(anchor_date=anchor, nodes=tuple(nodes))
+
+
+@dataclass(frozen=True)
+class MarketFactors:
+    """Non-rate pricing state: flat default intensity, recovery, basis spread.
+
+    The attribution treats this bundle as one opaque state that is swapped
+    wholesale between dates, never bumped component by component.
+    """
+
+    hazard_rate: float
+    recovery: float = 0.0
+    basis_spread: float = 0.0
+
+    def __post_init__(self):
+        if self.hazard_rate < 0.0:
+            raise ValueError(f"hazard_rate must be >= 0, got {self.hazard_rate}")
+        if not 0.0 <= self.recovery < 1.0:
+            raise ValueError(f"recovery must be in [0, 1), got {self.recovery}")
+
+
+@dataclass(frozen=True)
+class FxQuote:
+    """EUR price of one unit of the asset currency; strictly positive."""
+
+    rate: float
+
+    def __post_init__(self):
+        if not self.rate > 0.0:
+            raise ValueError(f"fx rate must be > 0, got {self.rate}")
+
+
+@dataclass(frozen=True)
+class MarketSnapshot:
+    """Dated bundle (curve, factors, fx) fed to pricers as one state."""
+
+    as_of: date
+    curve: ZeroCurve
+    factors: MarketFactors
+    fx: FxQuote
+
+    def __post_init__(self):
+        if self.curve.anchor_date != self.as_of:
+            raise ValueError(
+                f"curve anchored at {self.curve.anchor_date} but snapshot dated {self.as_of}"
+            )
+
+
+def _split_series(cell: str, row: int, column: str) -> list[float]:
+    parts = [p for p in cell.split(";") if p.strip() != ""]
+    if not parts:
+        raise MissingField(f"row {row}: column {column!r} is empty")
+    try:
+        return [float(p) for p in parts]
+    except ValueError as exc:
+        raise ParseError(f"bad number in series: {exc}", row=row, column=column) from exc
+
+
+def load_market_snapshots(source) -> list[MarketSnapshot]:
+    """Read snapshots from CSV with the documented schema, sorted by date.
+
+    `source` may be a filesystem path, an open text stream, or any iterable
+    of CSV lines. Header is mandatory:
+
+        date,fx,hazard,recovery,basis,curve_tenors,curve_rates
+
+    with curve columns holding semicolon-separated numbers of equal length,
+    ISO-8601 dates, and '.' decimal points.
+    """
+    if hasattr(source, "read"):
+        return _parse_market_csv(source)
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            return _parse_market_csv(handle)
+    return _parse_market_csv(source)
+
+
+def _parse_market_csv(lines) -> list[MarketSnapshot]:
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingField("market CSV is empty, header row required") from None
+    positions = {name.strip(): i for i, name in enumerate(header)}
+    for column in MARKET_CSV_COLUMNS:
+        if column not in positions:
+            raise MissingField(f"market CSV header lacks column {column!r}")
+
+    snapshots: dict[date, MarketSnapshot] = {}
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+
+        def cell(column: str) -> str:
+            idx = positions[column]
+            if idx >= len(row) or row[idx].strip() == "":
+                raise MissingField(f"row {row_no}: column {column!r} is missing")
+            return row[idx].strip()
+
+        try:
+            as_of = date.fromisoformat(cell("date"))
+        except ValueError as exc:
+            raise ParseError(f"bad date: {exc}", row=row_no, column="date") from exc
+        if as_of in snapshots:
+            raise DuplicateDate(f"row {row_no}: duplicate market date {as_of.isoformat()}")
+
+        def number(column: str) -> float:
+            try:
+                return float(cell(column))
+            except ValueError as exc:
+                raise ParseError(f"bad number: {exc}", row=row_no, column=column) from exc
+
+        tenors = _split_series(cell("curve_tenors"), row_no, "curve_tenors")
+        rates = _split_series(cell("curve_rates"), row_no, "curve_rates")
+        if len(tenors) != len(rates):
+            raise ParseError(
+                f"curve_tenors has {len(tenors)} entries but curve_rates has {len(rates)}",
+                row=row_no,
+            )
+        try:
+            snapshot = MarketSnapshot(
+                as_of=as_of,
+                curve=ZeroCurve(as_of, tuple(zip(tenors, rates))),
+                factors=MarketFactors(
+                    hazard_rate=number("hazard"),
+                    recovery=number("recovery"),
+                    basis_spread=number("basis"),
+                ),
+                fx=FxQuote(number("fx")),
+            )
+        except (ValueError, EmptyNodes, NonMonotoneTenors) as exc:
+            raise ParseError(str(exc), row=row_no) from exc
+        snapshots[as_of] = snapshot
+
+    return [snapshots[d] for d in sorted(snapshots)]
+
+
+def dump_market_snapshots(snapshots: Iterable[MarketSnapshot], stream: IO[str] | None = None):
+    """Serialize snapshots to CSV; numbers use repr so reloading round-trips.
+
+    Returns the CSV text when no stream is given.
+    """
+    import io as _io
+
+    out = stream if stream is not None else _io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(MARKET_CSV_COLUMNS)
+    for snap in snapshots:
+        writer.writerow(
+            [
+                snap.as_of.isoformat(),
+                repr(snap.fx.rate),
+                repr(snap.factors.hazard_rate),
+                repr(snap.factors.recovery),
+                repr(snap.factors.basis_spread),
+                ";".join(repr(t) for t, _ in snap.curve.nodes),
+                ";".join(repr(r) for _, r in snap.curve.nodes),
+            ]
+        )
+    if stream is None:
+        return out.getvalue()
+    return None
