@@ -173,16 +173,27 @@ def four_way_split(pricer, t, T, snap_t, snap_T, fx_mode: FxMode = FxMode.AVERAG
     attributes; they are handed to the pricer opaquely, which is what lets
     the same code run on production curve objects and on scalar toy states.
     """
+    result, _ = _split(_price_fn(pricer), t, T, snap_t, snap_T, fx_mode)
+    return result
+
+
+def _split(price, t, T, snap_t, snap_T, fx_mode: FxMode, start_old: float | None = None):
+    """four_way_split on a price function; returns (result, end_new).
+
+    A caller that already holds A_t(r_t, x_t), such as the previous
+    subperiod's end_new under the same pure price function, passes it as
+    `start_old` and saves one of the six evaluations.
+    """
     if not t < T:
         raise EmptyPeriod(f"period start {t!r} not before end {T!r}")
-    price = _price_fn(pricer)
     r_t, x_t, chi_t = snap_t.curve, snap_t.factors, _fx_rate(snap_t.fx)
     r_T, x_T, chi_T = snap_T.curve, snap_T.factors, _fx_rate(snap_T.fx)
 
     end_new = _evaluate(price, "end price under end curve and end factors", T, r_T, x_T)
     end_old_curve = _evaluate(price, "end price under start curve and end factors", T, r_t, x_T)
     end_old_factors = _evaluate(price, "end price under end curve and start factors", T, r_T, x_t)
-    start_old = _evaluate(price, "start price under start curve and start factors", t, r_t, x_t)
+    if start_old is None:
+        start_old = _evaluate(price, "start price under start curve and start factors", t, r_t, x_t)
     start_new_curve = _evaluate(price, "start price under end curve and start factors", t, r_T, x_t)
     start_new_factors = _evaluate(price, "start price under start curve and end factors", t, r_t, x_T)
 
@@ -192,13 +203,14 @@ def four_way_split(pricer, t, T, snap_t, snap_T, fx_mode: FxMode = FxMode.AVERAG
 
     fx_part, _ = fx_split(start_old, end_new, chi_t, chi_T, fx_mode)
     weight = 0.5 * (chi_t + chi_T) if fx_mode is FxMode.AVERAGE else chi_T
-    return AttributionResult(
+    result = AttributionResult(
         fx=fx_part,
         rate=weight * rate_move,
         market=weight * market_move,
         carry=weight * carry_move,
         total=end_new * chi_T - start_old * chi_t,
     )
+    return result, end_new
 
 
 class Bucket(str, Enum):
@@ -297,6 +309,20 @@ def _as_snapshot_map(snapshots) -> Mapping:
     return {snap.as_of: snap for snap in snapshots}
 
 
+def _quantities(transactions, notional_sign: int, dates: Sequence) -> list[float]:
+    """Position.quantity_at for each of the ascending dates, from one pass
+    over the transactions in date order."""
+    ordered = sorted(transactions, key=lambda txn: txn.date)
+    quantity, i = float(notional_sign), 0
+    out = []
+    for when in dates:
+        while i < len(ordered) and ordered[i].date <= when:
+            quantity += ordered[i].quantity_change
+            i += 1
+        out.append(quantity)
+    return out
+
+
 def _with_start_coupon(price, start, amount):
     # pre-coupon start price for the literal carry mode
     def pre_coupon(s, curve, factors):
@@ -336,16 +362,21 @@ def attribute_position(
 
     base_price = _price_fn(position.pricer)
     chi_period_end = _fx_rate(snaps[end].fx)
+    # ex-coupon starts make each subperiod's start_old the previous end_new;
+    # literal mode restarts at the pre-coupon price, so it evaluates afresh
+    reuse_start = carry_mode is not CarryMode.LITERAL
+    end_new = None
+    quantities = _quantities(position.transactions, position.notional_sign, grid[:-1])
     results: list[AttributionResult] = []
-    for u_prev, u_cur in zip(grid, grid[1:]):
+    for u_prev, u_cur, quantity in zip(grid, grid[1:], quantities):
         price = base_price
         if carry_mode is CarryMode.LITERAL:
             coupon_at_start = position.schedule.amount_on(u_prev)
             if coupon_at_start != 0.0:
                 price = _with_start_coupon(base_price, u_prev, coupon_at_start)
 
-        split = four_way_split(price, u_prev, u_cur, snaps[u_prev], snaps[u_cur], fx_mode)
-        quantity = position.quantity_at(u_prev)
+        split, end_new = _split(price, u_prev, u_cur, snaps[u_prev], snaps[u_cur], fx_mode,
+                                end_new if reuse_start else None)
         if quantity != 1.0:
             split = split.scaled(quantity)
 

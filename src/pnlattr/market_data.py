@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import IO, Iterable
 
@@ -49,23 +49,35 @@ class ZeroCurve:
 
     anchor_date: date
     nodes: tuple[tuple[float, float], ...]
+    _tenors: np.ndarray = field(init=False, repr=False, compare=False)
+    _rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple((float(t), float(r)) for t, r in self.nodes)
         if not nodes:
             raise EmptyNodes("zero curve needs at least one node")
+        if not all(math.isfinite(t) and math.isfinite(r) for t, r in nodes):
+            raise ValueError(f"curve nodes must be finite, got {nodes}")
         tenors = [t for t, _ in nodes]
         if tenors[0] < 0.0:
             raise NonMonotoneTenors(f"tenors must be >= 0, got {tenors[0]}")
         if any(b <= a for a, b in zip(tenors, tenors[1:])):
             raise NonMonotoneTenors(f"tenors must be strictly increasing, got {tenors}")
         object.__setattr__(self, "nodes", nodes)
+        # node arrays built once; read-only because every zero_rate call shares them
+        columns = np.array(nodes, dtype=np.float64).T.copy()
+        columns.flags.writeable = False
+        object.__setattr__(self, "_tenors", columns[0])
+        object.__setattr__(self, "_rates", columns[1])
 
-    def zero_rate(self, tenor: float) -> float:
-        """Interpolated zero rate at the given year fraction."""
-        tenors = [t for t, _ in self.nodes]
-        rates = [r for _, r in self.nodes]
-        return float(np.interp(tenor, tenors, rates))
+    def zero_rate(self, tenor: float | np.ndarray) -> float | np.ndarray:
+        """Interpolated zero rate at a year fraction, or at an array of them.
+
+        A scalar tenor gives a float; an array gives an array of the same
+        shape, equal element by element to the scalar results.
+        """
+        rate = np.interp(tenor, self._tenors, self._rates)
+        return float(rate) if np.ndim(rate) == 0 else rate
 
     def discount_factor(self, tenor: float) -> float:
         """exp(-z(tenor) * tenor); strictly positive for tenor >= 0."""
@@ -92,21 +104,23 @@ class MarketFactors:
     basis_spread: float = 0.0
 
     def __post_init__(self):
-        if self.hazard_rate < 0.0:
-            raise ValueError(f"hazard_rate must be >= 0, got {self.hazard_rate}")
+        if not math.isfinite(self.hazard_rate) or self.hazard_rate < 0.0:
+            raise ValueError(f"hazard_rate must be finite and >= 0, got {self.hazard_rate}")
+        if not math.isfinite(self.basis_spread):
+            raise ValueError(f"basis_spread must be finite, got {self.basis_spread}")
         if not 0.0 <= self.recovery < 1.0:
             raise ValueError(f"recovery must be in [0, 1), got {self.recovery}")
 
 
 @dataclass(frozen=True)
 class FxQuote:
-    """EUR price of one unit of the asset currency; strictly positive."""
+    """EUR price of one unit of the asset currency; finite and strictly positive."""
 
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError(f"fx rate must be > 0, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate > 0.0):
+            raise ValueError(f"fx rate must be finite and > 0, got {self.rate}")
 
 
 @dataclass(frozen=True)

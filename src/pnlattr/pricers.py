@@ -28,13 +28,15 @@ Models are reduced-form with a flat default intensity lambda:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import lru_cache
 from typing import Any, Protocol
 
-from .dates import add_months, year_fraction
+import numpy as np
+
+from .dates import DAYS_PER_YEAR, add_months, year_fraction
 from .errors import EmptyInterval, PastMaturity
 from .market_data import MarketFactors, ZeroCurve
 
@@ -50,6 +52,7 @@ class CashflowSchedule:
     """
 
     entries: tuple[tuple[Any, float], ...] = ()
+    _by_date: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = tuple((d, float(a)) for d, a in self.entries)
@@ -60,12 +63,10 @@ class CashflowSchedule:
             if amount < 0.0:
                 raise ValueError(f"cashflow amounts must be >= 0, got {amount} at {d!r}")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_by_date", dict(entries))
 
     def amount_on(self, when) -> float:
-        for d, amount in self.entries:
-            if d == when:
-                return amount
-        return 0.0
+        return self._by_date.get(when, 0.0)
 
 
 def coupons_in(schedule: CashflowSchedule, start, end) -> list[tuple[Any, float]]:
@@ -103,7 +104,6 @@ class BondSpec:
             raise ValueError(f"coupon_frequency must be 1, 2, 4 or 12, got {self.coupon_frequency}")
 
 
-@lru_cache(maxsize=None)
 def _coupon_dates(spec: BondSpec) -> tuple[date, ...]:
     # rolled backward from maturity; each date derived from maturity directly
     # so month-end clamping never compounds
@@ -118,6 +118,14 @@ def _coupon_dates(spec: BondSpec) -> tuple[date, ...]:
     return tuple(reversed(out))
 
 
+@lru_cache(maxsize=None)
+def _coupon_ordinals(spec: BondSpec) -> np.ndarray:
+    # cached per spec; read-only because every evaluation of the spec shares it
+    ordinals = np.array([d.toordinal() for d in _coupon_dates(spec)], dtype=np.int64)
+    ordinals.flags.writeable = False
+    return ordinals
+
+
 def bond_cashflows(spec: BondSpec) -> CashflowSchedule:
     """Coupon schedule in absolute currency amounts (notional-scaled)."""
     if spec.coupon_rate == 0.0:
@@ -130,25 +138,25 @@ def price_bond(spec: BondSpec, s: date, curve: ZeroCurve, factors: MarketFactors
     """Dirty reduced-form bond value at s; see the module docstring for the model."""
     if s > spec.maturity:
         raise PastMaturity(f"valuation {s} after maturity {spec.maturity}")
-    lam = factors.hazard_rate
-    basis = factors.basis_spread
+    # taus = 0, then the year fractions to each coupon date after s; the last
+    # coupon date is the maturity, so taus is also the recovery trapezoid grid
+    ordinals = _coupon_ordinals(spec)
+    s_ordinal = s.toordinal()
+    first = ordinals.searchsorted(s_ordinal, side="right")
+    taus = np.empty(len(ordinals) - first + 1)
+    taus[0] = 0.0
+    np.divide(ordinals[first:] - s_ordinal, DAYS_PER_YEAR, out=taus[1:])
+    # row 0 discounts (zero rate + basis), row 1 survives (hazard rate)
+    rates = np.empty((2, len(taus)))
+    rates[0] = curve.zero_rate(taus) + factors.basis_spread
+    rates[1] = factors.hazard_rate
+    disc, surv = np.exp(rates * -taus)
 
-    def disc(tau: float) -> float:
-        return math.exp(-(curve.zero_rate(tau) + basis) * tau)
-
-    def surv(tau: float) -> float:
-        return math.exp(-lam * tau)
-
-    tau_mat = year_fraction(s, spec.maturity)
-    coupon_taus = [year_fraction(s, d) for d in _coupon_dates(spec) if d > s]
     amount = spec.coupon_rate / spec.coupon_frequency
-    value = math.fsum(amount * disc(u) * surv(u) for u in coupon_taus)
-    value += disc(tau_mat) * surv(tau_mat)
-    if factors.recovery != 0.0 and tau_mat > 0.0:
-        grid = sorted({0.0, tau_mat, *coupon_taus})
-        integral = math.fsum(
-            0.5 * (disc(a) + disc(b)) * (surv(a) - surv(b)) for a, b in zip(grid, grid[1:])
-        )
+    value = math.fsum((amount * disc[1:] * surv[1:]).tolist())
+    value += float(disc[-1] * surv[-1])
+    if factors.recovery != 0.0 and taus[-1] > 0.0:
+        integral = math.fsum((0.5 * (disc[:-1] + disc[1:]) * (surv[:-1] - surv[1:])).tolist())
         value += factors.recovery * integral
     return spec.notional * value
 
@@ -191,11 +199,9 @@ def price_cds(spec: CdsSpec, s: date, curve: ZeroCurve, factors: MarketFactors) 
         return 0.0
     lam = factors.hazard_rate
     steps = max(1, math.ceil(tau * 4))
-    grid = [tau * k / steps for k in range(steps + 1)]
-    risky = [math.exp(-curve.zero_rate(u) * u - lam * u) for u in grid]
-    annuity = math.fsum(
-        0.5 * (risky[k - 1] + risky[k]) * (grid[k] - grid[k - 1]) for k in range(1, steps + 1)
-    )
+    grid = tau * np.arange(steps + 1) / steps
+    risky = np.exp(-curve.zero_rate(grid) * grid - lam * grid)
+    annuity = math.fsum((0.5 * (risky[:-1] + risky[1:]) * np.diff(grid)).tolist())
     buyer_value = spec.notional * annuity * ((1.0 - factors.recovery) * lam - spec.contractual_spread)
     return buyer_value if spec.direction is ProtectionSide.BOUGHT else -buyer_value
 

@@ -142,3 +142,48 @@ def test_round_trip_is_numerically_identical(market_csv):
     assert again == snaps
     # and dumping again is byte-identical
     assert dump_market_snapshots(again) == text
+
+
+@pytest.mark.parametrize("nodes", [
+    ((1.0, 0.02), (float("nan"), 0.03), (5.0, 0.04)),
+    ((1.0, 0.02), (3.0, float("inf")), (5.0, 0.04)),
+    ((float("-inf"), 0.02),),
+])
+def test_non_finite_curve_nodes_rejected(nodes):
+    with pytest.raises(ValueError, match="finite"):
+        build_zero_curve(ANCHOR, nodes)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(hazard_rate=float("nan")),
+    dict(hazard_rate=float("inf")),
+    dict(hazard_rate=0.02, basis_spread=float("nan")),
+    dict(hazard_rate=0.02, basis_spread=float("-inf")),
+    dict(hazard_rate=0.02, recovery=float("nan")),
+])
+def test_non_finite_factors_rejected(kwargs):
+    with pytest.raises(ValueError):
+        MarketFactors(**kwargs)
+
+
+def test_non_finite_fx_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        FxQuote(float("inf"))
+
+
+@pytest.mark.parametrize("column, value", [
+    ("curve_tenors", "1;nan;5"),
+    ("curve_rates", "0.01;inf;0.02"),
+    ("hazard", "nan"),
+    ("basis", "nan"),
+    ("fx", "inf"),
+])
+def test_non_finite_market_cell_names_the_row(column, value):
+    header = "date,fx,hazard,recovery,basis,curve_tenors,curve_rates"
+    row = dict(zip(header.split(","), ["2022-01-03", "1.1", "0.02", "0.4", "0", "1;3;5",
+                                        "0.01;0.015;0.02"]))
+    row[column] = value
+    good = "2022-01-01,1.1,0.02,0.4,0,1;3;5,0.01;0.015;0.02"
+    text = "\n".join([header, good, ",".join(row.values())]) + "\n"
+    with pytest.raises(ParseError, match="row 3"):
+        load_market_snapshots(io.StringIO(text))

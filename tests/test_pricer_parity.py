@@ -1,0 +1,128 @@
+"""The array-based pricers against a per-tenor scalar reference.
+
+The references below evaluate the model one tenor at a time with
+`math.exp` and scalar `zero_rate`, the way the pricers were first written.
+The array pricers use `np.exp`, which may differ from `math.exp` in the last
+bit, so prices must agree to a relative 1e-12, not bit for bit.
+"""
+
+import math
+from datetime import date, timedelta
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pnlattr import (
+    BondSpec,
+    CdsSpec,
+    MarketFactors,
+    ProtectionSide,
+    ZeroCurve,
+    price_bond,
+    price_cds,
+)
+from pnlattr.dates import year_fraction
+from pnlattr.pricers import _coupon_dates
+
+ANCHOR = date(2022, 1, 1)
+
+curves = st.lists(
+    st.tuples(st.floats(0.0, 40.0), st.floats(-0.05, 0.2)),
+    min_size=1, max_size=10,
+    unique_by=lambda node: round(node[0], 6),
+).map(lambda nodes: ZeroCurve(ANCHOR, tuple(sorted(nodes))))
+
+factors_st = st.builds(
+    MarketFactors,
+    hazard_rate=st.floats(0.0, 0.3),
+    recovery=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+    basis_spread=st.floats(-0.02, 0.02),
+)
+
+
+def reference_bond(spec, s, curve, factors):
+    lam, basis = factors.hazard_rate, factors.basis_spread
+
+    def disc(tau):
+        return math.exp(-(curve.zero_rate(tau) + basis) * tau)
+
+    def surv(tau):
+        return math.exp(-lam * tau)
+
+    tau_mat = year_fraction(s, spec.maturity)
+    coupon_taus = [year_fraction(s, d) for d in _coupon_dates(spec) if d > s]
+    amount = spec.coupon_rate / spec.coupon_frequency
+    value = math.fsum(amount * disc(u) * surv(u) for u in coupon_taus)
+    value += disc(tau_mat) * surv(tau_mat)
+    if factors.recovery != 0.0 and tau_mat > 0.0:
+        grid = sorted({0.0, tau_mat, *coupon_taus})
+        integral = math.fsum(
+            0.5 * (disc(a) + disc(b)) * (surv(a) - surv(b)) for a, b in zip(grid, grid[1:])
+        )
+        value += factors.recovery * integral
+    return spec.notional * value
+
+
+def reference_cds(spec, s, curve, factors):
+    tau = year_fraction(s, spec.maturity)
+    if tau <= 0.0:
+        return 0.0
+    lam = factors.hazard_rate
+    steps = max(1, math.ceil(tau * 4))
+    grid = [tau * k / steps for k in range(steps + 1)]
+    risky = [math.exp(-curve.zero_rate(u) * u - lam * u) for u in grid]
+    annuity = math.fsum(
+        0.5 * (risky[k - 1] + risky[k]) * (grid[k] - grid[k - 1]) for k in range(1, steps + 1)
+    )
+    buyer = spec.notional * annuity * ((1.0 - factors.recovery) * lam - spec.contractual_spread)
+    return buyer if spec.direction is ProtectionSide.BOUGHT else -buyer
+
+
+@settings(max_examples=200)
+@given(
+    curve=curves,
+    factors=factors_st,
+    notional=st.floats(1.0, 1e8),
+    issue_offset=st.integers(-4000, 0),
+    life=st.integers(1, 12000),
+    before_maturity=st.integers(0, 12000),
+    coupon_rate=st.one_of(st.just(0.0), st.floats(0.0, 0.15)),
+    frequency=st.sampled_from((1, 2, 4, 12)),
+)
+def test_price_bond_matches_scalar_reference(curve, factors, notional, issue_offset, life,
+                                             before_maturity, coupon_rate, frequency):
+    issue = ANCHOR + timedelta(days=issue_offset)
+    maturity = issue + timedelta(days=life)
+    spec = BondSpec(notional, issue, maturity, coupon_rate, frequency)
+    s = maturity - timedelta(days=min(before_maturity, life))
+    assert price_bond(spec, s, curve, factors) == pytest.approx(
+        reference_bond(spec, s, curve, factors), rel=1e-12
+    )
+
+
+@settings(max_examples=200)
+@given(
+    curve=curves,
+    factors=factors_st,
+    notional=st.floats(1.0, 1e8),
+    days_to_maturity=st.integers(0, 12000),
+    spread=st.floats(0.0, 0.1),
+    direction=st.sampled_from(ProtectionSide),
+)
+def test_price_cds_matches_scalar_reference(curve, factors, notional, days_to_maturity,
+                                            spread, direction):
+    spec = CdsSpec(notional, ANCHOR + timedelta(days=days_to_maturity), spread, direction)
+    assert price_cds(spec, ANCHOR, curve, factors) == pytest.approx(
+        reference_cds(spec, ANCHOR, curve, factors), rel=1e-12
+    )
+
+
+@given(curve=curves, tenors=st.lists(st.floats(-5.0, 60.0), min_size=0, max_size=50))
+def test_array_zero_rate_equals_scalar_zero_rate_bit_for_bit(curve, tenors):
+    scalar = [curve.zero_rate(t) for t in tenors]
+    assert all(type(z) is float for z in scalar)
+    array = curve.zero_rate(np.array(tenors))
+    assert isinstance(array, np.ndarray) and array.shape == (len(tenors),)
+    assert [z.hex() for z in array.tolist()] == [z.hex() for z in scalar]
