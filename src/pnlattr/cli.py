@@ -12,6 +12,7 @@ Diagnostics go to stderr; the report goes to stdout or --output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from datetime import date
@@ -45,8 +46,6 @@ class RunConfig:
     carry_mode: CarryMode
     output_format: str = "csv"
     nav: float | None = None
-    seed: int | None = None
-    n_steps: int | None = None
 
     def __post_init__(self):
         start, end = self.period
@@ -156,6 +155,12 @@ def _cmd_attribute(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.num_seeds < 1:
         raise ParseError("--num-seeds must be >= 1")
+    if args.steps < 1:
+        raise ParseError("--steps must be >= 1")
+    for flag, value in (("--asset-vol", args.asset_vol), ("--fx-vol", args.fx_vol),
+                        ("--jump-intensity", args.jump_intensity)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ParseError(f"{flag} must be a finite number >= 0, got {value}")
     correlation = None
     if args.corr != 0.0:
         correlation = np.array([[1.0, args.corr], [args.corr, 1.0]])

@@ -29,6 +29,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, IO, Iterable, Mapping
 
 import numpy as np
@@ -38,6 +39,11 @@ from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative
 
 #: Relative finite-difference step for the Taylor-ladder partials.
 DERIVATIVE_STEP = 1e-5
+
+# Seeds simulated and decomposed per array pass in covariation_study. Small
+# enough that a block's temporaries stay a few hundred kB at a few hundred
+# steps; larger blocks bought no speed and raised peak memory.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,7 @@ class PathSet:
                     f"path {name!r} has {arr.shape[0] if arr.ndim == 1 else 'bad'} points, grid has {len(grid)}"
                 )
             paths[name] = arr
-        if "fx" in paths and not np.all(paths["fx"] > 0.0):
-            raise ValueError("fx trajectory must stay strictly positive")
+        _require_positive_fx(paths)
         grid.flags.writeable = False
         for arr in paths.values():
             arr.flags.writeable = False
@@ -138,6 +143,50 @@ def _correlation_factor(correlation, size: int):
         return eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
 
 
+def _require_positive_fx(paths: Mapping[str, np.ndarray]) -> None:
+    if "fx" in paths and not np.all(paths["fx"] > 0.0):
+        raise ValueError("fx trajectory must stay strictly positive")
+
+
+def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int]):
+    """Yield (seed block, values) for blocks of at most _BLOCK seeds.
+
+    values has shape (len(block), n_steps + 1, len(params.processes)).
+    n_steps and the correlation are checked, and the correlation factored,
+    once before the first seed is taken. Each seed draws from its own
+    generator in a fixed order (normals, then jump counts), so a seed's
+    values do not depend on the other seeds of its block.
+    """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    specs = params.processes
+    factor = _correlation_factor(params.correlation, len(specs))
+    dt = params.horizon / n_steps
+    drift = np.array([s.drift for s in specs])
+    vol = np.array([s.volatility for s in specs])
+    initial = np.array([s.initial for s in specs])
+    jumps = params.jump_intensity > 0.0
+    jump_logs = np.array([math.log1p(s.jump_size) for s in specs])
+
+    seeds = iter(seeds)
+    while block := list(islice(seeds, _BLOCK)):
+        normals = np.empty((len(block), n_steps, len(specs)))
+        counts = np.empty((len(block), n_steps), dtype=np.int64) if jumps else None
+        for i, seed in enumerate(block):
+            rng = np.random.default_rng(seed)
+            normals[i] = rng.standard_normal((n_steps, len(specs)))
+            if jumps:
+                counts[i] = rng.poisson(params.jump_intensity * dt, n_steps)
+        if factor is not None:
+            normals = normals @ factor.T
+        log_steps = (drift - 0.5 * vol**2) * dt + vol * math.sqrt(dt) * normals
+        if jumps:
+            log_steps = log_steps + counts[:, :, None] * jump_logs
+        log_paths = np.zeros((len(block), n_steps + 1, len(specs)))
+        np.cumsum(log_steps, axis=1, out=log_paths[:, 1:])
+        yield block, initial * np.exp(log_paths)
+
+
 def simulate_paths(params: SimulationParams, n_steps: int, seed: int) -> PathSet:
     """Seeded log-Euler paths of the parameterized geometric processes.
 
@@ -145,30 +194,9 @@ def simulate_paths(params: SimulationParams, n_steps: int, seed: int) -> PathSet
     processes at once; each process then scales by (1 + jump_size). Draws
     happen in a fixed order, so identical inputs give identical paths.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    specs = params.processes
-    factor = _correlation_factor(params.correlation, len(specs))
-
-    rng = np.random.default_rng(seed)
-    normals = rng.standard_normal((n_steps, len(specs)))
-    if factor is not None:
-        normals = normals @ factor.T
-
-    dt = params.horizon / n_steps
-    drift = np.array([s.drift for s in specs])
-    vol = np.array([s.volatility for s in specs])
-    initial = np.array([s.initial for s in specs])
-    log_steps = (drift - 0.5 * vol**2) * dt + vol * math.sqrt(dt) * normals
-    if params.jump_intensity > 0.0:
-        counts = rng.poisson(params.jump_intensity * dt, n_steps)
-        jump_logs = np.array([math.log1p(s.jump_size) for s in specs])
-        log_steps = log_steps + counts[:, None] * jump_logs[None, :]
-
-    log_paths = np.vstack([np.zeros(len(specs)), np.cumsum(log_steps, axis=0)])
-    values = initial[None, :] * np.exp(log_paths)
+    _, values = next(_simulate_values(params, n_steps, (seed,)))
     grid = np.linspace(0.0, params.horizon, n_steps + 1)
-    paths = {spec.name: np.ascontiguousarray(values[:, j]) for j, spec in enumerate(specs)}
+    paths = {spec.name: np.ascontiguousarray(values[0, :, j]) for j, spec in enumerate(params.processes)}
     return PathSet(grid=grid, paths=paths, seed=seed, params=params)
 
 
@@ -196,14 +224,28 @@ def grid_product_decomposition(path_asset, path_fx) -> GridDecomposition:
         raise LengthMismatch(f"paths must be equal-length vectors, got {a.shape} and {chi.shape}")
     if len(a) < 2:
         raise LengthMismatch("paths need at least two points")
-    da = np.diff(a)
-    dchi = np.diff(chi)
-    return GridDecomposition(
-        fx_integral=math.fsum(a[:-1] * dchi),
-        asset_integral=math.fsum(chi[:-1] * da),
-        covariation=math.fsum(da * dchi),
-        total=float(a[-1] * chi[-1] - a[0] * chi[0]),
-    )
+    return _product_rule_rows(a[None, :], chi[None, :])[0]
+
+
+def _product_rule_rows(a: np.ndarray, chi: np.ndarray) -> list[GridDecomposition]:
+    """One GridDecomposition per row of two (rows, points) path arrays.
+
+    The sums are exact (fsum), so they do not depend on how rows are
+    batched; memoryview hands fsum plain floats without numpy scalars.
+    """
+    da = np.diff(a, axis=1)
+    dchi = np.diff(chi, axis=1)
+    terms = zip(a[:, :-1] * dchi, chi[:, :-1] * da, da * dchi)
+    totals = (a[:, -1] * chi[:, -1] - a[:, 0] * chi[:, 0]).tolist()
+    return [
+        GridDecomposition(
+            fx_integral=math.fsum(memoryview(fx_terms)),
+            asset_integral=math.fsum(memoryview(asset_terms)),
+            covariation=math.fsum(memoryview(cov_terms)),
+            total=total,
+        )
+        for (fx_terms, asset_terms, cov_terms), total in zip(terms, totals)
+    ]
 
 
 @dataclass(frozen=True)
@@ -316,15 +358,16 @@ def compare_coarse_vs_fine(
     """
     a = paths.paths[asset_key]
     chi = paths.paths[fx_key]
-    fine = grid_product_decomposition(a, chi)
-    coarse_fx, coarse_asset = fx_split(float(a[0]), float(a[-1]), float(chi[0]), float(chi[-1]), fx_mode)
-    return CoarseFineComparison(
-        seed=paths.seed,
-        n_steps=paths.n_steps,
-        coarse_fx=coarse_fx,
-        coarse_asset=coarse_asset,
-        fine=fine,
-    )
+    return _compare_rows((paths.seed,), paths.n_steps, a[None, :], chi[None, :], fx_mode)[0]
+
+
+def _compare_rows(seeds, n_steps: int, a: np.ndarray, chi: np.ndarray, fx_mode: FxMode):
+    """compare_coarse_vs_fine for each row of (len(seeds), n_steps + 1) paths."""
+    ends = zip(a[:, 0].tolist(), a[:, -1].tolist(), chi[:, 0].tolist(), chi[:, -1].tolist())
+    return [
+        CoarseFineComparison(seed, n_steps, *fx_split(a0, a1, chi0, chi1, fx_mode), fine)
+        for seed, (a0, a1, chi0, chi1), fine in zip(seeds, ends, _product_rule_rows(a, chi))
+    ]
 
 
 @dataclass(frozen=True)
@@ -354,11 +397,17 @@ def covariation_study(
     seeds: Iterable[int],
     fx_mode: FxMode = FxMode.AVERAGE,
 ) -> StudyResult:
-    """Run compare_coarse_vs_fine over many seeds in the given order."""
-    comparisons = tuple(
-        compare_coarse_vs_fine(simulate_paths(params, n_steps, seed), fx_mode) for seed in seeds
-    )
-    return StudyResult(comparisons)
+    """Run compare_coarse_vs_fine over many seeds in the given order.
+
+    Equal bit for bit to compare_coarse_vs_fine(simulate_paths(...)) per
+    seed, but simulated and decomposed a block of seeds per array pass.
+    """
+    comparisons = []
+    for block, values in _simulate_values(params, n_steps, seeds):
+        paths = {spec.name: values[:, :, j] for j, spec in enumerate(params.processes)}
+        _require_positive_fx(paths)
+        comparisons += _compare_rows(block, values.shape[1] - 1, paths["asset"], paths["fx"], fx_mode)
+    return StudyResult(tuple(comparisons))
 
 
 def write_discrepancy_csv(comparisons, stream: IO[str] | None = None):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +156,33 @@ def test_render_report_accepts_attribution_object(inputs):
     text = render_report(attribution, "csv", nav=50_000_000.0)
     assert text.splitlines()[0].startswith("position,bucket,fx_eur")
     assert "TOTAL" in text
+
+
+GOLDEN_ORACLE = Path(__file__).parent / "data" / "oracle_golden.csv"
+
+
+def test_oracle_reproduces_golden_csv(tmp_path, capsys):
+    out = tmp_path / "oracle.csv"
+    code = run_cli(["oracle", "--seed", "0", "--num-seeds", "40", "--steps", "32",
+                    "--corr", "0.5", "--jump-intensity", "3", "--output", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == GOLDEN_ORACLE.read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--steps", "0"], "--steps"),
+    (["--steps", "-3"], "--steps"),
+    (["--asset-vol", "-1"], "--asset-vol"),
+    (["--fx-vol", "-0.1"], "--fx-vol"),
+    (["--fx-vol", "nan"], "--fx-vol"),
+    (["--asset-vol", "inf"], "--asset-vol"),
+    (["--jump-intensity", "-2"], "--jump-intensity"),
+])
+def test_oracle_bad_numeric_flag_is_validation_error(flags, message, capsys):
+    code = run_cli(["oracle", "--num-seeds", "2", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.out == ""

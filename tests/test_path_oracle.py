@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pnlattr import path_oracle
 from pnlattr import (
     FxMode,
     GbmSpec,
@@ -270,3 +273,127 @@ def test_study_and_csv_report():
     assert len(lines) == 1 + 3 * 12
     # deterministic: same seeds, same text
     assert write_discrepancy_csv(covariation_study(TWO_GBM, n_steps=16, seeds=range(12))) == text
+
+
+def _seedwise_values(params, n_steps, seed):
+    """Reference simulation: one seed, one generator, no batching."""
+    specs = params.processes
+    factor = path_oracle._correlation_factor(params.correlation, len(specs))
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((n_steps, len(specs)))
+    if factor is not None:
+        normals = normals @ factor.T
+    dt = params.horizon / n_steps
+    drift = np.array([s.drift for s in specs])
+    vol = np.array([s.volatility for s in specs])
+    initial = np.array([s.initial for s in specs])
+    log_steps = (drift - 0.5 * vol**2) * dt + vol * math.sqrt(dt) * normals
+    if params.jump_intensity > 0.0:
+        counts = rng.poisson(params.jump_intensity * dt, n_steps)
+        jump_logs = np.array([math.log1p(s.jump_size) for s in specs])
+        log_steps = log_steps + counts[:, None] * jump_logs[None, :]
+    log_paths = np.vstack([np.zeros(len(specs)), np.cumsum(log_steps, axis=0)])
+    return initial[None, :] * np.exp(log_paths)
+
+
+@st.composite
+def study_inputs(draw):
+    names = draw(st.permutations(["asset", "fx", "rate"]))
+    jumps = draw(st.booleans())
+    specs = tuple(
+        GbmSpec(
+            name,
+            initial=draw(st.floats(0.5, 150.0)),
+            drift=draw(st.floats(-0.1, 0.1)),
+            volatility=draw(st.floats(0.0, 0.6)),
+            jump_size=draw(st.floats(-0.2, 0.2)) if jumps else 0.0,
+        )
+        for name in names
+    )
+    rho = draw(st.sampled_from([None, 0.35, 1.0, -1.0]))
+    correlation = None
+    if rho is not None:
+        i, j = names.index("asset"), names.index("fx")
+        correlation = np.eye(3)
+        correlation[i, j] = correlation[j, i] = rho
+    params = SimulationParams(
+        processes=specs,
+        horizon=draw(st.sampled_from([1.0, 0.25, 3.5])),
+        correlation=correlation,
+        jump_intensity=draw(st.floats(0.5, 6.0)) if jumps else 0.0,
+    )
+    n_seeds = draw(st.integers(0, 70))
+    seeds = draw(st.lists(st.integers(0, 2**63), min_size=n_seeds, max_size=n_seeds))
+    if n_seeds >= 2 and draw(st.booleans()):
+        seeds[-1] = seeds[0]
+    return params, draw(st.integers(1, 40)), seeds, draw(st.sampled_from(FxMode))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=study_inputs())
+def test_batched_study_equals_seedwise_route(inputs):
+    params, n_steps, seeds, fx_mode = inputs
+    seedwise = []
+    for seed in seeds:
+        paths = simulate_paths(params, n_steps, seed)
+        reference = _seedwise_values(params, n_steps, seed)
+        for j, spec in enumerate(params.processes):
+            assert np.array_equal(paths.paths[spec.name], reference[:, j])
+        seedwise.append(compare_coarse_vs_fine(paths, fx_mode))
+    expected = write_discrepancy_csv(StudyResult(tuple(seedwise)))
+    assert write_discrepancy_csv(covariation_study(params, n_steps, seeds, fx_mode)) == expected
+
+
+def test_study_of_no_seeds_is_empty():
+    assert covariation_study(TWO_GBM, n_steps=8, seeds=[]).comparisons == ()
+
+
+def test_study_without_fx_path_raises_key_error():
+    params = SimulationParams(processes=(
+        GbmSpec("asset", initial=100.0, volatility=0.2),
+        GbmSpec("rate", initial=1.0, volatility=0.1),
+    ))
+    with pytest.raises(KeyError):
+        compare_coarse_vs_fine(simulate_paths(params, 8, seed=0))
+    with pytest.raises(KeyError):
+        covariation_study(params, n_steps=8, seeds=range(40))
+
+
+def test_study_checks_and_factors_the_correlation_once(monkeypatch):
+    taken = []
+
+    def seeds():
+        for seed in range(70):
+            taken.append(seed)
+            yield seed
+
+    bad = SimulationParams(processes=TWO_GBM.processes,
+                           correlation=np.array([[1.0, 1.5], [1.5, 1.0]]))
+    with pytest.raises(InvalidCorrelation):
+        covariation_study(bad, n_steps=8, seeds=seeds())
+    assert taken == []
+
+    calls = []
+    factor = path_oracle._correlation_factor
+
+    def counting_factor(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(path_oracle, "_correlation_factor", counting_factor)
+    good = SimulationParams(processes=TWO_GBM.processes,
+                            correlation=np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert len(covariation_study(good, n_steps=8, seeds=seeds()).comparisons) == 70
+    assert len(calls) == 1
+
+
+def test_study_rejects_fx_path_that_reaches_zero():
+    # exp underflows to 0 after a few steps at this volatility
+    params = SimulationParams(processes=(
+        GbmSpec("asset", initial=100.0, volatility=0.2),
+        GbmSpec("fx", initial=1.0, volatility=60.0),
+    ))
+    with pytest.raises(ValueError, match="fx trajectory must stay strictly positive"):
+        simulate_paths(params, n_steps=4, seed=0)
+    with pytest.raises(ValueError, match="fx trajectory must stay strictly positive"):
+        covariation_study(params, n_steps=4, seeds=range(40))
