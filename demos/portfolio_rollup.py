@@ -58,13 +58,9 @@ for pos in attribution.positions:
     agg = pos.aggregate
     print(f"  {pos.position_id:10s} [{pos.bucket.value:13s}] "
           f"fx {agg.fx:>10,.0f}  rate {agg.rate:>10,.0f}  market {agg.market:>9,.0f}  "
-          f"carry {agg.carry:>9,.0f}  costs {pos.costs:>7,.0f}  hedged {pos.hedged_pnl:>10,.0f}")
-
-print("\nBucket rollup (EUR):")
-for bucket, result in attribution.buckets.items():
-    print(f"  {bucket.value:14s} total {result.total:>12,.0f}")
-fund = attribution.fund
-print(f"  {'FUND':14s} total {fund.total:>12,.0f}   residual {fund.residual:.2e}")
+          f"carry {agg.carry:>9,.0f}  costs {pos.costs:>7,.0f}")
+worst = max(abs(pos.aggregate.residual) for pos in attribution.positions)
+print(f"worst per-position residual: {worst:.2e} EUR")
 
 standalones = [("FEES", -0.0050 * NAV * 0.25), ("OTHER COSTS", -15_000.0)]
 print("\nRendered report (CSV, bps on NAV):\n")

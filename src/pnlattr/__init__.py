@@ -26,7 +26,6 @@ from .attribution import (
 from .errors import (
     DuplicateDate,
     DuplicatePositionId,
-    EmptyInterval,
     EmptyNodes,
     EmptyPeriod,
     EmptyResults,
@@ -35,13 +34,13 @@ from .errors import (
     LengthMismatch,
     MissingField,
     MissingSnapshot,
-    NegativeTenor,
     NonFiniteDerivative,
     NonMonotoneTenors,
     ParseError,
     PastMaturity,
     PricerEvaluationFailed,
     ScheduleOutsideGrid,
+    SimulationError,
     UnknownBucket,
 )
 from .market_data import (
@@ -49,7 +48,6 @@ from .market_data import (
     MarketFactors,
     MarketSnapshot,
     ZeroCurve,
-    build_zero_curve,
     dump_market_snapshots,
     load_market_snapshots,
 )
@@ -80,7 +78,6 @@ from .pricers import (
     Pricer,
     ProtectionSide,
     bond_cashflows,
-    coupons_in,
     price_bond,
     price_cash,
     price_cds,

@@ -274,12 +274,9 @@ class Position:
 @dataclass(frozen=True)
 class Portfolio:
     positions: tuple[Position, ...]
-    base_currency: str = "EUR"
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(self.positions))
-        if self.base_currency != "EUR":
-            raise ValueError("portfolio base currency is fixed to EUR")
         seen = set()
         for pos in self.positions:
             if pos.id in seen:
@@ -409,20 +406,12 @@ class PositionAttribution:
     aggregate: AttributionResult
     costs: float
 
-    @property
-    def hedged_pnl(self) -> float:
-        """market + carry - costs: the contribution left after rate and FX
-        moves are neutralized by fund-level hedges."""
-        return self.aggregate.market + self.aggregate.carry - self.costs
-
 
 @dataclass(frozen=True)
 class PortfolioAttribution:
     period: tuple[Any, Any]
     grid: tuple
     positions: tuple[PositionAttribution, ...]
-    buckets: Mapping[Bucket, AttributionResult]
-    fund: AttributionResult
 
     def by_id(self, position_id: str) -> PositionAttribution:
         for pos in self.positions:
@@ -445,8 +434,8 @@ def attribute_portfolio(
 
     All positions share `snapshots` unless `snapshots_by_position` supplies
     a dedicated series for an id (multi-currency books need per-currency fx
-    quotes). Fund and bucket results are componentwise sums in input order,
-    so the output is independent of any internal scheduling.
+    quotes). Positions come back in input order; bucket and fund totals are
+    the report's job (see reporting.render_report).
     """
     grid = segment_period(portfolio, t, T)
     shared = _as_snapshot_map(snapshots) if snapshots is not None else None
@@ -471,17 +460,4 @@ def attribute_portfolio(
                 costs=pos.costs_in(t, T),
             )
         )
-
-    buckets = {}
-    for bucket in Bucket:
-        members = [p.aggregate for p in per_position if p.bucket is bucket]
-        if members:
-            buckets[bucket] = AttributionResult.combine(members)
-    fund = AttributionResult.combine(p.aggregate for p in per_position)
-    return PortfolioAttribution(
-        period=(t, T),
-        grid=tuple(grid),
-        positions=tuple(per_position),
-        buckets=buckets,
-        fund=fund,
-    )
+    return PortfolioAttribution(period=(t, T), grid=tuple(grid), positions=tuple(per_position))

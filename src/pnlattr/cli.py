@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -35,27 +34,6 @@ _CARRY_MODES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of an attribution run."""
-
-    portfolio_path: Path
-    market_path: Path
-    period: tuple[date, date]
-    fx_mode: FxMode
-    carry_mode: CarryMode
-    output_format: str = "csv"
-    nav: float | None = None
-
-    def __post_init__(self):
-        start, end = self.period
-        if not start < end:
-            raise EmptyPeriod(f"--from {start} must be before --to {end}")
-        for path in (self.portfolio_path, self.market_path):
-            if not Path(path).exists():
-                raise ParseError(f"no such file: {path}")
-
-
 def _iso_date(text: str) -> date:
     try:
         return date.fromisoformat(text)
@@ -68,9 +46,12 @@ def _standalone(text: str) -> tuple[str, float]:
     if not sep or not label:
         raise argparse.ArgumentTypeError(f"expected LABEL=EUR, got {text!r}")
     try:
-        return label, float(amount)
+        value = float(amount)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad EUR amount in {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"EUR amount must be finite in {text!r}")
+    return label, value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,31 +102,24 @@ def _write_output(text: str, output: str | None) -> None:
 
 
 def _cmd_attribute(args) -> int:
-    config = RunConfig(
-        portfolio_path=Path(args.portfolio),
-        market_path=Path(args.market),
-        period=(args.date_from, args.date_to),
-        fx_mode=_FX_MODES[args.fx_mode],
-        carry_mode=_CARRY_MODES[args.carry_mode],
-        output_format=args.format,
-        nav=args.nav,
-    )
-    snapshots = load_market_snapshots(config.market_path)
-    portfolio = load_portfolio(config.portfolio_path)
+    start, end = args.date_from, args.date_to
+    if not start < end:
+        raise EmptyPeriod(f"--from {start} must be before --to {end}")
+    for path in (Path(args.portfolio), Path(args.market)):
+        if not path.exists():
+            raise ParseError(f"no such file: {path}")
+    if args.nav is not None and not (math.isfinite(args.nav) and args.nav > 0.0):
+        raise ParseError(f"--nav must be a finite number > 0, got {args.nav}")
+    snapshots = load_market_snapshots(args.market)
+    portfolio = load_portfolio(args.portfolio)
     attribution = attribute_portfolio(
-        portfolio,
-        snapshots,
-        config.period[0],
-        config.period[1],
-        config.fx_mode,
-        config.carry_mode,
+        portfolio, snapshots, start, end, _FX_MODES[args.fx_mode], _CARRY_MODES[args.carry_mode]
     )
     rows = build_report_rows(attribution)
-    text = render_report(rows, config.output_format, nav=config.nav,
-                         standalone_lines=args.standalone)
+    text = render_report(rows, args.format, nav=args.nav, standalone_lines=args.standalone)
     _write_output(text, args.output)
     print(
-        f"attributed {len(rows)} positions over ({config.period[0]}, {config.period[1]}] "
+        f"attributed {len(rows)} positions over ({start}, {end}] "
         f"on a {len(attribution.grid)}-point grid",
         file=sys.stderr,
     )

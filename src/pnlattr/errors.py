@@ -17,10 +17,6 @@ class NonMonotoneTenors(EngineError):
     """Curve tenors must be nonnegative and strictly increasing."""
 
 
-class NegativeTenor(EngineError):
-    """Discount factors are only defined for tenors >= 0."""
-
-
 class ParseError(EngineError):
     """Malformed input text; carries row/column context when known."""
 
@@ -49,10 +45,6 @@ class PastMaturity(EngineError):
     """Valuation date lies after the instrument's maturity."""
 
 
-class EmptyInterval(EngineError):
-    """Cashflow window (from, to] is empty because from >= to."""
-
-
 class EmptyPeriod(EngineError):
     """Attribution period (t, T] is empty because t >= T."""
 
@@ -71,6 +63,11 @@ class ScheduleOutsideGrid(EngineError):
 
 class InvalidCorrelation(EngineError):
     """Correlation matrix is not symmetric positive semidefinite."""
+
+
+class SimulationError(EngineError, ValueError):
+    """Simulation inputs or simulated paths the oracle cannot use, such as an
+    fx path that underflows to zero or a jump intensity numpy cannot draw."""
 
 
 class LengthMismatch(EngineError):

@@ -22,7 +22,6 @@ from .errors import (
     DuplicateDate,
     EmptyNodes,
     MissingField,
-    NegativeTenor,
     NonMonotoneTenors,
     ParseError,
 )
@@ -78,17 +77,6 @@ class ZeroCurve:
         """
         rate = np.interp(tenor, self._tenors, self._rates)
         return float(rate) if np.ndim(rate) == 0 else rate
-
-    def discount_factor(self, tenor: float) -> float:
-        """exp(-z(tenor) * tenor); strictly positive for tenor >= 0."""
-        if tenor < 0.0:
-            raise NegativeTenor(f"tenor must be >= 0, got {tenor}")
-        return math.exp(-self.zero_rate(tenor) * tenor)
-
-
-def build_zero_curve(anchor: date, nodes: Iterable[tuple[float, float]]) -> ZeroCurve:
-    """Build a curve from (tenor, zero rate) pairs; see ZeroCurve for rules."""
-    return ZeroCurve(anchor_date=anchor, nodes=tuple(nodes))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import Any, IO, Iterable, Mapping
 import numpy as np
 
 from .attribution import FxMode, fx_split
-from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative
+from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative, SimulationError
 
 #: Relative finite-difference step for the Taylor-ladder partials.
 DERIVATIVE_STEP = 1e-5
@@ -44,6 +44,9 @@ DERIVATIVE_STEP = 1e-5
 # enough that a block's temporaries stay a few hundred kB at a few hundred
 # steps; larger blocks bought no speed and raised peak memory.
 _BLOCK = 32
+
+# Largest Poisson mean numpy's generator accepts (its own POISSON_LAM_MAX).
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,6 @@ class PathSet:
     grid: np.ndarray
     paths: Mapping[str, np.ndarray]
     seed: int
-    params: SimulationParams | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -145,17 +147,18 @@ def _correlation_factor(correlation, size: int):
 
 def _require_positive_fx(paths: Mapping[str, np.ndarray]) -> None:
     if "fx" in paths and not np.all(paths["fx"] > 0.0):
-        raise ValueError("fx trajectory must stay strictly positive")
+        raise SimulationError("fx trajectory must stay strictly positive")
 
 
 def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int]):
     """Yield (seed block, values) for blocks of at most _BLOCK seeds.
 
     values has shape (len(block), n_steps + 1, len(params.processes)).
-    n_steps and the correlation are checked, and the correlation factored,
-    once before the first seed is taken. Each seed draws from its own
-    generator in a fixed order (normals, then jump counts), so a seed's
-    values do not depend on the other seeds of its block.
+    n_steps, the correlation and the jump intensity are checked, and the
+    correlation factored, once before the first seed is taken. Each seed
+    draws from its own generator in a fixed order (normals, then jump
+    counts), so a seed's values do not depend on the other seeds of its
+    block.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -166,6 +169,11 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
     vol = np.array([s.volatility for s in specs])
     initial = np.array([s.initial for s in specs])
     jumps = params.jump_intensity > 0.0
+    if jumps and not params.jump_intensity * dt <= _POISSON_LAM_MAX:
+        raise SimulationError(
+            f"jump_intensity {params.jump_intensity:g} gives a Poisson mean of "
+            f"{params.jump_intensity * dt:g} jumps per step, above the {_POISSON_LAM_MAX:.3g} limit"
+        )
     jump_logs = np.array([math.log1p(s.jump_size) for s in specs])
 
     seeds = iter(seeds)
@@ -197,7 +205,7 @@ def simulate_paths(params: SimulationParams, n_steps: int, seed: int) -> PathSet
     _, values = next(_simulate_values(params, n_steps, (seed,)))
     grid = np.linspace(0.0, params.horizon, n_steps + 1)
     paths = {spec.name: np.ascontiguousarray(values[0, :, j]) for j, spec in enumerate(params.processes)}
-    return PathSet(grid=grid, paths=paths, seed=seed, params=params)
+    return PathSet(grid=grid, paths=paths, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from typing import Any, Protocol
 import numpy as np
 
 from .dates import DAYS_PER_YEAR, add_months, year_fraction
-from .errors import EmptyInterval, PastMaturity
+from .errors import PastMaturity
 from .market_data import MarketFactors, ZeroCurve
 
 
@@ -67,13 +67,6 @@ class CashflowSchedule:
 
     def amount_on(self, when) -> float:
         return self._by_date.get(when, 0.0)
-
-
-def coupons_in(schedule: CashflowSchedule, start, end) -> list[tuple[Any, float]]:
-    """Schedule entries with start < date <= end, in order."""
-    if not start < end:
-        raise EmptyInterval(f"empty window: from {start!r} to {end!r}")
-    return [(d, a) for d, a in schedule.entries if start < d <= end]
 
 
 class Pricer(Protocol):
@@ -235,9 +228,6 @@ class BondPricer:
     def price(self, s, curve, factors) -> float:
         return price_bond(self.spec, s, curve, factors)
 
-    def cashflows(self) -> CashflowSchedule:
-        return bond_cashflows(self.spec)
-
 
 @dataclass(frozen=True)
 class CdsPricer:
@@ -246,9 +236,6 @@ class CdsPricer:
     def price(self, s, curve, factors) -> float:
         return price_cds(self.spec, s, curve, factors)
 
-    def cashflows(self) -> CashflowSchedule:
-        return CashflowSchedule()
-
 
 @dataclass(frozen=True)
 class CashPricer:
@@ -256,6 +243,3 @@ class CashPricer:
 
     def price(self, s, curve, factors) -> float:
         return price_cash(self.spec, s, curve, factors)
-
-    def cashflows(self) -> CashflowSchedule:
-        return CashflowSchedule()

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from pnlattr import (
@@ -16,8 +18,10 @@ from pnlattr import (
     Transaction,
     attribute_portfolio,
     attribute_position,
+    build_report_rows,
     four_way_split,
     fx_split,
+    render_report,
     segment_period,
 )
 
@@ -253,14 +257,23 @@ def make_portfolio():
     ))
 
 
+def report_tree(result):
+    return json.loads(render_report(result, "json"))
+
+
 def test_portfolio_singleton_equals_position_aggregate():
     portfolio = Portfolio(positions=(make_portfolio().positions[0],))
     snaps = {0.0: ScalarState(0.01, 0.0, 1.0), 1.0: ScalarState(0.02, 0.0, 1.0)}
     result = attribute_portfolio(portfolio, snaps, 0.0, 1.0)
     _, direct = attribute_position(portfolio.positions[0], snaps, [0.0, 1.0])
-    assert result.fund == direct
     assert result.positions[0].aggregate == direct
-    assert result.buckets[Bucket.MATCHED_BASIS] == direct
+    expected = {"fx_eur": direct.fx, "rate_eur": direct.rate, "market_eur": direct.market,
+                "carry_eur": direct.carry, "total_eur": direct.total}
+    tree = report_tree(result)
+    [subtotal] = tree["buckets"]
+    assert subtotal["bucket"] == Bucket.MATCHED_BASIS.value
+    for row in (subtotal, tree["positions_total"]):
+        assert {key: row[key] for key in expected} == expected
 
 
 def test_portfolio_cancellation_nets_to_zero():
@@ -274,9 +287,9 @@ def test_portfolio_cancellation_nets_to_zero():
     ))
     snaps = {0.0: ScalarState(0.01, 0.02, 1.4), 1.0: ScalarState(0.05, 0.07, 0.9)}
     result = attribute_portfolio(portfolio, snaps, 0.0, 1.0)
-    for part in (result.fund.fx, result.fund.rate, result.fund.market,
-                 result.fund.carry, result.fund.total):
-        assert part == pytest.approx(0.0, abs=1e-12)
+    fund = report_tree(result)["positions_total"]
+    for part in ("fx_eur", "rate_eur", "market_eur", "carry_eur", "total_eur"):
+        assert fund[part] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_portfolio_costs_and_hedged_pnl():
@@ -285,11 +298,13 @@ def test_portfolio_costs_and_hedged_pnl():
     result = attribute_portfolio(portfolio, snaps, 0.0, 1.0)
     long = result.by_id("long")
     assert long.costs == 2.5
-    assert long.hedged_pnl == pytest.approx(long.aggregate.market + long.aggregate.carry - 2.5)
-    assert result.fund.total == pytest.approx(
+    long_row = next(row for row in build_report_rows(result) if row.position == "long")
+    assert long_row.hedged_eur == pytest.approx(long.aggregate.market + long.aggregate.carry - 2.5)
+    tree = report_tree(result)
+    assert tree["positions_total"]["total_eur"] == pytest.approx(
         sum(p.aggregate.total for p in result.positions), rel=1e-12
     )
-    assert set(result.buckets) == {Bucket.MATCHED_BASIS, Bucket.HEDGE}
+    assert {row["bucket"] for row in tree["buckets"]} == {Bucket.MATCHED_BASIS.value, Bucket.HEDGE.value}
 
 
 def test_portfolio_error_names_the_position():

@@ -116,6 +116,27 @@ def test_validate_without_inputs_fails(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("nav", ["0", "-50000000", "nan", "inf"])
+def test_bad_nav_is_validation_error(inputs, nav, capsys):
+    portfolio, market = inputs
+    code = run_cli(attribute_args(portfolio, market, "--nav", nav))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: --nav must be a finite number > 0")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("amount", ["inf", "-inf", "nan"])
+def test_non_finite_standalone_is_usage_error(inputs, amount, capsys):
+    portfolio, market = inputs
+    code = run_cli(attribute_args(portfolio, market, "--standalone", f"X={amount}"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "usage" in captured.err.lower()
+    assert f"EUR amount must be finite in 'X={amount}'" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_file_is_validation_error(inputs, capsys):
     portfolio, market = inputs
     code = run_cli(attribute_args(portfolio, "/nonexistent/market.csv"))
@@ -178,6 +199,8 @@ def test_oracle_reproduces_golden_csv(tmp_path, capsys):
     (["--fx-vol", "nan"], "--fx-vol"),
     (["--asset-vol", "inf"], "--asset-vol"),
     (["--jump-intensity", "-2"], "--jump-intensity"),
+    (["--fx-vol", "50"], "fx trajectory must stay strictly positive"),
+    (["--jump-intensity", "1e30"], "jump_intensity 1e+30"),
 ])
 def test_oracle_bad_numeric_flag_is_validation_error(flags, message, capsys):
     code = run_cli(["oracle", "--num-seeds", "2", *flags])
@@ -186,3 +209,22 @@ def test_oracle_bad_numeric_flag_is_validation_error(flags, message, capsys):
     assert captured.err.startswith("error: ")
     assert message in captured.err
     assert captured.out == ""
+
+
+DEMO_DATA = Path(__file__).parents[1] / "demos" / "data"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_demo_report_reproduces_golden(fmt, tmp_path, capsys):
+    # the README's CLI command on the demo book
+    out = tmp_path / f"report.{fmt}"
+    code = run_cli(["attribute",
+                    "--portfolio", str(DEMO_DATA / "portfolio.txt"),
+                    "--market", str(DEMO_DATA / "market.csv"),
+                    "--from", "2021-12-31", "--to", "2022-04-01",
+                    "--nav", "50000000", "--standalone", "FEES=-62500",
+                    "--format", fmt, "--output", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    golden = Path(__file__).parent / "data" / f"demo_report_golden.{fmt}"
+    assert out.read_bytes() == golden.read_bytes()

