@@ -34,7 +34,6 @@ spec = BondSpec(
     maturity=date(2026, 8, 15),
     coupon_rate=0.0525,
     coupon_frequency=2,
-    currency="USD",
 )
 position = Position(
     id="BOND",

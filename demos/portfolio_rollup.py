@@ -1,8 +1,8 @@
 """Fund-style attribution report over a rebalanced multi-position book.
 
 Loads the sample holdings (long bond + matched CDS protection + short-bond
-rates hedge), adds an EUR cash-parking position with its own fx series via
-the per-position snapshot override, attributes the first quarter of 2022,
+rates hedge), adds an EUR cash-parking position, which converts at 1 and so
+has no FX part, attributes the first quarter of 2022,
 and renders the bucket rollup with basis points against a reference NAV
 plus pass-through fee lines.
 
@@ -15,7 +15,6 @@ from pnlattr import (
     Bucket,
     CashPricer,
     CashSpec,
-    FxQuote,
     Portfolio,
     Position,
     attribute_portfolio,
@@ -31,22 +30,15 @@ t, T = date(2021, 12, 31), date(2022, 4, 1)
 snapshots = load_market_snapshots("demos/data/market.csv")
 book = load_portfolio("demos/data/portfolio.txt")
 
-# EUR cash never leaves EUR: pin its fx to 1 with a dedicated snapshot series
 cash = Position(
     id="EUR_CASH",
     bucket=Bucket.CASH,
-    pricer=CashPricer(CashSpec(balance=2_000_000, deposit_rate=-0.0078, start=t, currency="EUR")),
+    pricer=CashPricer(CashSpec(balance=2_000_000, deposit_rate=-0.0078, start=t)),
+    currency="EUR",
 )
 portfolio = Portfolio(positions=book.positions + (cash,))
-eur_snaps = {
-    s.as_of: type(s)(as_of=s.as_of, curve=s.curve, factors=s.factors, fx=FxQuote(1.0))
-    for s in snapshots
-}
 
-attribution = attribute_portfolio(
-    portfolio, snapshots, t, T,
-    snapshots_by_position={"EUR_CASH": eur_snaps},
-)
+attribution = attribute_portfolio(portfolio, snapshots, t, T)
 
 print("=" * 72)
 print(f"Fund attribution ({t} .. {T}], NAV {NAV:,.0f} EUR")

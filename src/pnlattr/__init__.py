@@ -34,7 +34,9 @@ from .errors import (
     LengthMismatch,
     MissingField,
     MissingSnapshot,
+    MixedCurrencies,
     NonFiniteDerivative,
+    NonFiniteReport,
     NonMonotoneTenors,
     ParseError,
     PastMaturity,

@@ -38,6 +38,7 @@ from .errors import (
     EmptyPeriod,
     EngineError,
     MissingSnapshot,
+    MixedCurrencies,
     PricerEvaluationFailed,
     ScheduleOutsideGrid,
 )
@@ -144,15 +145,17 @@ def fx_split(a_start, a_end, chi_start, chi_end, mode: FxMode = FxMode.AVERAGE):
     sum to the same total exactly.
     """
     cs, ce = _fx_rate(chi_start), _fx_rate(chi_end)
+    value_weight, quote_weight = _fx_weights(a_start, a_end, cs, ce, mode)
+    return value_weight * (ce - cs), quote_weight * (a_end - a_start)
+
+
+def _fx_weights(a_start, a_end, cs, ce, mode: FxMode):
+    """(asset value that earns the quote change, quote that converts the asset move)."""
     if mode is FxMode.AVERAGE:
-        fx_part = 0.5 * (a_start + a_end) * (ce - cs)
-        asset_part = 0.5 * (cs + ce) * (a_end - a_start)
-    elif mode is FxMode.START_END:
-        fx_part = a_start * (ce - cs)
-        asset_part = ce * (a_end - a_start)
-    else:
-        raise ValueError(f"unknown fx mode {mode!r}")
-    return fx_part, asset_part
+        return 0.5 * (a_start + a_end), 0.5 * (cs + ce)
+    if mode is FxMode.START_END:
+        return a_start, ce
+    raise ValueError(f"unknown fx mode {mode!r}")
 
 
 def _evaluate(price, label: str, s, curve, factors) -> float:
@@ -173,12 +176,13 @@ def four_way_split(pricer, t, T, snap_t, snap_T, fx_mode: FxMode = FxMode.AVERAG
     attributes; they are handed to the pricer opaquely, which is what lets
     the same code run on production curve objects and on scalar toy states.
     """
-    result, _ = _split(_price_fn(pricer), t, T, snap_t, snap_T, fx_mode)
+    chi_t, chi_T = _fx_rate(snap_t.fx), _fx_rate(snap_T.fx)
+    result, _ = _split(_price_fn(pricer), t, T, snap_t, snap_T, chi_t, chi_T, fx_mode)
     return result
 
 
-def _split(price, t, T, snap_t, snap_T, fx_mode: FxMode, start_old: float | None = None):
-    """four_way_split on a price function; returns (result, end_new).
+def _split(price, t, T, snap_t, snap_T, chi_t, chi_T, fx_mode: FxMode, start_old: float | None = None):
+    """four_way_split on a price function and quotes chi_t, chi_T; returns (result, end_new).
 
     A caller that already holds A_t(r_t, x_t), such as the previous
     subperiod's end_new under the same pure price function, passes it as
@@ -186,8 +190,8 @@ def _split(price, t, T, snap_t, snap_T, fx_mode: FxMode, start_old: float | None
     """
     if not t < T:
         raise EmptyPeriod(f"period start {t!r} not before end {T!r}")
-    r_t, x_t, chi_t = snap_t.curve, snap_t.factors, _fx_rate(snap_t.fx)
-    r_T, x_T, chi_T = snap_T.curve, snap_T.factors, _fx_rate(snap_T.fx)
+    r_t, x_t = snap_t.curve, snap_t.factors
+    r_T, x_T = snap_T.curve, snap_T.factors
 
     end_new = _evaluate(price, "end price under end curve and end factors", T, r_T, x_T)
     end_old_curve = _evaluate(price, "end price under start curve and end factors", T, r_t, x_T)
@@ -201,10 +205,9 @@ def _split(price, t, T, snap_t, snap_T, fx_mode: FxMode, start_old: float | None
     market_move = 0.5 * ((end_new - end_old_factors) + (start_new_factors - start_old))
     carry_move = 0.5 * ((end_old_factors - start_new_factors) + (end_old_curve - start_new_curve))
 
-    fx_part, _ = fx_split(start_old, end_new, chi_t, chi_T, fx_mode)
-    weight = 0.5 * (chi_t + chi_T) if fx_mode is FxMode.AVERAGE else chi_T
+    value_weight, weight = _fx_weights(start_old, end_new, chi_t, chi_T, fx_mode)
     result = AttributionResult(
-        fx=fx_part,
+        fx=value_weight * (chi_T - chi_t),
         rate=weight * rate_move,
         market=weight * market_move,
         carry=weight * carry_move,
@@ -235,10 +238,10 @@ class Transaction(NamedTuple):
 class Position:
     """One holding: a pricer plus its cashflow schedule and trade history.
 
-    The schedule carries absolute currency amounts matching the pricer's
-    units. Holdings start at notional_sign and move by the transaction
-    quantity changes; transaction costs are EUR amounts reported separately
-    from the four parts, never netted into them.
+    The schedule carries absolute amounts in `currency`, matching the
+    pricer's units. Holdings start at notional_sign and move by the
+    transaction quantity changes; transaction costs are EUR amounts reported
+    separately from the four parts, never netted into them.
     """
 
     id: str
@@ -247,6 +250,7 @@ class Position:
     notional_sign: int = 1
     schedule: CashflowSchedule = CashflowSchedule()
     transactions: tuple[Transaction, ...] = ()
+    currency: str = "USD"
 
     def __post_init__(self):
         if self.notional_sign not in (1, -1):
@@ -358,31 +362,32 @@ def attribute_position(
             raise ScheduleOutsideGrid(f"cashflow at {d!r} not on the attribution grid")
 
     base_price = _price_fn(position.pricer)
-    chi_period_end = _fx_rate(snaps[end].fx)
+    chis = [1.0 if position.currency == "EUR" else _fx_rate(snaps[u].fx) for u in grid]
     # ex-coupon starts make each subperiod's start_old the previous end_new;
     # literal mode restarts at the pre-coupon price, so it evaluates afresh
     reuse_start = carry_mode is not CarryMode.LITERAL
     end_new = None
     quantities = _quantities(position.transactions, position.notional_sign, grid[:-1])
     results: list[AttributionResult] = []
-    for u_prev, u_cur, quantity in zip(grid, grid[1:], quantities):
+    for i, (u_prev, u_cur, quantity) in enumerate(zip(grid, grid[1:], quantities)):
         price = base_price
         if carry_mode is CarryMode.LITERAL:
             coupon_at_start = position.schedule.amount_on(u_prev)
             if coupon_at_start != 0.0:
                 price = _with_start_coupon(base_price, u_prev, coupon_at_start)
 
-        split, end_new = _split(price, u_prev, u_cur, snaps[u_prev], snaps[u_cur], fx_mode,
-                                end_new if reuse_start else None)
+        try:
+            split, end_new = _split(price, u_prev, u_cur, snaps[u_prev], snaps[u_cur], chis[i], chis[i + 1],
+                                    fx_mode, end_new if reuse_start else None)
+        except EngineError as exc:
+            _prefix(exc, f"subperiod ({u_prev}, {u_cur}]")
+            raise
         if quantity != 1.0:
             split = split.scaled(quantity)
 
         coupon = position.schedule.amount_on(u_cur)
         if coupon != 0.0:
-            if carry_mode is CarryMode.SOPHIS:
-                fx_weight = chi_period_end
-            else:
-                fx_weight = 0.5 * (_fx_rate(snaps[u_prev].fx) + _fx_rate(snaps[u_cur].fx))
+            fx_weight = chis[-1] if carry_mode is CarryMode.SOPHIS else 0.5 * (chis[i] + chis[i + 1])
             coupon_eur = quantity * coupon * fx_weight
             split = AttributionResult(
                 fx=split.fx,
@@ -394,6 +399,11 @@ def attribute_position(
         results.append(split)
 
     return results, AttributionResult.combine(results)
+
+
+def _prefix(exc: Exception, where: str) -> None:
+    """Put `where: ` in front of an engine error's message."""
+    exc.args = (f"{where}: {exc.args[0] if exc.args else exc}",) + tuple(exc.args[1:])
 
 
 @dataclass(frozen=True)
@@ -427,29 +437,27 @@ def attribute_portfolio(
     T,
     fx_mode: FxMode = FxMode.AVERAGE,
     carry_mode: CarryMode = CarryMode.CORRECTED,
-    *,
-    snapshots_by_position: Mapping[str, Any] | None = None,
 ) -> PortfolioAttribution:
     """Attribute every position on the common transaction/coupon grid.
 
-    All positions share `snapshots` unless `snapshots_by_position` supplies
-    a dedicated series for an id (multi-currency books need per-currency fx
-    quotes). Positions come back in input order; bucket and fund totals are
-    the report's job (see reporting.render_report).
+    EUR positions convert at 1 and all others at the market's one fx
+    column, so a book may not mix two foreign currencies. Positions come
+    back in input order; bucket and fund totals are the report's job (see
+    reporting.render_report).
     """
+    foreign = [pos for pos in portfolio.positions if pos.currency != "EUR"]
+    for pos in foreign[1:]:
+        if pos.currency != foreign[0].currency:
+            raise MixedCurrencies(f"position {foreign[0].id} is in {foreign[0].currency} and position "
+                                  f"{pos.id} in {pos.currency}; the market quotes one foreign currency")
     grid = segment_period(portfolio, t, T)
-    shared = _as_snapshot_map(snapshots) if snapshots is not None else None
+    snaps = _as_snapshot_map(snapshots)
     per_position: list[PositionAttribution] = []
     for pos in portfolio.positions:
-        pos_snaps = shared
-        if snapshots_by_position is not None and pos.id in snapshots_by_position:
-            pos_snaps = _as_snapshot_map(snapshots_by_position[pos.id])
-        if pos_snaps is None:
-            raise MissingSnapshot(f"position {pos.id}: no snapshot source given")
         try:
-            subperiods, aggregate = attribute_position(pos, pos_snaps, grid, fx_mode, carry_mode)
+            subperiods, aggregate = attribute_position(pos, snaps, grid, fx_mode, carry_mode)
         except EngineError as exc:
-            exc.args = (f"position {pos.id}: {exc.args[0] if exc.args else exc}",) + tuple(exc.args[1:])
+            _prefix(exc, f"position {pos.id}")
             raise
         per_position.append(
             PositionAttribution(

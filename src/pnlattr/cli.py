@@ -182,6 +182,8 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not math.isfinite(sum(amount for _, amount in getattr(args, "standalone", ()))):
+            parser.error("--standalone amounts must have a finite EUR sum")
     except SystemExit as exc:  # argparse already printed usage/synopsis
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -57,6 +57,10 @@ class MissingSnapshot(EngineError):
     """No market snapshot is available at a required grid date."""
 
 
+class MixedCurrencies(EngineError):
+    """A book holds two foreign currencies, but the market quotes only one."""
+
+
 class ScheduleOutsideGrid(EngineError):
     """A cashflow inside the period does not sit on the attribution grid."""
 
@@ -88,3 +92,7 @@ class DuplicatePositionId(EngineError):
 
 class EmptyResults(EngineError):
     """Report rendering was asked to format an empty result set."""
+
+
+class NonFiniteReport(EngineError):
+    """A report value or its basis-point mirror overflows to a non-finite number."""

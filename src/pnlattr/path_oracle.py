@@ -154,11 +154,11 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
     """Yield (seed block, values) for blocks of at most _BLOCK seeds.
 
     values has shape (len(block), n_steps + 1, len(params.processes)).
-    n_steps, the correlation and the jump intensity are checked, and the
-    correlation factored, once before the first seed is taken. Each seed
-    draws from its own generator in a fixed order (normals, then jump
-    counts), so a seed's values do not depend on the other seeds of its
-    block.
+    n_steps, the correlation, the per-step drift and diffusion and the jump
+    intensity are checked, and the correlation factored, once before the
+    first seed is taken. Each seed draws from its own generator in a fixed
+    order (normals, then jump counts), so a seed's values do not depend on
+    the other seeds of its block.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -167,6 +167,12 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
     dt = params.horizon / n_steps
     drift = np.array([s.drift for s in specs])
     vol = np.array([s.volatility for s in specs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift_step = (drift - 0.5 * vol**2) * dt
+        diffusion = vol * math.sqrt(dt)
+    for spec, a, b in zip(specs, drift_step.tolist(), diffusion.tolist()):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise SimulationError(f"process {spec.name!r}: per-step drift {a:g} or diffusion {b:g} is not finite")
     initial = np.array([s.initial for s in specs])
     jumps = params.jump_intensity > 0.0
     if jumps and not params.jump_intensity * dt <= _POISSON_LAM_MAX:
@@ -187,7 +193,7 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
                 counts[i] = rng.poisson(params.jump_intensity * dt, n_steps)
         if factor is not None:
             normals = normals @ factor.T
-        log_steps = (drift - 0.5 * vol**2) * dt + vol * math.sqrt(dt) * normals
+        log_steps = drift_step + diffusion * normals
         if jumps:
             log_steps = log_steps + counts[:, :, None] * jump_logs
         log_paths = np.zeros((len(block), n_steps + 1, len(specs)))

@@ -6,7 +6,7 @@ The holdings file is structured text with one section per position:
     [position ACME_BOND]
     bucket = MatchedBasis
     instrument = bond           # bond | cds | cash
-    currency = USD
+    currency = USD              # three letters, any case (default USD)
     direction = long            # long | short (default long)
     notional = 4000000
     issue = 2021-05-21
@@ -19,6 +19,10 @@ Instrument keys:
     bond: notional, issue, maturity, coupon_rate, coupon_frequency
     cds:  notional, maturity, contractual_spread, protection (bought|sold)
     cash: balance, deposit_rate, start
+
+`currency` is upper-cased. EUR positions convert at 1 (no FX part); any
+other currency converts at the market's one fx column, so a book may hold
+EUR and at most one foreign currency.
 
 `transaction` and `cashflow` may repeat. `cashflow = DATE AMOUNT` entries
 (absolute currency amounts) replace the generated bond coupon schedule
@@ -45,6 +49,7 @@ from .pricers import (
 
 _SECTION = re.compile(r"^\[position\s+(?P<id>\S+)\]$")
 _REPEATABLE = ("transaction", "cashflow")
+_CURRENCY = re.compile(r"[A-Z]{3}")
 
 
 def load_portfolio(source) -> Portfolio:
@@ -181,7 +186,13 @@ def _build_position(position_id, header_line, fields) -> Position:
             (_parse_date(parts[0], cf_line, "cashflow"), _parse_float(parts[1], cf_line, "cashflow"))
         )
 
-    currency = fields.pop("currency", (header_line, "USD"))[1]
+    currency = {}
+    if "currency" in fields:
+        currency_line, code = fields.pop("currency")
+        code = code.upper()
+        if not _CURRENCY.fullmatch(code):
+            raise ParseError(f"currency must be a three-letter code, got {code!r}", row=currency_line)
+        currency["currency"] = code
 
     if instrument == "bond":
         frequency = 2
@@ -194,7 +205,6 @@ def _build_position(position_id, header_line, fields) -> Position:
             maturity=_date_field(fields, "maturity", position_id, header_line),
             coupon_rate=_float_field(fields, "coupon_rate", position_id, header_line),
             coupon_frequency=frequency,
-            currency=currency,
         )
         pricer = BondPricer(spec)
         schedule = CashflowSchedule(tuple(explicit_cashflows)) if explicit_cashflows else bond_cashflows(spec)
@@ -210,7 +220,6 @@ def _build_position(position_id, header_line, fields) -> Position:
             maturity=_date_field(fields, "maturity", position_id, header_line),
             contractual_spread=_float_field(fields, "contractual_spread", position_id, header_line),
             direction=protection,
-            currency=currency,
         )
         pricer = CdsPricer(spec)
         schedule = CashflowSchedule(tuple(explicit_cashflows))
@@ -220,7 +229,6 @@ def _build_position(position_id, header_line, fields) -> Position:
             balance=_float_field(fields, "balance", position_id, header_line),
             deposit_rate=_float_field(fields, "deposit_rate", position_id, header_line),
             start=_date_field(fields, "start", position_id, header_line),
-            currency=currency,
         )
         pricer = CashPricer(spec)
         schedule = CashflowSchedule(tuple(explicit_cashflows))
@@ -254,6 +262,7 @@ def _build_position(position_id, header_line, fields) -> Position:
             notional_sign=sign,
             schedule=schedule,
             transactions=tuple(transactions),
+            **currency,
         )
     except ValueError as exc:
         raise ParseError(f"position {position_id!r}: {exc}", row=header_line) from exc

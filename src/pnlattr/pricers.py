@@ -84,7 +84,6 @@ class BondSpec:
     maturity: date
     coupon_rate: float
     coupon_frequency: int = 2
-    currency: str = "USD"
 
     def __post_init__(self):
         if not self.notional > 0.0:
@@ -167,7 +166,6 @@ class CdsSpec:
     maturity: date
     contractual_spread: float
     direction: ProtectionSide = ProtectionSide.BOUGHT
-    currency: str = "USD"
 
     def __post_init__(self):
         if not self.notional > 0.0:
@@ -206,7 +204,6 @@ class CashSpec:
     balance: float
     deposit_rate: float
     start: date
-    currency: str = "EUR"
 
     def __post_init__(self):
         if not math.isfinite(self.balance) or not math.isfinite(self.deposit_rate):

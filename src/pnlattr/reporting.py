@@ -14,11 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .attribution import Bucket, PortfolioAttribution
-from .errors import EmptyResults
+from .errors import EmptyResults, NonFiniteReport
 
 EUR_COLUMNS = ("fx_eur", "rate_eur", "market_eur", "carry_eur", "costs_eur", "total_eur", "hedged_eur")
 CSV_COLUMNS = ("position", "bucket") + EUR_COLUMNS
@@ -161,6 +162,11 @@ def render_report(
         raise EmptyResults("no attribution results to report")
     standalone_lines = [(str(label), float(amount)) for label, amount in standalone_lines]
     layout = _layout(rows, standalone_lines)
+    for _, row in layout:
+        for column, value in zip(EUR_COLUMNS, row.values()):
+            if not math.isfinite(value if nav is None else bps(value, nav)):
+                scale = "" if nav is None else f" in bps of nav {nav:g}"
+                raise NonFiniteReport(f"{row.position}: {column} {value:g}{scale} is not finite")
     if format == "csv":
         return _render_csv(layout, nav)
     if format == "json":

@@ -314,6 +314,25 @@ def test_portfolio_error_names_the_position():
         attribute_portfolio(portfolio, snaps, 0.0, 1.0)
 
 
+def test_engine_error_names_the_position_and_the_subperiod():
+    def price(s, r, x):
+        if s == 0.5:
+            raise ValueError("no quote on the rebalance date")
+        return 100.0
+
+    portfolio = Portfolio(positions=(
+        Position(id="flaky", bucket=Bucket.OTHER, pricer=price,
+                 transactions=(Transaction(0.5, 1.0, 0.0),)),
+    ))
+    snaps = {u: ScalarState(0.0, 0.0, 1.0) for u in (0.0, 0.5, 1.0)}
+    with pytest.raises(PricerEvaluationFailed) as info:
+        attribute_portfolio(portfolio, snaps, 0.0, 1.0)
+    assert str(info.value) == (
+        "position flaky: subperiod (0.0, 0.5]: end price under end curve and end factors "
+        "raised: no quote on the rebalance date"
+    )
+
+
 def test_portfolio_rejects_duplicate_ids():
     pos = Position(id="same", bucket=Bucket.OTHER, pricer=lambda s, r, x: 1.0)
     with pytest.raises(DuplicatePositionId):
@@ -358,11 +377,9 @@ def test_randomized_quantity_weighted_additivity():
 def test_per_position_snapshot_override():
     portfolio = Portfolio(positions=(
         Position(id="usd", bucket=Bucket.OTHER, pricer=lambda s, r, x: 100.0),
-        Position(id="eur", bucket=Bucket.CASH, pricer=lambda s, r, x: 100.0),
+        Position(id="eur", bucket=Bucket.CASH, pricer=lambda s, r, x: 100.0, currency="EUR"),
     ))
     usd_snaps = {0.0: ScalarState(0, 0, 1.2), 1.0: ScalarState(0, 0, 1.1)}
-    eur_snaps = {0.0: ScalarState(0, 0, 1.0), 1.0: ScalarState(0, 0, 1.0)}
-    result = attribute_portfolio(portfolio, usd_snaps, 0.0, 1.0,
-                                 snapshots_by_position={"eur": eur_snaps})
+    result = attribute_portfolio(portfolio, usd_snaps, 0.0, 1.0)
     assert result.by_id("usd").aggregate.fx == pytest.approx(100 * -0.1, rel=1e-12)
     assert result.by_id("eur").aggregate.fx == 0.0

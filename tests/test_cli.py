@@ -137,6 +137,40 @@ def test_non_finite_standalone_is_usage_error(inputs, amount, capsys):
     assert captured.out == ""
 
 
+def test_nav_too_small_for_finite_bps_is_validation_error(inputs, capsys):
+    portfolio, market = inputs
+    code = run_cli(attribute_args(portfolio, market, "--nav", "1e-320"))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ACME_BOND: fx_eur")
+    assert "bps of nav" in captured.err and "is not finite" in captured.err
+    assert captured.out == ""
+
+
+def test_standalone_amounts_with_infinite_sum_are_usage_error(inputs, capsys):
+    portfolio, market = inputs
+    code = run_cli(attribute_args(portfolio, market, "--standalone", "A=1.7e308",
+                                  "--standalone", "B=1.7e308"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "usage" in captured.err.lower()
+    assert "--standalone amounts must have a finite EUR sum" in captured.err
+    assert captured.out == ""
+
+
+def test_two_foreign_currencies_are_validation_error(tmp_path, market_csv, portfolio_text, capsys):
+    market = tmp_path / "market.csv"
+    market.write_text(market_csv)
+    portfolio = tmp_path / "portfolio.txt"
+    portfolio.write_text(portfolio_text.replace("instrument = cds\ncurrency = USD",
+                                                "instrument = cds\ncurrency = gbp"))
+    code = run_cli(attribute_args(str(portfolio), str(market)))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: position ACME_BOND is in USD and position ACME_CDS in GBP")
+    assert captured.out == ""
+
+
 def test_missing_file_is_validation_error(inputs, capsys):
     portfolio, market = inputs
     code = run_cli(attribute_args(portfolio, "/nonexistent/market.csv"))
@@ -201,7 +235,9 @@ def test_oracle_reproduces_golden_csv(tmp_path, capsys):
     (["--jump-intensity", "-2"], "--jump-intensity"),
     (["--fx-vol", "50"], "fx trajectory must stay strictly positive"),
     (["--jump-intensity", "1e30"], "jump_intensity 1e+30"),
+    (["--steps", "4", "--asset-vol", "1e200"], "process 'asset': per-step drift -inf"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_oracle_bad_numeric_flag_is_validation_error(flags, message, capsys):
     code = run_cli(["oracle", "--num-seeds", "2", *flags])
     captured = capsys.readouterr()

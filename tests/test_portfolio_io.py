@@ -107,3 +107,21 @@ def test_short_direction():
     assert load_portfolio(io.StringIO(text)).positions[0].notional_sign == -1
     with pytest.raises(ParseError, match="direction"):
         load_portfolio(io.StringIO(MINIMAL_BOND + "direction = inverse\n"))
+
+
+def test_currency_defaults_to_usd_and_is_carried_by_the_position(portfolio_text):
+    assert load_portfolio(io.StringIO(MINIMAL_BOND)).positions[0].currency == "USD"
+    book = load_portfolio(io.StringIO(portfolio_text))
+    assert [p.currency for p in book.positions] == ["USD", "USD", "EUR"]
+
+
+def test_lowercase_currency_is_upper_cased():
+    text = MINIMAL_BOND + "currency = eur\n"
+    assert load_portfolio(io.StringIO(text)).positions[0].currency == "EUR"
+
+
+@pytest.mark.parametrize("code", ["EURO", "E1R", "US", "$$$"])
+def test_malformed_currency_names_its_line(code):
+    text = MINIMAL_BOND + f"currency = {code}\n"
+    with pytest.raises(ParseError, match=r"row 8: currency must be a three-letter code"):
+        load_portfolio(io.StringIO(text))
