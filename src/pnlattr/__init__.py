@@ -53,21 +53,6 @@ from .market_data import (
     dump_market_snapshots,
     load_market_snapshots,
 )
-from .path_oracle import (
-    CoarseFineComparison,
-    GbmSpec,
-    GridDecomposition,
-    ItoDecomposition,
-    PathSet,
-    SimulationParams,
-    StudyResult,
-    compare_coarse_vs_fine,
-    covariation_study,
-    grid_ito_decomposition,
-    grid_product_decomposition,
-    simulate_paths,
-    write_discrepancy_csv,
-)
 from .portfolio_io import load_portfolio
 from .pricers import (
     BondPricer,
@@ -87,3 +72,17 @@ from .pricers import (
 from .reporting import ReportRow, bps, build_report_rows, render_report
 
 __version__ = "0.1.0"
+
+# path_oracle imports numpy, so its names load on first use (PEP 562)
+_PATH_ORACLE_NAMES = frozenset("""
+    CoarseFineComparison GbmSpec GridDecomposition ItoDecomposition PathSet SimulationParams
+    StudyResult compare_coarse_vs_fine covariation_study grid_ito_decomposition
+    grid_product_decomposition simulate_paths write_discrepancy_csv
+""".split())
+
+
+def __getattr__(name):
+    if name not in _PATH_ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import path_oracle
+    return getattr(path_oracle, name)

@@ -228,6 +228,14 @@ class Bucket(str, Enum):
     CASH = "Cash"
 
 
+def currency_code(code: str) -> str:
+    """`code` upper-cased; raises ValueError unless that is three letters A-Z."""
+    code = code.upper()
+    if len(code) != 3 or not all("A" <= c <= "Z" for c in code):
+        raise ValueError(f"currency must be a three-letter code, got {code!r}")
+    return code
+
+
 class Transaction(NamedTuple):
     date: Any
     quantity_change: float
@@ -256,6 +264,7 @@ class Position:
         if self.notional_sign not in (1, -1):
             raise ValueError(f"notional_sign must be +1 or -1, got {self.notional_sign}")
         object.__setattr__(self, "bucket", Bucket(self.bucket))
+        object.__setattr__(self, "currency", currency_code(self.currency))
         txns = tuple(Transaction(*t) for t in self.transactions)
         for txn in txns:
             if txn.cost_eur < 0.0:

@@ -17,12 +17,9 @@ import sys
 from datetime import date
 from pathlib import Path
 
-import numpy as np
-
 from .attribution import CarryMode, FxMode, attribute_portfolio
 from .errors import EmptyPeriod, EngineError, ParseError
 from .market_data import load_market_snapshots
-from .path_oracle import GbmSpec, SimulationParams, covariation_study, write_discrepancy_csv
 from .portfolio_io import load_portfolio
 from .reporting import build_report_rows, render_report
 
@@ -127,6 +124,8 @@ def _cmd_attribute(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .path_oracle import GbmSpec, SimulationParams, covariation_study, write_discrepancy_csv
+
     if args.num_seeds < 1:
         raise ParseError("--num-seeds must be >= 1")
     if args.steps < 1:
@@ -137,7 +136,7 @@ def _cmd_oracle(args) -> int:
             raise ParseError(f"{flag} must be a finite number >= 0, got {value}")
     correlation = None
     if args.corr != 0.0:
-        correlation = np.array([[1.0, args.corr], [args.corr, 1.0]])
+        correlation = ((1.0, args.corr), (args.corr, 1.0))
     params = SimulationParams(
         processes=(
             GbmSpec("asset", initial=100.0, volatility=args.asset_vol,

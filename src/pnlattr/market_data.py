@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from datetime import date
-from typing import IO, Iterable
-
-import numpy as np
+from typing import IO, Iterable, Sequence
 
 from .errors import (
     DuplicateDate,
@@ -48,8 +47,6 @@ class ZeroCurve:
 
     anchor_date: date
     nodes: tuple[tuple[float, float], ...]
-    _tenors: np.ndarray = field(init=False, repr=False, compare=False)
-    _rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple((float(t), float(r)) for t, r in self.nodes)
@@ -63,20 +60,27 @@ class ZeroCurve:
         if any(b <= a for a, b in zip(tenors, tenors[1:])):
             raise NonMonotoneTenors(f"tenors must be strictly increasing, got {tenors}")
         object.__setattr__(self, "nodes", nodes)
-        # node arrays built once; read-only because every zero_rate call shares them
-        columns = np.array(nodes, dtype=np.float64).T.copy()
-        columns.flags.writeable = False
-        object.__setattr__(self, "_tenors", columns[0])
-        object.__setattr__(self, "_rates", columns[1])
 
-    def zero_rate(self, tenor: float | np.ndarray) -> float | np.ndarray:
-        """Interpolated zero rate at a year fraction, or at an array of them.
+    def zero_rate(self, tenor: float | Sequence[float]) -> float | list[float]:
+        """Interpolated zero rate at a year fraction, or at each of a sequence of them.
 
-        A scalar tenor gives a float; an array gives an array of the same
-        shape, equal element by element to the scalar results.
+        A float tenor gives a float; a sequence gives a list, equal element
+        by element to the float results. The rate is `numpy.interp`'s, bit for
+        bit: `slope * (x - xp[j]) + fp[j]` between nodes j and j + 1, the
+        node's own rate exactly on a node, flat beyond both ends.
         """
-        rate = np.interp(tenor, self._tenors, self._rates)
-        return float(rate) if np.ndim(rate) == 0 else rate
+        if isinstance(tenor, (int, float)):
+            return self.zero_rate((tenor,))[0]
+        tenors, rates = zip(*self.nodes)
+        out = []
+        for x in tenor:
+            j = bisect_right(tenors, x) - 1  # tenors[j] <= x < tenors[j + 1]
+            if 0 <= j < len(tenors) - 1 and x != tenors[j]:
+                slope = (rates[j + 1] - rates[j]) / (tenors[j + 1] - tenors[j])
+                out.append(slope * (x - tenors[j]) + rates[j])
+            else:
+                out.append(rates[max(j, 0)])
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Portfolio file ingestion.
 
-The holdings file is structured text with one section per position:
+The holdings file is structured text with one section per position. A
+'#' at the start of a line or after whitespace begins a comment:
 
     # comment lines start with '#'
     [position ACME_BOND]
@@ -34,7 +35,7 @@ from __future__ import annotations
 import re
 from datetime import date
 
-from .attribution import Bucket, Portfolio, Position, Transaction
+from .attribution import Bucket, Portfolio, Position, Transaction, currency_code
 from .errors import DuplicatePositionId, ParseError, UnknownBucket
 from .pricers import (
     BondPricer,
@@ -49,7 +50,7 @@ from .pricers import (
 
 _SECTION = re.compile(r"^\[position\s+(?P<id>\S+)\]$")
 _REPEATABLE = ("transaction", "cashflow")
-_CURRENCY = re.compile(r"[A-Z]{3}")
+_TRAILING_COMMENT = re.compile(r"\s+#.*")
 
 
 def load_portfolio(source) -> Portfolio:
@@ -77,7 +78,7 @@ def _split_sections(lines):
     sections = []
     current = None
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = _TRAILING_COMMENT.sub("", raw, count=1).strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("["):
@@ -189,10 +190,10 @@ def _build_position(position_id, header_line, fields) -> Position:
     currency = {}
     if "currency" in fields:
         currency_line, code = fields.pop("currency")
-        code = code.upper()
-        if not _CURRENCY.fullmatch(code):
-            raise ParseError(f"currency must be a three-letter code, got {code!r}", row=currency_line)
-        currency["currency"] = code
+        try:
+            currency["currency"] = currency_code(code)
+        except ValueError as exc:
+            raise ParseError(str(exc), row=currency_line) from exc
 
     if instrument == "bond":
         frequency = 2

@@ -28,15 +28,14 @@ Models are reduced-form with a flat default intensity lambda:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import lru_cache
 from typing import Any, Protocol
 
-import numpy as np
-
-from .dates import DAYS_PER_YEAR, add_months, year_fraction
+from .dates import add_months, year_fraction
 from .errors import PastMaturity
 from .market_data import MarketFactors, ZeroCurve
 
@@ -96,6 +95,7 @@ class BondSpec:
             raise ValueError(f"coupon_frequency must be 1, 2, 4 or 12, got {self.coupon_frequency}")
 
 
+@lru_cache(maxsize=None)
 def _coupon_dates(spec: BondSpec) -> tuple[date, ...]:
     # rolled backward from maturity; each date derived from maturity directly
     # so month-end clamping never compounds
@@ -108,14 +108,6 @@ def _coupon_dates(spec: BondSpec) -> tuple[date, ...]:
         k += 1
         d = add_months(spec.maturity, -k * step)
     return tuple(reversed(out))
-
-
-@lru_cache(maxsize=None)
-def _coupon_ordinals(spec: BondSpec) -> np.ndarray:
-    # cached per spec; read-only because every evaluation of the spec shares it
-    ordinals = np.array([d.toordinal() for d in _coupon_dates(spec)], dtype=np.int64)
-    ordinals.flags.writeable = False
-    return ordinals
 
 
 def bond_cashflows(spec: BondSpec) -> CashflowSchedule:
@@ -132,23 +124,19 @@ def price_bond(spec: BondSpec, s: date, curve: ZeroCurve, factors: MarketFactors
         raise PastMaturity(f"valuation {s} after maturity {spec.maturity}")
     # taus = 0, then the year fractions to each coupon date after s; the last
     # coupon date is the maturity, so taus is also the recovery trapezoid grid
-    ordinals = _coupon_ordinals(spec)
-    s_ordinal = s.toordinal()
-    first = ordinals.searchsorted(s_ordinal, side="right")
-    taus = np.empty(len(ordinals) - first + 1)
-    taus[0] = 0.0
-    np.divide(ordinals[first:] - s_ordinal, DAYS_PER_YEAR, out=taus[1:])
-    # row 0 discounts (zero rate + basis), row 1 survives (hazard rate)
-    rates = np.empty((2, len(taus)))
-    rates[0] = curve.zero_rate(taus) + factors.basis_spread
-    rates[1] = factors.hazard_rate
-    disc, surv = np.exp(rates * -taus)
+    dates = _coupon_dates(spec)
+    taus = [0.0] + [year_fraction(s, d) for d in dates[bisect_right(dates, s):]]
+    basis, lam = factors.basis_spread, factors.hazard_rate
+    disc = [math.exp(-(z + basis) * u) for z, u in zip(curve.zero_rate(taus), taus)]
+    surv = [math.exp(-lam * u) for u in taus]
 
     amount = spec.coupon_rate / spec.coupon_frequency
-    value = math.fsum((amount * disc[1:] * surv[1:]).tolist())
-    value += float(disc[-1] * surv[-1])
+    value = math.fsum([amount * disc[k] * surv[k] for k in range(1, len(taus))])
+    value += disc[-1] * surv[-1]
     if factors.recovery != 0.0 and taus[-1] > 0.0:
-        integral = math.fsum((0.5 * (disc[:-1] + disc[1:]) * (surv[:-1] - surv[1:])).tolist())
+        integral = math.fsum(
+            [0.5 * (disc[k - 1] + disc[k]) * (surv[k - 1] - surv[k]) for k in range(1, len(taus))]
+        )
         value += factors.recovery * integral
     return spec.notional * value
 
@@ -190,9 +178,11 @@ def price_cds(spec: CdsSpec, s: date, curve: ZeroCurve, factors: MarketFactors) 
         return 0.0
     lam = factors.hazard_rate
     steps = max(1, math.ceil(tau * 4))
-    grid = tau * np.arange(steps + 1) / steps
-    risky = np.exp(-curve.zero_rate(grid) * grid - lam * grid)
-    annuity = math.fsum((0.5 * (risky[:-1] + risky[1:]) * np.diff(grid)).tolist())
+    grid = [tau * k / steps for k in range(steps + 1)]
+    risky = [math.exp(-z * u - lam * u) for z, u in zip(curve.zero_rate(grid), grid)]
+    annuity = math.fsum(
+        [0.5 * (risky[k - 1] + risky[k]) * (grid[k] - grid[k - 1]) for k in range(1, steps + 1)]
+    )
     buyer_value = spec.notional * annuity * ((1.0 - factors.recovery) * lam - spec.contractual_spread)
     return buyer_value if spec.direction is ProtectionSide.BOUGHT else -buyer_value
 

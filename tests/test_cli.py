@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,3 +267,41 @@ def test_demo_report_reproduces_golden(fmt, tmp_path, capsys):
     assert code == 0
     golden = Path(__file__).parent / "data" / f"demo_report_golden.{fmt}"
     assert out.read_bytes() == golden.read_bytes()
+
+
+DEMO_ARGS = ["--portfolio", str(DEMO_DATA / "portfolio.txt"), "--market", str(DEMO_DATA / "market.csv")]
+
+
+def _python(code, *args):
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_attribute_and_validate_run_without_numpy(tmp_path):
+    out = tmp_path / "report.csv"
+    code = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from pnlattr.cli import run_cli
+report, *demo = sys.argv[1:]
+attribute = ["attribute", *demo, "--from", "2021-12-31", "--to", "2022-04-01", "--nav", "50000000",
+             "--standalone", "FEES=-62500", "--format", "csv", "--output", report]
+print(run_cli(attribute), run_cli(["validate", *demo]))
+"""
+    result = _python(code, str(out), *DEMO_ARGS)
+    assert result.stdout.split() == ["0", "0"], result.stderr
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "demo_report_golden.csv").read_bytes()
+
+
+def test_import_pnlattr_loads_numpy_only_for_the_oracle():
+    result = _python("""
+import sys
+import pnlattr
+print("numpy" in sys.modules)
+from pnlattr import simulate_paths
+print("numpy" in sys.modules, simulate_paths.__module__)
+""")
+    assert result.stdout.split() == ["False", "True", "pnlattr.path_oracle"], result.stderr

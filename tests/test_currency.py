@@ -79,6 +79,20 @@ def test_one_foreign_currency_besides_eur_is_accepted():
     assert [p.aggregate.fx for p in result.positions] == [pytest.approx(-10.0), 0.0, pytest.approx(-10.0)]
 
 
+def test_position_built_in_code_checks_its_currency():
+    def position(currency):
+        return Position(id="p", bucket=Bucket.OTHER, pricer=lambda s, r, x: 100.0, currency=currency)
+
+    eur = position("eur")
+    assert eur.currency == "EUR"
+    snaps = {0.0: ScalarState(0.0, 0.0, 1.2), 1.0: ScalarState(0.0, 0.0, 1.1)}
+    result = attribute_portfolio(Portfolio(positions=(eur,)), snaps, 0.0, 1.0)
+    assert result.positions[0].aggregate.fx == 0.0
+    for code in ("EURO", "E1R", "", "éur"):
+        with pytest.raises(ValueError, match="currency must be a three-letter code"):
+            position(code)
+
+
 DAYS = (T1 - T0).days
 
 bonds = st.fixed_dictionaries({

@@ -1,4 +1,5 @@
 import io
+import textwrap
 from datetime import date
 
 import pytest
@@ -13,6 +14,7 @@ from pnlattr import (
     ProtectionSide,
     UnknownBucket,
     load_portfolio,
+    portfolio_io,
 )
 
 MINIMAL_BOND = """[position ONE]
@@ -125,3 +127,20 @@ def test_malformed_currency_names_its_line(code):
     text = MINIMAL_BOND + f"currency = {code}\n"
     with pytest.raises(ParseError, match=r"row 8: currency must be a three-letter code"):
         load_portfolio(io.StringIO(text))
+
+
+def test_docstring_example_with_trailing_comments_loads():
+    doc = portfolio_io.__doc__
+    block = doc[doc.index("    # comment lines"):doc.index("Instrument keys:")]
+    lines = textwrap.dedent(block).splitlines()
+    assert any("  # " in line for line in lines if not line.startswith("#"))
+    uncommented = [line.partition("#")[0].rstrip() for line in lines]
+    book = load_portfolio(lines)
+    assert book == load_portfolio(uncommented)
+
+
+def test_trailing_comment_after_section_header_is_stripped():
+    text = MINIMAL_BOND.replace("[position ONE]", "[position ONE]   # the only bond")
+    text += "currency = eur\t# lower case is fine\n"
+    position = load_portfolio(io.StringIO(text)).positions[0]
+    assert (position.id, position.currency) == ("ONE", "EUR")

@@ -1,16 +1,17 @@
-"""The array-based pricers against a per-tenor scalar reference.
+"""The pricers against a per-tenor scalar reference, and the curve against numpy.
 
-The references below evaluate the model one tenor at a time with
-`math.exp` and scalar `zero_rate`, the way the pricers were first written.
-The array pricers use `np.exp`, which may differ from `math.exp` in the last
-bit, so prices must agree to a relative 1e-12, not bit for bit.
+The pricer references below evaluate the model one tenor at a time with
+`math.exp` and float `zero_rate` calls, the way the pricers were first
+written. The pricers make one sequence `zero_rate` call per evaluation and
+the same `math.exp` and `math.fsum` arithmetic, so prices agree bit for bit.
+Because the references share `zero_rate`, the curve is checked on its own
+against `np.interp`, the interpolation the seed program used.
 """
 
 import math
 from datetime import date, timedelta
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +29,10 @@ from pnlattr.pricers import _coupon_dates
 
 ANCHOR = date(2022, 1, 1)
 
+# -0.0 rates make the on-node case visible: interpolating there gives +0.0
+nodes_st = st.tuples(st.floats(0.0, 40.0), st.floats(-0.05, 0.2) | st.just(-0.0))
 curves = st.lists(
-    st.tuples(st.floats(0.0, 40.0), st.floats(-0.05, 0.2)),
+    nodes_st,
     min_size=1, max_size=10,
     unique_by=lambda node: round(node[0], 6),
 ).map(lambda nodes: ZeroCurve(ANCHOR, tuple(sorted(nodes))))
@@ -97,9 +100,7 @@ def test_price_bond_matches_scalar_reference(curve, factors, notional, issue_off
     maturity = issue + timedelta(days=life)
     spec = BondSpec(notional, issue, maturity, coupon_rate, frequency)
     s = maturity - timedelta(days=min(before_maturity, life))
-    assert price_bond(spec, s, curve, factors) == pytest.approx(
-        reference_bond(spec, s, curve, factors), rel=1e-12
-    )
+    assert price_bond(spec, s, curve, factors) == reference_bond(spec, s, curve, factors)
 
 
 @settings(max_examples=200)
@@ -114,15 +115,30 @@ def test_price_bond_matches_scalar_reference(curve, factors, notional, issue_off
 def test_price_cds_matches_scalar_reference(curve, factors, notional, days_to_maturity,
                                             spread, direction):
     spec = CdsSpec(notional, ANCHOR + timedelta(days=days_to_maturity), spread, direction)
-    assert price_cds(spec, ANCHOR, curve, factors) == pytest.approx(
-        reference_cds(spec, ANCHOR, curve, factors), rel=1e-12
-    )
+    assert price_cds(spec, ANCHOR, curve, factors) == reference_cds(spec, ANCHOR, curve, factors)
 
 
-@given(curve=curves, tenors=st.lists(st.floats(-5.0, 60.0), min_size=0, max_size=50))
-def test_array_zero_rate_equals_scalar_zero_rate_bit_for_bit(curve, tenors):
+def _tenors(nodes):
+    # on nodes, between neighbouring nodes, below the first and beyond the last
+    on = [t for t, _ in nodes]
+    between = [a + (b - a) * w for a, b in zip(on, on[1:]) for w in (1e-9, 0.3, 0.5, 1 - 1e-9)]
+    outside = [on[0] - 1.0, on[0] - 1e-12, on[-1] + 1e-12, on[-1] + 5.0, 100.0]
+    return st.lists(st.sampled_from(on + between + outside) | st.floats(-5.0, 60.0), max_size=40)
+
+
+one_node_curves = nodes_st.map(lambda node: ZeroCurve(ANCHOR, (node,)))
+
+
+@given(data=st.data(), curve=curves | one_node_curves)
+def test_zero_rate_equals_np_interp_bit_for_bit(data, curve):
+    tenors = data.draw(_tenors(curve.nodes))
+    node_tenors, node_rates = zip(*curve.nodes)
+    expected = np.interp(tenors, node_tenors, node_rates).tolist()
     scalar = [curve.zero_rate(t) for t in tenors]
     assert all(type(z) is float for z in scalar)
-    array = curve.zero_rate(np.array(tenors))
-    assert isinstance(array, np.ndarray) and array.shape == (len(tenors),)
-    assert [z.hex() for z in array.tolist()] == [z.hex() for z in scalar]
+    assert [z.hex() for z in scalar] == [z.hex() for z in expected]
+    # a sequence gives a list equal to the per-element float results
+    sequence = curve.zero_rate(tenors)
+    assert type(sequence) is list
+    assert [z.hex() for z in sequence] == [z.hex() for z in scalar]
+    assert curve.zero_rate(tuple(tenors)) == sequence
