@@ -189,7 +189,7 @@ def _split(price, t, T, snap_t, snap_T, chi_t, chi_T, fx_mode: FxMode, start_old
     `start_old` and saves one of the six evaluations.
     """
     if not t < T:
-        raise EmptyPeriod(f"period start {t!r} not before end {T!r}")
+        raise EmptyPeriod(f"period start {t} not before end {T}")
     r_t, x_t = snap_t.curve, snap_t.factors
     r_T, x_T = snap_T.curve, snap_T.factors
 
@@ -304,7 +304,7 @@ def segment_period(scope, t, T) -> list:
     `scope` is a Position or a Portfolio.
     """
     if not t < T:
-        raise EmptyPeriod(f"period start {t!r} not before end {T!r}")
+        raise EmptyPeriod(f"period start {t} not before end {T}")
     positions = scope.positions if isinstance(scope, Portfolio) else (scope,)
     dates = {t, T}
     for pos in positions:
@@ -363,12 +363,12 @@ def attribute_position(
         raise EmptyPeriod("attribution grid needs at least a start and an end date")
     for u in grid:
         if u not in snaps:
-            raise MissingSnapshot(f"no market snapshot at {u!r}")
+            raise MissingSnapshot(f"no market snapshot at {u}")
     grid_set = set(grid)
     start, end = grid[0], grid[-1]
     for d, amount in position.schedule.entries:
         if start < d <= end and amount != 0.0 and d not in grid_set:
-            raise ScheduleOutsideGrid(f"cashflow at {d!r} not on the attribution grid")
+            raise ScheduleOutsideGrid(f"cashflow at {d} not on the attribution grid")
 
     base_price = _price_fn(position.pricer)
     chis = [1.0 if position.currency == "EUR" else _fx_rate(snaps[u].fx) for u in grid]

@@ -134,6 +134,8 @@ def _cmd_oracle(args) -> int:
                         ("--jump-intensity", args.jump_intensity)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ParseError(f"{flag} must be a finite number >= 0, got {value}")
+    if not math.isfinite(args.corr):
+        raise ParseError(f"--corr must be a finite number, got {args.corr}")
     correlation = None
     if args.corr != 0.0:
         correlation = ((1.0, args.corr), (args.corr, 1.0))

@@ -3,10 +3,10 @@
 All year fractions in the package use ACT/365F; no business-day calendars.
 """
 
-import calendar
 from datetime import date
 
 DAYS_PER_YEAR = 365.0
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 def year_fraction(start: date, end: date) -> float:
@@ -18,6 +18,9 @@ def add_months(d: date, months: int) -> date:
     """Shift a date by whole months, clamping the day to the month length."""
     carry, month0 = divmod(d.month - 1 + months, 12)
     year = d.year + carry
-    month = month0 + 1
-    day = min(d.day, calendar.monthrange(year, month)[1])
-    return date(year, month, day)
+    if d.day <= 28:
+        return date(year, month0 + 1, d.day)
+    last = _MONTH_DAYS[month0]
+    if month0 == 1 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0):
+        last = 29
+    return date(year, month0 + 1, min(d.day, last))

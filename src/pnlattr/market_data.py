@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import IO, Iterable, Sequence
 
@@ -47,6 +46,8 @@ class ZeroCurve:
 
     anchor_date: date
     nodes: tuple[tuple[float, float], ...]
+    # (tenors, rates, slopes): slopes[j] is the slope from node j to node j + 1
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple((float(t), float(r)) for t, r in self.nodes)
@@ -54,12 +55,14 @@ class ZeroCurve:
             raise EmptyNodes("zero curve needs at least one node")
         if not all(math.isfinite(t) and math.isfinite(r) for t, r in nodes):
             raise ValueError(f"curve nodes must be finite, got {nodes}")
-        tenors = [t for t, _ in nodes]
+        tenors, rates = zip(*nodes)
         if tenors[0] < 0.0:
             raise NonMonotoneTenors(f"tenors must be >= 0, got {tenors[0]}")
         if any(b <= a for a, b in zip(tenors, tenors[1:])):
-            raise NonMonotoneTenors(f"tenors must be strictly increasing, got {tenors}")
+            raise NonMonotoneTenors(f"tenors must be strictly increasing, got {list(tenors)}")
+        slopes = tuple((r1 - r0) / (t1 - t0) for t0, t1, r0, r1 in zip(tenors, tenors[1:], rates, rates[1:]))
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_table", (tenors, rates, slopes))
 
     def zero_rate(self, tenor: float | Sequence[float]) -> float | list[float]:
         """Interpolated zero rate at a year fraction, or at each of a sequence of them.
@@ -67,19 +70,26 @@ class ZeroCurve:
         A float tenor gives a float; a sequence gives a list, equal element
         by element to the float results. The rate is `numpy.interp`'s, bit for
         bit: `slope * (x - xp[j]) + fp[j]` between nodes j and j + 1, the
-        node's own rate exactly on a node, flat beyond both ends.
+        node's own rate exactly on a node, flat beyond both ends. A sequence
+        is walked node by node, which is cheapest when it ascends; a tenor
+        below the current node restarts the walk at the first node.
         """
         if isinstance(tenor, (int, float)):
             return self.zero_rate((tenor,))[0]
-        tenors, rates = zip(*self.nodes)
+        tenors, rates, slopes = self._table
+        last = len(tenors) - 1
         out = []
+        j = 0
         for x in tenor:
-            j = bisect_right(tenors, x) - 1  # tenors[j] <= x < tenors[j + 1]
-            if 0 <= j < len(tenors) - 1 and x != tenors[j]:
-                slope = (rates[j + 1] - rates[j]) / (tenors[j + 1] - tenors[j])
-                out.append(slope * (x - tenors[j]) + rates[j])
+            if x < tenors[j]:
+                j = 0
+            while j < last and tenors[j + 1] <= x:
+                j += 1
+            # tenors[j] <= x < tenors[j + 1], or x lies beyond an end of the curve
+            if j == last or x <= tenors[j]:
+                out.append(rates[j])
             else:
-                out.append(rates[max(j, 0)])
+                out.append(slopes[j] * (x - tenors[j]) + rates[j])
         return out
 
 

@@ -28,6 +28,10 @@ EUR and at most one foreign currency.
 `transaction` and `cashflow` may repeat. `cashflow = DATE AMOUNT` entries
 (absolute currency amounts) replace the generated bond coupon schedule
 when present; bonds otherwise get their coupon schedule automatically.
+
+A value the instrument rejects (say `coupon_frequency = 3`) is a
+ParseError naming the position and its section header line; an
+out-of-order or negative `cashflow` names its own line.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ def _split_sections(lines):
     sections = []
     current = None
     for line_no, raw in enumerate(lines, start=1):
-        line = _TRAILING_COMMENT.sub("", raw, count=1).strip()
+        line = (_TRAILING_COMMENT.sub("", raw, count=1) if "#" in raw else raw).strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("["):
@@ -141,6 +145,14 @@ def _date_field(fields, key, position_id, header_line):
     return _parse_date(value, line_no, key)
 
 
+def _build(cls, position_id, row, **kwargs):
+    """cls(**kwargs), with a ValueError raised as a ParseError naming the position and row."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ParseError(f"position {position_id!r}: {exc}", row=row) from exc
+
+
 def _build_position(position_id, header_line, fields) -> Position:
     line_no, bucket_token = _require(fields, "bucket", position_id, header_line)
     try:
@@ -183,9 +195,10 @@ def _build_position(position_id, header_line, fields) -> Position:
         parts = value.split()
         if len(parts) != 2:
             raise ParseError(f"cashflow needs 'DATE AMOUNT', got {value!r}", row=cf_line)
-        explicit_cashflows.append(
-            (_parse_date(parts[0], cf_line, "cashflow"), _parse_float(parts[1], cf_line, "cashflow"))
-        )
+        entry = (_parse_date(parts[0], cf_line, "cashflow"), _parse_float(parts[1], cf_line, "cashflow"))
+        # the schedule's own checks, on this entry and the one before it
+        _build(CashflowSchedule, position_id, cf_line, entries=(*explicit_cashflows[-1:], entry))
+        explicit_cashflows.append(entry)
 
     currency = {}
     if "currency" in fields:
@@ -200,7 +213,8 @@ def _build_position(position_id, header_line, fields) -> Position:
         if "coupon_frequency" in fields:
             freq_line, freq_value = fields.pop("coupon_frequency")
             frequency = _parse_int(freq_value, freq_line, "coupon_frequency")
-        spec = BondSpec(
+        spec = _build(
+            BondSpec, position_id, header_line,
             notional=_float_field(fields, "notional", position_id, header_line),
             issue=_date_field(fields, "issue", position_id, header_line),
             maturity=_date_field(fields, "maturity", position_id, header_line),
@@ -216,7 +230,8 @@ def _build_position(position_id, header_line, fields) -> Position:
             raise ParseError(
                 f"protection must be 'bought' or 'sold', got {protection!r}", row=header_line
             )
-        spec = CdsSpec(
+        spec = _build(
+            CdsSpec, position_id, header_line,
             notional=_float_field(fields, "notional", position_id, header_line),
             maturity=_date_field(fields, "maturity", position_id, header_line),
             contractual_spread=_float_field(fields, "contractual_spread", position_id, header_line),
@@ -226,7 +241,8 @@ def _build_position(position_id, header_line, fields) -> Position:
         schedule = CashflowSchedule(tuple(explicit_cashflows))
         life = (None, spec.maturity)
     elif instrument == "cash":
-        spec = CashSpec(
+        spec = _build(
+            CashSpec, position_id, header_line,
             balance=_float_field(fields, "balance", position_id, header_line),
             deposit_rate=_float_field(fields, "deposit_rate", position_id, header_line),
             start=_date_field(fields, "start", position_id, header_line),
@@ -255,15 +271,13 @@ def _build_position(position_id, header_line, fields) -> Position:
                 row=header_line,
             )
 
-    try:
-        return Position(
-            id=position_id,
-            bucket=bucket,
-            pricer=pricer,
-            notional_sign=sign,
-            schedule=schedule,
-            transactions=tuple(transactions),
-            **currency,
-        )
-    except ValueError as exc:
-        raise ParseError(f"position {position_id!r}: {exc}", row=header_line) from exc
+    return _build(
+        Position, position_id, header_line,
+        id=position_id,
+        bucket=bucket,
+        pricer=pricer,
+        notional_sign=sign,
+        schedule=schedule,
+        transactions=tuple(transactions),
+        **currency,
+    )

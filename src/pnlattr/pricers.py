@@ -35,7 +35,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Any, Protocol
 
-from .dates import add_months, year_fraction
+from .dates import DAYS_PER_YEAR, add_months, year_fraction
 from .errors import PastMaturity
 from .market_data import MarketFactors, ZeroCurve
 
@@ -57,10 +57,10 @@ class CashflowSchedule:
         entries = tuple((d, float(a)) for d, a in self.entries)
         for (d1, _), (d2, _) in zip(entries, entries[1:]):
             if not d1 < d2:
-                raise ValueError(f"cashflow dates must be strictly increasing: {d1!r} >= {d2!r}")
+                raise ValueError(f"cashflow dates must be strictly increasing: {d1} >= {d2}")
         for d, amount in entries:
-            if amount < 0.0:
-                raise ValueError(f"cashflow amounts must be >= 0, got {amount} at {d!r}")
+            if not (math.isfinite(amount) and amount >= 0.0):
+                raise ValueError(f"cashflow amounts must be finite and >= 0, got {amount} at {d}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_by_date", dict(entries))
 
@@ -85,12 +85,12 @@ class BondSpec:
     coupon_frequency: int = 2
 
     def __post_init__(self):
-        if not self.notional > 0.0:
-            raise ValueError(f"notional must be > 0, got {self.notional}")
+        if not (math.isfinite(self.notional) and self.notional > 0.0):
+            raise ValueError(f"notional must be finite and > 0, got {self.notional}")
         if not self.maturity > self.issue:
             raise ValueError(f"maturity {self.maturity} not after issue {self.issue}")
-        if self.coupon_rate < 0.0:
-            raise ValueError(f"coupon_rate must be >= 0, got {self.coupon_rate}")
+        if not (math.isfinite(self.coupon_rate) and self.coupon_rate >= 0.0):
+            raise ValueError(f"coupon_rate must be finite and >= 0, got {self.coupon_rate}")
         if self.coupon_frequency not in (1, 2, 4, 12):
             raise ValueError(f"coupon_frequency must be 1, 2, 4 or 12, got {self.coupon_frequency}")
 
@@ -110,6 +110,11 @@ def _coupon_dates(spec: BondSpec) -> tuple[date, ...]:
     return tuple(reversed(out))
 
 
+@lru_cache(maxsize=None)
+def _coupon_ordinals(spec: BondSpec) -> tuple[int, ...]:
+    return tuple(d.toordinal() for d in _coupon_dates(spec))
+
+
 def bond_cashflows(spec: BondSpec) -> CashflowSchedule:
     """Coupon schedule in absolute currency amounts (notional-scaled)."""
     if spec.coupon_rate == 0.0:
@@ -122,20 +127,22 @@ def price_bond(spec: BondSpec, s: date, curve: ZeroCurve, factors: MarketFactors
     """Dirty reduced-form bond value at s; see the module docstring for the model."""
     if s > spec.maturity:
         raise PastMaturity(f"valuation {s} after maturity {spec.maturity}")
-    # taus = 0, then the year fractions to each coupon date after s; the last
-    # coupon date is the maturity, so taus is also the recovery trapezoid grid
-    dates = _coupon_dates(spec)
-    taus = [0.0] + [year_fraction(s, d) for d in dates[bisect_right(dates, s):]]
+    # taus = 0, then the ACT/365F year fractions to each coupon date after s;
+    # the last coupon date is the maturity, so taus is also the recovery
+    # trapezoid grid
+    ordinals = _coupon_ordinals(spec)
+    o_s = s.toordinal()
+    taus = [0.0] + [(o - o_s) / DAYS_PER_YEAR for o in ordinals[bisect_right(ordinals, o_s):]]
     basis, lam = factors.basis_spread, factors.hazard_rate
     disc = [math.exp(-(z + basis) * u) for z, u in zip(curve.zero_rate(taus), taus)]
     surv = [math.exp(-lam * u) for u in taus]
 
     amount = spec.coupon_rate / spec.coupon_frequency
-    value = math.fsum([amount * disc[k] * surv[k] for k in range(1, len(taus))])
+    value = math.fsum([amount * d * p for d, p in zip(disc[1:], surv[1:])])
     value += disc[-1] * surv[-1]
     if factors.recovery != 0.0 and taus[-1] > 0.0:
         integral = math.fsum(
-            [0.5 * (disc[k - 1] + disc[k]) * (surv[k - 1] - surv[k]) for k in range(1, len(taus))]
+            [0.5 * (d0 + d1) * (p0 - p1) for d0, d1, p0, p1 in zip(disc, disc[1:], surv, surv[1:])]
         )
         value += factors.recovery * integral
     return spec.notional * value
@@ -156,10 +163,12 @@ class CdsSpec:
     direction: ProtectionSide = ProtectionSide.BOUGHT
 
     def __post_init__(self):
-        if not self.notional > 0.0:
-            raise ValueError(f"notional must be > 0, got {self.notional}")
-        if self.contractual_spread < 0.0:
-            raise ValueError(f"contractual_spread must be >= 0, got {self.contractual_spread}")
+        if not (math.isfinite(self.notional) and self.notional > 0.0):
+            raise ValueError(f"notional must be finite and > 0, got {self.notional}")
+        if not (math.isfinite(self.contractual_spread) and self.contractual_spread >= 0.0):
+            raise ValueError(
+                f"contractual_spread must be finite and >= 0, got {self.contractual_spread}"
+            )
         object.__setattr__(self, "direction", ProtectionSide(self.direction))
 
 
@@ -181,7 +190,7 @@ def price_cds(spec: CdsSpec, s: date, curve: ZeroCurve, factors: MarketFactors) 
     grid = [tau * k / steps for k in range(steps + 1)]
     risky = [math.exp(-z * u - lam * u) for z, u in zip(curve.zero_rate(grid), grid)]
     annuity = math.fsum(
-        [0.5 * (risky[k - 1] + risky[k]) * (grid[k] - grid[k - 1]) for k in range(1, steps + 1)]
+        [0.5 * (f0 + f1) * (u1 - u0) for f0, f1, u0, u1 in zip(risky, risky[1:], grid, grid[1:])]
     )
     buyer_value = spec.notional * annuity * ((1.0 - factors.recovery) * lam - spec.contractual_spread)
     return buyer_value if spec.direction is ProtectionSide.BOUGHT else -buyer_value

@@ -383,3 +383,20 @@ def test_per_position_snapshot_override():
     result = attribute_portfolio(portfolio, usd_snaps, 0.0, 1.0)
     assert result.by_id("usd").aggregate.fx == pytest.approx(100 * -0.1, rel=1e-12)
     assert result.by_id("eur").aggregate.fx == 0.0
+
+
+def test_engine_errors_print_dates_as_iso():
+    from datetime import date
+
+    t, T = date(2022, 1, 1), date(2022, 2, 1)
+    with pytest.raises(EmptyPeriod, match=r"^period start 2022-02-01 not before end 2022-01-01$"):
+        segment_period(Portfolio(positions=()), T, t)
+    state = ScalarState(0.0, 0.0, 1.0)
+    with pytest.raises(EmptyPeriod, match=r"^period start 2022-02-01 not before end 2022-01-01$"):
+        four_way_split(lambda s, r, x: 1.0, T, t, state, state)
+    pos = Position(id="p", bucket=Bucket.OTHER, pricer=lambda s, r, x: 1.0,
+                   schedule=CashflowSchedule(((date(2022, 1, 15), 1.0),)))
+    with pytest.raises(MissingSnapshot, match=r"^no market snapshot at 2022-02-01$"):
+        attribute_position(pos, {t: state}, [t, T])
+    with pytest.raises(ScheduleOutsideGrid, match=r"^cashflow at 2022-01-15 not on the attribution grid$"):
+        attribute_position(pos, {t: state, T: state}, [t, T])

@@ -239,6 +239,9 @@ def test_oracle_reproduces_golden_csv(tmp_path, capsys):
     (["--fx-vol", "50"], "fx trajectory must stay strictly positive"),
     (["--jump-intensity", "1e30"], "jump_intensity 1e+30"),
     (["--steps", "4", "--asset-vol", "1e200"], "process 'asset': per-step drift -inf"),
+    (["--corr", "nan"], "error: --corr must be a finite number, got nan"),
+    (["--corr", "inf"], "error: --corr must be a finite number, got inf"),
+    (["--corr=-inf"], "error: --corr must be a finite number, got -inf"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_oracle_bad_numeric_flag_is_validation_error(flags, message, capsys):
@@ -305,3 +308,26 @@ from pnlattr import simulate_paths
 print("numpy" in sys.modules, simulate_paths.__module__)
 """)
     assert result.stdout.split() == ["False", "True", "pnlattr.path_oracle"], result.stderr
+
+
+def test_validate_reports_invalid_holdings_value_without_traceback(tmp_path, portfolio_text, capsys):
+    portfolio = tmp_path / "portfolio.txt"
+    portfolio.write_text(portfolio_text.replace("coupon_frequency = 2", "coupon_frequency = 3"))
+    code = run_cli(["validate", "--portfolio", str(portfolio)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "error: row 2: position 'ACME_BOND': coupon_frequency must be 1, 2, 4 or 12, got 3\n"
+    )
+
+
+def test_missing_snapshot_error_prints_an_iso_date(tmp_path, market_csv, portfolio_text, capsys):
+    market = tmp_path / "market.csv"
+    market.write_text(market_csv)
+    portfolio = tmp_path / "portfolio.txt"
+    portfolio.write_text(portfolio_text.replace("transaction = 2021-05-21 0 6268",
+                                                "transaction = 2022-01-15 0 6268"))
+    code = run_cli(attribute_args(str(portfolio), str(market)))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: position ACME_BOND: no market snapshot at 2022-01-15\n"

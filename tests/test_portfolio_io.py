@@ -144,3 +144,42 @@ def test_trailing_comment_after_section_header_is_stripped():
     text += "currency = eur\t# lower case is fine\n"
     position = load_portfolio(io.StringIO(text)).positions[0]
     assert (position.id, position.currency) == ("ONE", "EUR")
+
+
+MINIMAL_CDS = """[position TWO]
+bucket = Hedge
+instrument = cds
+notional = 1000000
+maturity = 2026-01-15
+contractual_spread = 0.01
+"""
+
+MINIMAL_CASH = """[position THREE]
+bucket = Cash
+instrument = cash
+balance = 1000000
+deposit_rate = 0.01
+start = 2021-12-31
+"""
+
+
+@pytest.mark.parametrize("text, row, message", [
+    (MINIMAL_BOND + "coupon_frequency = 3\n", 1, "coupon_frequency must be 1, 2, 4 or 12, got 3"),
+    (MINIMAL_BOND.replace("notional = 1000000", "notional = -5"), 1, "notional must be finite and > 0"),
+    (MINIMAL_BOND.replace("issue = 2021-01-15", "issue = 2027-01-15"), 1, "maturity 2026-01-15 not after issue"),
+    (MINIMAL_BOND.replace("coupon_rate = 0.04", "coupon_rate = nan"), 1, "coupon_rate must be finite"),
+    (MINIMAL_CDS.replace("0.01", "-0.01"), 1, "contractual_spread must be finite and >= 0"),
+    (MINIMAL_CDS.replace("notional = 1000000", "notional = inf"), 1, "notional must be finite and > 0"),
+    (MINIMAL_CASH.replace("balance = 1000000", "balance = inf"), 1, "balance and deposit_rate must be finite"),
+    (MINIMAL_BOND + "cashflow = 2022-07-15 10\ncashflow = 2022-01-15 10\n", 9,
+     "cashflow dates must be strictly increasing: 2022-07-15 >= 2022-01-15"),
+    (MINIMAL_BOND + "cashflow = 2022-01-15 10\ncashflow = 2022-07-15 -10\n", 9,
+     "cashflow amounts must be finite and >= 0, got -10.0 at 2022-07-15"),
+], ids=["frequency", "notional", "maturity", "coupon-nan", "spread", "notional-inf", "balance-inf",
+        "cashflow-order", "cashflow-negative"])
+def test_invalid_values_name_the_position_and_the_line(text, row, message):
+    with pytest.raises(ParseError) as info:
+        load_portfolio(io.StringIO(text))
+    assert info.value.row == row
+    assert str(info.value).startswith(f"row {row}: position ")
+    assert message in str(info.value)

@@ -1,4 +1,5 @@
-"""The pricers against a per-tenor scalar reference, and the curve against numpy.
+"""The pricers against a per-tenor scalar reference, the curve against numpy, and
+the month roll against `calendar`.
 
 The pricer references below evaluate the model one tenor at a time with
 `math.exp` and float `zero_rate` calls, the way the pricers were first
@@ -8,6 +9,8 @@ Because the references share `zero_rate`, the curve is checked on its own
 against `np.interp`, the interpolation the seed program used.
 """
 
+import calendar
+import dataclasses
 import math
 from datetime import date, timedelta
 
@@ -24,7 +27,7 @@ from pnlattr import (
     price_bond,
     price_cds,
 )
-from pnlattr.dates import year_fraction
+from pnlattr.dates import add_months, year_fraction
 from pnlattr.pricers import _coupon_dates
 
 ANCHOR = date(2022, 1, 1)
@@ -142,3 +145,50 @@ def test_zero_rate_equals_np_interp_bit_for_bit(data, curve):
     assert type(sequence) is list
     assert [z.hex() for z in sequence] == [z.hex() for z in scalar]
     assert curve.zero_rate(tuple(tenors)) == sequence
+
+
+def _orders(tenors):
+    # the orders zero_rate's node walk treats differently: ascending, descending,
+    # shuffled, and each tenor twice in a row
+    return st.sampled_from((
+        sorted(tenors),
+        sorted(tenors, reverse=True),
+        [t for t in sorted(tenors) for _ in range(2)],
+    )) | st.permutations(tenors)
+
+
+@given(data=st.data(), curve=curves | one_node_curves)
+def test_zero_rate_walk_equals_np_interp_in_any_order(data, curve):
+    tenors = data.draw(_tenors(curve.nodes).flatmap(_orders))
+    node_tenors, node_rates = zip(*curve.nodes)
+    expected = [z.hex() for z in np.interp(tenors, node_tenors, node_rates).tolist()]
+    assert [curve.zero_rate(t).hex() for t in tenors] == expected
+    assert [z.hex() for z in curve.zero_rate(tenors)] == expected
+
+
+def test_curve_table_is_derived_state():
+    curve = ZeroCurve(ANCHOR, ((0.5, 0.01), (2.0, 0.02), (10.0, 0.03)))
+    twin = ZeroCurve(ANCHOR, ((0.5, 0.01), (2.0, 0.02), (10.0, 0.03)))
+    object.__setattr__(twin, "_table", ((), (), ()))
+    assert twin == curve
+    assert hash(twin) == hash(curve)
+    assert repr(twin) == repr(curve)
+    assert "_table" not in repr(curve)
+
+    moved = dataclasses.replace(curve, nodes=((1.0, 0.05), (3.0, 0.07)))
+    assert moved._table == ((1.0, 3.0), (0.05, 0.07), ((0.07 - 0.05) / (3.0 - 1.0),))
+    assert moved.zero_rate(2.0) == np.interp(2.0, (1.0, 3.0), (0.05, 0.07))
+    assert dataclasses.replace(curve)._table == curve._table
+
+
+def test_add_months_equals_monthrange_reference():
+    # every day from 1900 to 2100, shifted by -13 to +25 months
+    for year in range(1900, 2101):
+        for month in range(1, 13):
+            days = [date(year, month, day) for day in range(1, calendar.monthrange(year, month)[1] + 1)]
+            for months in range(-13, 26):
+                carry, month0 = divmod(month - 1 + months, 12)
+                to_year, to_month = year + carry, month0 + 1
+                length = calendar.monthrange(to_year, to_month)[1]
+                expected = [date(to_year, to_month, min(d.day, length)) for d in days]
+                assert [add_months(d, months) for d in days] == expected, (year, month, months)

@@ -202,3 +202,17 @@ def test_spec_validation():
                  coupon_rate=0.05, coupon_frequency=3)
     with pytest.raises(ValueError):
         CdsSpec(notional=1.0, maturity=FIVE_YEARS, contractual_spread=-0.01)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_numbers(value):
+    with pytest.raises(ValueError, match="notional must be finite"):
+        BondSpec(notional=value, issue=date(2021, 1, 1), maturity=FIVE_YEARS, coupon_rate=0.05)
+    with pytest.raises(ValueError, match="coupon_rate must be finite"):
+        BondSpec(notional=1.0, issue=date(2021, 1, 1), maturity=FIVE_YEARS, coupon_rate=value)
+    with pytest.raises(ValueError, match="notional must be finite"):
+        CdsSpec(notional=value, maturity=FIVE_YEARS, contractual_spread=0.01)
+    with pytest.raises(ValueError, match="contractual_spread must be finite"):
+        CdsSpec(notional=1.0, maturity=FIVE_YEARS, contractual_spread=value)
+    with pytest.raises(ValueError, match="cashflow amounts must be finite"):
+        CashflowSchedule(((date(2022, 6, 15), value),))
