@@ -242,6 +242,16 @@ class Transaction(NamedTuple):
     cost_eur: float
 
 
+def checked_transaction(date, quantity_change: float, cost_eur: float) -> Transaction:
+    """A Transaction; raises ValueError unless the quantity change is finite
+    and the EUR cost is finite and >= 0."""
+    if not math.isfinite(quantity_change):
+        raise ValueError(f"transaction {date}: quantity change must be finite, got {quantity_change}")
+    if not (math.isfinite(cost_eur) and cost_eur >= 0.0):
+        raise ValueError(f"transaction {date}: cost must be finite and >= 0, got {cost_eur}")
+    return Transaction(date, quantity_change, cost_eur)
+
+
 @dataclass(frozen=True)
 class Position:
     """One holding: a pricer plus its cashflow schedule and trade history.
@@ -265,10 +275,7 @@ class Position:
             raise ValueError(f"notional_sign must be +1 or -1, got {self.notional_sign}")
         object.__setattr__(self, "bucket", Bucket(self.bucket))
         object.__setattr__(self, "currency", currency_code(self.currency))
-        txns = tuple(Transaction(*t) for t in self.transactions)
-        for txn in txns:
-            if txn.cost_eur < 0.0:
-                raise ValueError(f"transaction costs must be >= 0, got {txn.cost_eur}")
+        txns = tuple(checked_transaction(*t) for t in self.transactions)
         object.__setattr__(self, "transactions", txns)
 
     def quantity_at(self, when) -> float:

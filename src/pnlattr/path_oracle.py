@@ -25,8 +25,6 @@ keeps geometric paths strictly positive for any step size.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -244,22 +242,98 @@ def grid_product_decomposition(path_asset, path_fx) -> GridDecomposition:
 def _product_rule_rows(a: np.ndarray, chi: np.ndarray) -> list[GridDecomposition]:
     """One GridDecomposition per row of two (rows, points) path arrays.
 
-    The sums are exact (fsum), so they do not depend on how rows are
-    batched; memoryview hands fsum plain floats without numpy scalars.
+    Each row's fx, asset and covariation terms are stacked seed by seed
+    into one (3 * rows, steps) array whose row sums _exact_row_sums gives,
+    each equal to math.fsum of the row. The sums are exact, so they do not
+    depend on how rows are batched.
     """
-    da = np.diff(a, axis=1)
-    dchi = np.diff(chi, axis=1)
-    terms = zip(a[:, :-1] * dchi, chi[:, :-1] * da, da * dchi)
+    da = a[:, 1:] - a[:, :-1]
+    dchi = chi[:, 1:] - chi[:, :-1]
+    terms = np.empty((len(a), 3, da.shape[1]))
+    np.multiply(a[:, :-1], dchi, out=terms[:, 0])
+    np.multiply(chi[:, :-1], da, out=terms[:, 1])
+    np.multiply(da, dchi, out=terms[:, 2])
+    sums = iter(_exact_row_sums(terms.reshape(-1, da.shape[1])))
     totals = (a[:, -1] * chi[:, -1] - a[:, 0] * chi[:, 0]).tolist()
     return [
-        GridDecomposition(
-            fx_integral=math.fsum(memoryview(fx_terms)),
-            asset_integral=math.fsum(memoryview(asset_terms)),
-            covariation=math.fsum(memoryview(cov_terms)),
-            total=total,
-        )
-        for (fx_terms, asset_terms, cov_terms), total in zip(terms, totals)
+        GridDecomposition(fx_integral=fx, asset_integral=asset, covariation=cov, total=total)
+        for fx, asset, cov, total in zip(sums, sums, sums, totals)
     ]
+
+
+# Arrays with fewer rows than this are summed by math.fsum row by row: on
+# one 256-step path's three rows the array pass took about 90 us, against
+# 20 us for three fsum calls.
+_ARRAY_ROWS = 16
+_BIG = 2.0**1000
+_SMALL = 2.0**-900
+_TINY = 2.0**-1022
+
+
+def _two_sum(a, b):
+    """fl(a + b) and its rounding error a + b - fl(a + b), exact barring overflow (Knuth)."""
+    total = a + b
+    virtual = total - a
+    return total, (a - (total - virtual)) + (b - virtual)
+
+
+def _exact_row_sums(x: np.ndarray) -> list[float]:
+    """[math.fsum(row) for row in x] for a 2-D float array, bit for bit.
+
+    Proof sketch, for a row of n values, u = 2**-53:
+    - A pairwise TwoSum tree over the columns gives the row's float sum s
+      and its n - 1 rounding errors e_i. Values below 2**1000 in magnitude
+      keep every partial sum finite until n passes 2**23, and an overflow
+      turns r into inf or nan, which fails the test below. Otherwise each
+      TwoSum is exact and the row sums to s + sum(e) exactly.
+    - t = fl(sum(e)), in whatever order numpy adds, is off by at most
+      gamma_{n-1} * sum(|e|), and fl(sum(|e|)) >= (1 - u)**(n-2) * sum(|e|).
+      So delta = fl(fl(sum(|e|)) * 4n * u + 2**-1022) bounds |sum(e) - t|
+      with room to spare; the last term covers a product that underflows.
+    - TwoSum(s, t) = (r, r_err) exactly, so the row's exact sum lies within
+      delta of r + r_err.
+    - math.fsum returns the correctly rounded sum. That is r when
+      fl(r_err + delta) < up and fl(r_err - delta) > -down, where up and down
+      are half the gaps from r to its float neighbours. Both half-gaps are
+      floats and rounding is monotone, so the float tests imply the exact
+      ones; the strict inequalities exclude ties.
+
+    Rows that fail the test go to math.fsum: near-ties, rows holding a
+    non-finite value or one of magnitude >= 2**1000, and sums outside
+    [2**-900, 2**1000), so that a zero takes fsum's sign and no gap
+    underflows or is infinite. fsum's own errors, such as inf + -inf, are
+    therefore raised as before, in row order. Arrays with fewer than
+    _ARRAY_ROWS rows go to math.fsum whole.
+    """
+    rows, n = x.shape
+    if rows < _ARRAY_ROWS:
+        return [math.fsum(memoryview(row)) for row in x]
+    with np.errstate(all="ignore"):
+        s = x
+        errors = [np.zeros((rows, 0))]  # a one-column row has no errors
+        while s.shape[1] > 1:
+            half = s.shape[1] // 2
+            pair, error = _two_sum(s[:, :half], s[:, half : 2 * half])
+            errors.append(error)
+            s = np.concatenate((pair, s[:, -1:]), axis=1) if s.shape[1] % 2 else pair
+        e = np.concatenate(errors, axis=1)
+        t = e.sum(axis=1)
+        delta = np.abs(e).sum(axis=1) * (4 * n * 2.0**-53) + _TINY
+        r, r_err = _two_sum(s[:, 0], t)
+        up = (np.nextafter(r, np.inf) - r) * 0.5
+        down = (r - np.nextafter(r, -np.inf)) * 0.5
+        size = np.abs(r)
+        certified = (
+            (r_err + delta < up)
+            & (r_err - delta > -down)
+            & (np.abs(x).max(axis=1) < _BIG)
+            & (size >= _SMALL)
+            & (size < _BIG)
+        )
+    sums = r.tolist()
+    for i in np.flatnonzero(~certified).tolist():
+        sums[i] = math.fsum(memoryview(x[i]))
+    return sums
 
 
 @dataclass(frozen=True)
@@ -431,14 +505,12 @@ def write_discrepancy_csv(comparisons, stream: IO[str] | None = None):
     """
     if isinstance(comparisons, StudyResult):
         comparisons = comparisons.comparisons
-    out = stream if stream is not None else io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["seed", "n_steps", "component", "coarse", "fine", "diff"])
-    for comparison in comparisons:
-        for component, coarse, fine, diff in comparison.rows():
-            writer.writerow(
-                [comparison.seed, comparison.n_steps, component, repr(coarse), repr(fine), repr(diff)]
-            )
+    text = "seed,n_steps,component,coarse,fine,diff\n" + "".join(
+        f"{c.seed},{c.n_steps},{component},{coarse!r},{fine!r},{diff!r}\n"
+        for c in comparisons
+        for component, coarse, fine, diff in c.rows()
+    )
     if stream is None:
-        return out.getvalue()
+        return text
+    stream.write(text)
     return None

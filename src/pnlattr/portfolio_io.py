@@ -31,7 +31,8 @@ when present; bonds otherwise get their coupon schedule automatically.
 
 A value the instrument rejects (say `coupon_frequency = 3`) is a
 ParseError naming the position and its section header line; an
-out-of-order or negative `cashflow` names its own line.
+out-of-order or negative `cashflow`, and a `transaction` with a non-finite
+quantity change or a non-finite or negative cost, name their own line.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import re
 from datetime import date
 
-from .attribution import Bucket, Portfolio, Position, Transaction, currency_code
+from .attribution import Bucket, Portfolio, Position, checked_transaction, currency_code
 from .errors import DuplicatePositionId, ParseError, UnknownBucket
 from .pricers import (
     BondPricer,
@@ -181,13 +182,12 @@ def _build_position(position_id, header_line, fields) -> Position:
             raise ParseError(
                 f"transaction needs 'DATE QUANTITY_CHANGE COST_EUR', got {value!r}", row=txn_line
             )
-        txn = Transaction(
+        txn = _build(
+            checked_transaction, position_id, txn_line,
             date=_parse_date(parts[0], txn_line, "transaction"),
             quantity_change=_parse_float(parts[1], txn_line, "transaction"),
             cost_eur=_parse_float(parts[2], txn_line, "transaction"),
         )
-        if txn.cost_eur < 0.0:
-            raise ParseError(f"transaction cost must be >= 0, got {txn.cost_eur}", row=txn_line)
         transactions.append(txn)
 
     explicit_cashflows = []
@@ -222,7 +222,10 @@ def _build_position(position_id, header_line, fields) -> Position:
             coupon_frequency=frequency,
         )
         pricer = BondPricer(spec)
-        schedule = CashflowSchedule(tuple(explicit_cashflows)) if explicit_cashflows else bond_cashflows(spec)
+        schedule = (
+            CashflowSchedule(tuple(explicit_cashflows)) if explicit_cashflows
+            else _build(bond_cashflows, position_id, header_line, spec=spec)
+        )
         life = (spec.issue, spec.maturity)
     elif instrument == "cds":
         protection = fields.pop("protection", (header_line, "bought"))[1].lower()

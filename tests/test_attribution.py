@@ -400,3 +400,16 @@ def test_engine_errors_print_dates_as_iso():
         attribute_position(pos, {t: state}, [t, T])
     with pytest.raises(ScheduleOutsideGrid, match=r"^cashflow at 2022-01-15 not on the attribution grid$"):
         attribute_position(pos, {t: state, T: state}, [t, T])
+
+
+@pytest.mark.parametrize("quantity_change, cost, message", [
+    (float("nan"), 0.0, "quantity change must be finite, got nan"),
+    (float("-inf"), 0.0, "quantity change must be finite, got -inf"),
+    (1.0, float("nan"), "cost must be finite and >= 0, got nan"),
+    (1.0, float("inf"), "cost must be finite and >= 0, got inf"),
+    (1.0, -2.0, "cost must be finite and >= 0, got -2.0"),
+], ids=["quantity-nan", "quantity-inf", "cost-nan", "cost-inf", "cost-negative"])
+def test_position_rejects_non_finite_transactions(quantity_change, cost, message):
+    with pytest.raises(ValueError, match=message):
+        Position(id="p", bucket=Bucket.OTHER, pricer=linear_pricer(),
+                 transactions=(Transaction(0.5, quantity_change, cost),))

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -397,3 +399,117 @@ def test_study_rejects_fx_path_that_reaches_zero():
         simulate_paths(params, n_steps=4, seed=0)
     with pytest.raises(ValueError, match="fx trajectory must stay strictly positive"):
         covariation_study(params, n_steps=4, seeds=range(40))
+
+
+def _fsum_rows(x):
+    return [math.fsum(row) for row in x.tolist()]
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(16, 100),
+    width=st.integers(1, 300),
+    spread=st.integers(0, 300),
+    special=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_row_sums_equal_fsum(rows, width, spread, special, seed):
+    rng = np.random.default_rng(seed)
+    centre = rng.integers(-300 + spread // 2, 301 - spread // 2, (rows, 1))
+    offset = rng.integers(-(spread // 2), spread // 2 + 1, (rows, width))
+    x = rng.standard_normal((rows, width)) * 10.0 ** (centre + offset)
+    # signed zeros and subnormals in place of a share of the entries
+    kind = rng.random((rows, width))
+    zeros = np.where(rng.random((rows, width)) < 0.5, 0.0, -0.0)
+    subnormals = np.ldexp(rng.integers(-2**52, 2**52, (rows, width)).astype(float), -1074)
+    x = np.where(kind < special / 2, zeros, np.where(kind < special, subnormals, x))
+    # every third row is followed by its negated reverse, so it cancels exactly
+    half = width // 2
+    x[::3, width - half:] = -x[::3, :half][:, ::-1]
+    assert _hex(path_oracle._exact_row_sums(x)) == _hex(_fsum_rows(x))
+
+
+def _counting_fsum(monkeypatch):
+    calls = []
+    fsum = math.fsum
+
+    def counted(values):
+        calls.append(list(values))
+        return fsum(values)
+
+    monkeypatch.setattr(path_oracle.math, "fsum", counted)
+    return calls
+
+
+def test_exact_row_sums_fall_back_to_fsum_on_special_rows(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((20, 7))
+    x[1, 3] = math.inf
+    x[2, 0] = math.nan
+    x[3] = [2.0**1000, 2.0**1000, -2.0**1000, 1.0, 0.0, 0.0, 0.0]
+    x[4] = [1.0, 2.0**-53, 0.0, 0.0, 0.0, 0.0, 0.0]  # an exact tie: fsum rounds it to even
+    x[5] = [1.0, 2.0**-53, 2.0**-100, 0.0, 0.0, 0.0, 0.0]  # just above the tie
+    x[6] = 0.0
+    expected = _fsum_rows(x)
+    assert expected[4] == 1.0 and expected[5] == 1.0 + 2.0**-52
+    calls = _counting_fsum(monkeypatch)
+    assert _hex(path_oracle._exact_row_sums(x)) == _hex(expected)
+    # every special row but the one above the tie, which the array pass certifies
+    assert repr(calls) == repr([x[i].tolist() for i in (1, 2, 3, 4, 6)])
+
+    # fsum's own errors come through unchanged
+    raising = (([math.inf, -math.inf], ValueError), ([2.0**1023, 2.0**1023, -2.0**1023], OverflowError))
+    for row, error in raising:
+        x[7] = 0.0
+        x[7, :len(row)] = row
+        with pytest.raises(error) as want:
+            math.fsum(x[7].tolist())
+        with pytest.raises(error) as got:
+            path_oracle._exact_row_sums(x)
+        assert str(got.value) == str(want.value)
+
+
+def test_exact_row_sums_certify_nearly_every_oracle_row(monkeypatch):
+    params = SimulationParams(
+        processes=(
+            GbmSpec("asset", initial=100.0, volatility=0.2, jump_size=0.05),
+            GbmSpec("fx", initial=1.0, volatility=0.1, jump_size=-0.03),
+        ),
+        correlation=((1.0, 0.5), (0.5, 1.0)),
+        jump_intensity=3.0,
+    )
+    calls = _counting_fsum(monkeypatch)
+    study = covariation_study(params, n_steps=256, seeds=range(200))
+    assert len(study.comparisons) == 200
+    assert len(calls) <= 0.01 * 3 * 200
+
+
+def _csv_reference(comparisons):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["seed", "n_steps", "component", "coarse", "fine", "diff"])
+    for c in comparisons:
+        for component, coarse, fine, diff in c.rows():
+            writer.writerow([c.seed, c.n_steps, component, repr(coarse), repr(fine), repr(diff)])
+    return out.getvalue()
+
+
+def test_discrepancy_csv_equals_csv_writer_output():
+    overflowing = SimulationParams(
+        processes=(
+            GbmSpec("asset", initial=100.0, jump_size=0.05),
+            GbmSpec("fx", initial=1.0, jump_size=-0.03),
+        ),
+        jump_intensity=20000.0,
+    )
+    with np.errstate(all="ignore"):
+        study = covariation_study(overflowing, n_steps=1, seeds=range(3))
+    text = write_discrepancy_csv(study)
+    assert "inf" in text and "nan" in text
+    assert text == _csv_reference(study.comparisons)
+    plain = covariation_study(TWO_GBM, n_steps=8, seeds=range(40))
+    assert write_discrepancy_csv(plain) == _csv_reference(plain.comparisons)

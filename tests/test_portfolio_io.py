@@ -183,3 +183,27 @@ def test_invalid_values_name_the_position_and_the_line(text, row, message):
     assert info.value.row == row
     assert str(info.value).startswith(f"row {row}: position ")
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("transaction = 2022-03-01 nan 0", "transaction 2022-03-01: quantity change must be finite, got nan"),
+    ("transaction = 2022-03-01 -inf 0", "transaction 2022-03-01: quantity change must be finite, got -inf"),
+    ("transaction = 2022-03-01 0 nan", "transaction 2022-03-01: cost must be finite and >= 0, got nan"),
+    ("transaction = 2022-03-01 0 inf", "transaction 2022-03-01: cost must be finite and >= 0, got inf"),
+    ("transaction = 2022-03-01 0 -5", "transaction 2022-03-01: cost must be finite and >= 0, got -5.0"),
+], ids=["quantity-nan", "quantity-inf", "cost-nan", "cost-inf", "cost-negative"])
+def test_bad_transaction_values_name_the_transaction_line(line, message):
+    text = MINIMAL_BOND + "transaction = 2021-06-01 0 10\n" + line + "\n"
+    with pytest.raises(ParseError) as info:
+        load_portfolio(io.StringIO(text))
+    assert info.value.row == 9
+    assert str(info.value) == f"row 9: position 'ONE': {message}"
+
+
+def test_coupon_roll_out_of_date_range_names_the_position():
+    text = MINIMAL_BOND.replace("issue = 2021-01-15", "issue = 0001-01-01").replace(
+        "maturity = 2026-01-15", "maturity = 0001-03-01")
+    with pytest.raises(ParseError) as info:
+        load_portfolio(io.StringIO(text))
+    assert info.value.row == 1
+    assert str(info.value) == "row 1: position 'ONE': year 0 is out of range"
