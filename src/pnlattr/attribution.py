@@ -29,7 +29,7 @@ results add componentwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .pricers import CashflowSchedule
 
-#: Additivity tolerance, relative to max(1, |total|).
+#: Additivity tolerance, relative to max(1, |total|, scale).
 ADDITIVITY_TOL = 1e-9
 
 
@@ -87,6 +87,9 @@ class AttributionResult:
 
     residual = total - (fx + rate + market + carry) and must vanish to
     round-off; it is kept visible so reports can prove the reconciliation.
+    `scale` is the size of the EUR values the parts were computed from:
+    round-off is measured against it, since a total that cancels (a coupon
+    offsetting the price drop it causes) leaves the values' round-off behind.
     """
 
     fx: float
@@ -94,12 +97,13 @@ class AttributionResult:
     market: float
     carry: float
     total: float
+    scale: float = field(default=0.0, compare=False, repr=False)
 
     def __post_init__(self):
         parts = (self.fx, self.rate, self.market, self.carry, self.total)
         if not all(math.isfinite(v) for v in parts):
             raise ValueError(f"attribution parts must be finite, got {parts}")
-        if abs(self.residual) > ADDITIVITY_TOL * max(1.0, abs(self.total)):
+        if abs(self.residual) > ADDITIVITY_TOL * max(1.0, abs(self.total), self.scale):
             raise ValueError(
                 f"parts do not sum to total: residual {self.residual:g} against total {self.total:g}"
             )
@@ -115,6 +119,7 @@ class AttributionResult:
             market=factor * self.market,
             carry=factor * self.carry,
             total=factor * self.total,
+            scale=abs(factor) * self.scale,
         )
 
     @classmethod
@@ -133,6 +138,7 @@ class AttributionResult:
             market=math.fsum(r.market for r in results),
             carry=math.fsum(r.carry for r in results),
             total=math.fsum(r.total for r in results),
+            scale=max(r.scale for r in results),
         )
 
 
@@ -212,6 +218,8 @@ def _split(price, t, T, snap_t, snap_T, chi_t, chi_T, fx_mode: FxMode, start_old
         market=weight * market_move,
         carry=weight * carry_move,
         total=end_new * chi_T - start_old * chi_t,
+        scale=max(abs(end_new), abs(end_old_curve), abs(end_old_factors), abs(start_old),
+                  abs(start_new_curve), abs(start_new_factors)) * max(chi_t, chi_T),
     )
     return result, end_new
 
@@ -411,6 +419,7 @@ def attribute_position(
                 market=split.market,
                 carry=split.carry + coupon_eur,
                 total=split.total + coupon_eur,
+                scale=max(split.scale, abs(coupon_eur)),
             )
         results.append(split)
 

@@ -149,6 +149,28 @@ def test_eur_and_usd_book_reconciles_to_realized_eur_pnl(book, data):
         st.tuples(st.floats(-0.01, 0.06), st.floats(0.0, 0.05), st.floats(0.7, 1.3)),
         min_size=len(grid), max_size=len(grid),
     ))
+    _assert_reconciles(portfolio, grid, levels)
+
+
+def test_coupon_cancelling_the_price_drop_reconciles():
+    # at zero rates the USD bond's price falls by exactly its coupon, so the
+    # subperiod total cancels to round-off of its ~7e6 EUR value
+    bond = {"kind": "bond", "issue_days": 30, "coupon_rate": 0.0}
+    book = [
+        ({**bond, "notional": 100000.0, "maturity_days": 400, "frequency": 1}, "EUR", 1, []),
+        ({**bond, "notional": 100000.0, "maturity_days": 2168, "coupon_rate": 0.0625, "frequency": 12},
+         "EUR", 1, [(1, 0.0)]),
+        ({**bond, "notional": 9999993.0, "maturity_days": 2990, "coupon_rate": 0.0439638700683888,
+          "frequency": 2}, "USD", 1, []),
+    ]
+    portfolio = Portfolio(positions=tuple(_position(i, h) for i, h in enumerate(book)))
+    grid = segment_period(portfolio, T0, T1)
+    fx = (1.0, 1.0, 1.0, 0.71875, 0.71875, 1.0, 1.0, 1.0, 1.0)
+    assert len(grid) == len(fx)
+    _assert_reconciles(portfolio, grid, [(0.0, 0.0, x) for x in fx])
+
+
+def _assert_reconciles(portfolio, grid, levels):
     snaps = {u: flat_snapshot(u, rate, hazard=hazard, recovery=0.4, fx=fx)
              for u, (rate, hazard, fx) in zip(grid, levels)}
     result = attribute_portfolio(portfolio, snaps, T0, T1, carry_mode=CarryMode.CORRECTED)
