@@ -187,12 +187,16 @@ def four_way_split(pricer, t, T, snap_t, snap_T, fx_mode: FxMode = FxMode.AVERAG
     return result
 
 
-def _split(price, t, T, snap_t, snap_T, chi_t, chi_T, fx_mode: FxMode, start_old: float | None = None):
+def _split(price, t, T, snap_t, snap_T, chi_t, chi_T, fx_mode: FxMode, start_old: float | None = None,
+           start_coupon: float = 0.0):
     """four_way_split on a price function and quotes chi_t, chi_T; returns (result, end_new).
 
     A caller that already holds A_t(r_t, x_t), such as the previous
     subperiod's end_new under the same pure price function, passes it as
-    `start_old` and saves one of the six evaluations.
+    `start_old` and saves one of the six evaluations. A non-zero
+    `start_coupon` is added to the three start-date prices, so the period
+    starts at the pre-coupon price (literal carry mode); end_new never
+    includes it.
     """
     if not t < T:
         raise EmptyPeriod(f"period start {t} not before end {T}")
@@ -206,6 +210,10 @@ def _split(price, t, T, snap_t, snap_T, chi_t, chi_T, fx_mode: FxMode, start_old
         start_old = _evaluate(price, "start price under start curve and start factors", t, r_t, x_t)
     start_new_curve = _evaluate(price, "start price under end curve and start factors", t, r_T, x_t)
     start_new_factors = _evaluate(price, "start price under start curve and end factors", t, r_t, x_T)
+    if start_coupon != 0.0:
+        start_old += start_coupon
+        start_new_curve += start_coupon
+        start_new_factors += start_coupon
 
     rate_move = 0.5 * ((end_new - end_old_curve) + (start_new_curve - start_old))
     market_move = 0.5 * ((end_new - end_old_factors) + (start_new_factors - start_old))
@@ -348,15 +356,6 @@ def _quantities(transactions, notional_sign: int, dates: Sequence) -> list[float
     return out
 
 
-def _with_start_coupon(price, start, amount):
-    # pre-coupon start price for the literal carry mode
-    def pre_coupon(s, curve, factors):
-        value = price(s, curve, factors)
-        return value + amount if s == start else value
-
-    return pre_coupon
-
-
 def attribute_position(
     position: Position,
     snapshots,
@@ -385,24 +384,16 @@ def attribute_position(
         if start < d <= end and amount != 0.0 and d not in grid_set:
             raise ScheduleOutsideGrid(f"cashflow at {d} not on the attribution grid")
 
-    base_price = _price_fn(position.pricer)
+    price = _price_fn(position.pricer)
     chis = [1.0 if position.currency == "EUR" else _fx_rate(snaps[u].fx) for u in grid]
-    # ex-coupon starts make each subperiod's start_old the previous end_new;
-    # literal mode restarts at the pre-coupon price, so it evaluates afresh
-    reuse_start = carry_mode is not CarryMode.LITERAL
     end_new = None
     quantities = _quantities(position.transactions, position.notional_sign, grid[:-1])
     results: list[AttributionResult] = []
     for i, (u_prev, u_cur, quantity) in enumerate(zip(grid, grid[1:], quantities)):
-        price = base_price
-        if carry_mode is CarryMode.LITERAL:
-            coupon_at_start = position.schedule.amount_on(u_prev)
-            if coupon_at_start != 0.0:
-                price = _with_start_coupon(base_price, u_prev, coupon_at_start)
-
+        start_coupon = position.schedule.amount_on(u_prev) if carry_mode is CarryMode.LITERAL else 0.0
         try:
             split, end_new = _split(price, u_prev, u_cur, snaps[u_prev], snaps[u_cur], chis[i], chis[i + 1],
-                                    fx_mode, end_new if reuse_start else None)
+                                    fx_mode, end_new, start_coupon)
         except EngineError as exc:
             _prefix(exc, f"subperiod ({u_prev}, {u_cur}]")
             raise

@@ -126,6 +126,8 @@ def _cmd_attribute(args) -> int:
 def _cmd_oracle(args) -> int:
     from .path_oracle import GbmSpec, SimulationParams, covariation_study, write_discrepancy_csv
 
+    if args.seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     if args.num_seeds < 1:
         raise ParseError("--num-seeds must be >= 1")
     if args.steps < 1:

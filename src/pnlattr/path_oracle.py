@@ -156,7 +156,9 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
     intensity are checked, and the correlation factored, once before the
     first seed is taken. Each seed draws from its own generator in a fixed
     order (normals, then jump counts), so a seed's values do not depend on
-    the other seeds of its block.
+    the other seeds of its block. Each block's values must be finite and
+    its fx path, if any, > 0; a SimulationError names the first seed that
+    breaks this.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -179,6 +181,7 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
             f"{params.jump_intensity * dt:g} jumps per step, above the {_POISSON_LAM_MAX:.3g} limit"
         )
     jump_logs = np.array([math.log1p(s.jump_size) for s in specs])
+    fx_index = next((j for j, s in enumerate(specs) if s.name == "fx"), None)
 
     seeds = iter(seeds)
     while block := list(islice(seeds, _BLOCK)):
@@ -196,7 +199,18 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
             log_steps = log_steps + counts[:, :, None] * jump_logs
         log_paths = np.zeros((len(block), n_steps + 1, len(specs)))
         np.cumsum(log_steps, axis=1, out=log_paths[:, 1:])
-        yield block, initial * np.exp(log_paths)
+        with np.errstate(over="ignore"):
+            values = initial * np.exp(log_paths)
+        finite = np.isfinite(values)
+        if not finite.all():
+            i, _, j = np.argwhere(~finite)[0]
+            raise SimulationError(f"seed {block[i]}: process {specs[j].name!r} path is not finite")
+        if fx_index is not None:
+            positive = values[:, :, fx_index] > 0.0
+            if not positive.all():
+                seed = block[np.argwhere(~positive)[0][0]]
+                raise SimulationError(f"seed {seed}: fx trajectory must stay strictly positive")
+        yield block, values
 
 
 def simulate_paths(params: SimulationParams, n_steps: int, seed: int) -> PathSet:
@@ -493,7 +507,6 @@ def covariation_study(
     comparisons = []
     for block, values in _simulate_values(params, n_steps, seeds):
         paths = {spec.name: values[:, :, j] for j, spec in enumerate(params.processes)}
-        _require_positive_fx(paths)
         comparisons += _compare_rows(block, values.shape[1] - 1, paths["asset"], paths["fx"], fx_mode)
     return StudyResult(tuple(comparisons))
 

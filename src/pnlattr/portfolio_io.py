@@ -228,10 +228,11 @@ def _build_position(position_id, header_line, fields) -> Position:
         )
         life = (spec.issue, spec.maturity)
     elif instrument == "cds":
-        protection = fields.pop("protection", (header_line, "bought"))[1].lower()
+        protection_line, protection = fields.pop("protection", (header_line, "bought"))
+        protection = protection.lower()
         if protection not in ("bought", "sold"):
             raise ParseError(
-                f"protection must be 'bought' or 'sold', got {protection!r}", row=header_line
+                f"protection must be 'bought' or 'sold', got {protection!r}", row=protection_line
             )
         spec = _build(
             CdsSpec, position_id, header_line,

@@ -242,6 +242,8 @@ def test_oracle_reproduces_golden_csv(tmp_path, capsys):
     (["--corr", "nan"], "error: --corr must be a finite number, got nan"),
     (["--corr", "inf"], "error: --corr must be a finite number, got inf"),
     (["--corr=-inf"], "error: --corr must be a finite number, got -inf"),
+    (["--steps", "1", "--jump-intensity", "20000"], "error: seed 0: process 'asset' path is not finite"),
+    (["--seed", "-3", "--steps", "33"], "error: --seed must be >= 0, got -3"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_oracle_bad_numeric_flag_is_validation_error(flags, message, capsys):

@@ -1,9 +1,10 @@
 """Subperiods share their boundary price instead of evaluating it twice.
 
-In the corrected and sophis carry modes a subperiod starts at the ex-coupon
-price A_u(r_u, x_u), which the previous subperiod already evaluated as its
-end price; literal mode starts at the pre-coupon price and evaluates all six.
-Reuse must leave every subperiod result bit for bit as four_way_split gives it.
+A subperiod's start price A_u(r_u, x_u) is the previous subperiod's end
+price, so every carry mode makes 5n + 1 evaluations on an n-subperiod grid.
+Literal mode adds the coupon paid at u to its three start prices, whether
+reused or freshly evaluated. Every subperiod result must stay bit for bit
+as four_way_split gives it on a pricer wrapped to return the pre-coupon price.
 """
 
 import math
@@ -83,9 +84,10 @@ SNAPS = {u: ScalarState(0.01 + 0.03 * u * u, 0.02 + 0.01 * math.sin(7 * u), 1.1 
 @pytest.mark.parametrize("fx_mode", list(FxMode))
 def test_evaluation_count_and_bit_identical_subperiods(carry_mode, fx_mode):
     n = len(GRID) - 1
-    # coupons on interior grid dates and at the end; quantities change mid-grid,
-    # listed out of date order, in dyadic steps so any summation order is exact
-    schedule = CashflowSchedule(((0.25, 2.5), (0.625, 1.75), (1.0, 2.5)))
+    # coupons on the first grid date, on interior grid dates and at the end;
+    # quantities change mid-grid, listed out of date order, in dyadic steps so
+    # any summation order is exact
+    schedule = CashflowSchedule(((0.0, 1.5), (0.25, 2.5), (0.625, 1.75), (1.0, 2.5)))
     transactions = (Transaction(0.5, -0.75, 0.0), Transaction(-1.0, 0.5, 0.0),
                     Transaction(0.125, 1.25, 0.0))
     pricer = CountingPricer(toy_price)
@@ -94,8 +96,7 @@ def test_evaluation_count_and_bit_identical_subperiods(carry_mode, fx_mode):
 
     subperiods, aggregate = attribute_position(position, SNAPS, GRID, fx_mode, carry_mode)
 
-    expected_calls = 6 * n if carry_mode is CarryMode.LITERAL else 5 * n + 1
-    assert pricer.calls == expected_calls
+    assert pricer.calls == 5 * n + 1
     expected = reference_subperiods(position, SNAPS, GRID, fx_mode, carry_mode)
     assert subperiods == expected
     assert aggregate == AttributionResult.combine(expected)
@@ -120,5 +121,5 @@ def test_bond_across_a_coupon_date_matches_four_way_split(carry_mode):
     subperiods, _ = attribute_position(position, snaps, grid, FxMode.AVERAGE, carry_mode)
 
     n = len(grid) - 1
-    assert pricer.calls == (6 * n if carry_mode is CarryMode.LITERAL else 5 * n + 1)
+    assert pricer.calls == 5 * n + 1
     assert subperiods == reference_subperiods(position, snaps, grid, FxMode.AVERAGE, carry_mode)

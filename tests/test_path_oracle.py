@@ -15,6 +15,7 @@ from pnlattr import (
     LengthMismatch,
     NonFiniteDerivative,
     PathSet,
+    SimulationError,
     SimulationParams,
     StudyResult,
     compare_coarse_vs_fine,
@@ -401,6 +402,26 @@ def test_study_rejects_fx_path_that_reaches_zero():
         covariation_study(params, n_steps=4, seeds=range(40))
 
 
+@pytest.mark.filterwarnings("error")
+def test_study_names_the_first_seed_whose_path_overflows():
+    # about 14,400 jumps of +5% in one step: exp overflows on roughly a third of the seeds
+    params = SimulationParams(
+        processes=(GbmSpec("asset", initial=100.0, volatility=0.2, jump_size=0.05),
+                   GbmSpec("fx", initial=1.0, volatility=0.1, jump_size=-0.01)),
+        jump_intensity=14_400.0,
+    )
+    bad = []
+    for seed in range(40):
+        try:
+            simulate_paths(params, n_steps=1, seed=seed)
+        except SimulationError as exc:
+            bad.append(seed)
+            assert str(exc) == f"seed {seed}: process 'asset' path is not finite"
+    assert 0 < len(bad) < 40 and bad[0] > 0
+    with pytest.raises(SimulationError, match=f"^seed {bad[0]}: process 'asset' path is not finite$"):
+        covariation_study(params, n_steps=1, seeds=range(40))
+
+
 def _fsum_rows(x):
     return [math.fsum(row) for row in x.tolist()]
 
@@ -499,17 +520,15 @@ def _csv_reference(comparisons):
 
 
 def test_discrepancy_csv_equals_csv_writer_output():
-    overflowing = SimulationParams(
-        processes=(
-            GbmSpec("asset", initial=100.0, jump_size=0.05),
-            GbmSpec("fx", initial=1.0, jump_size=-0.03),
-        ),
-        jump_intensity=20000.0,
-    )
+    # an asset path that overflowed, as callers may build them
     with np.errstate(all="ignore"):
-        study = covariation_study(overflowing, n_steps=1, seeds=range(3))
-    text = write_discrepancy_csv(study)
+        overflowed = [
+            compare_coarse_vs_fine(PathSet(grid=[0.0, 1.0], seed=seed,
+                                           paths={"asset": [100.0, math.inf], "fx": [1.0, fx_end]}))
+            for seed, fx_end in enumerate((1e-265, 0.5, 2.0))
+        ]
+    text = write_discrepancy_csv(overflowed)
     assert "inf" in text and "nan" in text
-    assert text == _csv_reference(study.comparisons)
+    assert text == _csv_reference(overflowed)
     plain = covariation_study(TWO_GBM, n_steps=8, seeds=range(40))
     assert write_discrepancy_csv(plain) == _csv_reference(plain.comparisons)

@@ -111,6 +111,25 @@ def test_short_direction():
         load_portfolio(io.StringIO(MINIMAL_BOND + "direction = inverse\n"))
 
 
+MINIMAL_CDS = """[position PROT]
+bucket = MatchedBasis
+instrument = cds
+notional = 4000000
+maturity = 2026-08-15
+contractual_spread = 0.02
+"""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("protection = both", "row 7: protection must be 'bought' or 'sold', got 'both'"),
+    ("direction = inverse", "row 7: direction must be 'long' or 'short', got 'inverse'"),
+])
+def test_bad_cds_side_names_its_own_line(line, message):
+    with pytest.raises(ParseError) as info:
+        load_portfolio(io.StringIO(MINIMAL_CDS + line + "\n"))
+    assert str(info.value) == message
+
+
 def test_currency_defaults_to_usd_and_is_carried_by_the_position(portfolio_text):
     assert load_portfolio(io.StringIO(MINIMAL_BOND)).positions[0].currency == "USD"
     book = load_portfolio(io.StringIO(portfolio_text))
