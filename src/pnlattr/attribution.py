@@ -39,6 +39,7 @@ from .errors import (
     EngineError,
     MissingSnapshot,
     MixedCurrencies,
+    NonFiniteReport,
     PricerEvaluationFailed,
     ScheduleOutsideGrid,
 )
@@ -102,7 +103,7 @@ class AttributionResult:
     def __post_init__(self):
         parts = (self.fx, self.rate, self.market, self.carry, self.total)
         if not all(math.isfinite(v) for v in parts):
-            raise ValueError(f"attribution parts must be finite, got {parts}")
+            raise NonFiniteReport(f"attribution parts must be finite, got {parts}")
         if abs(self.residual) > ADDITIVITY_TOL * max(1.0, abs(self.total), self.scale):
             raise ValueError(
                 f"parts do not sum to total: residual {self.residual:g} against total {self.total:g}"
@@ -132,14 +133,17 @@ class AttributionResult:
         results = list(results)
         if not results:
             return cls.zero()
-        return cls(
-            fx=math.fsum(r.fx for r in results),
-            rate=math.fsum(r.rate for r in results),
-            market=math.fsum(r.market for r in results),
-            carry=math.fsum(r.carry for r in results),
-            total=math.fsum(r.total for r in results),
-            scale=max(r.scale for r in results),
-        )
+        try:
+            return cls(
+                fx=math.fsum(r.fx for r in results),
+                rate=math.fsum(r.rate for r in results),
+                market=math.fsum(r.market for r in results),
+                carry=math.fsum(r.carry for r in results),
+                total=math.fsum(r.total for r in results),
+                scale=max(r.scale for r in results),
+            )
+        except OverflowError as exc:
+            raise NonFiniteReport(f"attribution parts overflow when summed: {exc}") from exc
 
 
 def fx_split(a_start, a_end, chi_start, chi_end, mode: FxMode = FxMode.AVERAGE):
@@ -391,30 +395,33 @@ def attribute_position(
     results: list[AttributionResult] = []
     for i, (u_prev, u_cur, quantity) in enumerate(zip(grid, grid[1:], quantities)):
         start_coupon = position.schedule.amount_on(u_prev) if carry_mode is CarryMode.LITERAL else 0.0
+        coupon = position.schedule.amount_on(u_cur)
         try:
             split, end_new = _split(price, u_prev, u_cur, snaps[u_prev], snaps[u_cur], chis[i], chis[i + 1],
                                     fx_mode, end_new, start_coupon)
+            if quantity != 1.0:
+                split = split.scaled(quantity)
+            if coupon != 0.0:
+                fx_weight = chis[-1] if carry_mode is CarryMode.SOPHIS else 0.5 * (chis[i] + chis[i + 1])
+                coupon_eur = quantity * coupon * fx_weight
+                split = AttributionResult(
+                    fx=split.fx,
+                    rate=split.rate,
+                    market=split.market,
+                    carry=split.carry + coupon_eur,
+                    total=split.total + coupon_eur,
+                    scale=max(split.scale, abs(coupon_eur)),
+                )
         except EngineError as exc:
             _prefix(exc, f"subperiod ({u_prev}, {u_cur}]")
             raise
-        if quantity != 1.0:
-            split = split.scaled(quantity)
-
-        coupon = position.schedule.amount_on(u_cur)
-        if coupon != 0.0:
-            fx_weight = chis[-1] if carry_mode is CarryMode.SOPHIS else 0.5 * (chis[i] + chis[i + 1])
-            coupon_eur = quantity * coupon * fx_weight
-            split = AttributionResult(
-                fx=split.fx,
-                rate=split.rate,
-                market=split.market,
-                carry=split.carry + coupon_eur,
-                total=split.total + coupon_eur,
-                scale=max(split.scale, abs(coupon_eur)),
-            )
         results.append(split)
 
-    return results, AttributionResult.combine(results)
+    try:
+        return results, AttributionResult.combine(results)
+    except EngineError as exc:
+        _prefix(exc, f"period ({start}, {end}]")
+        raise
 
 
 def _prefix(exc: Exception, where: str) -> None:

@@ -102,9 +102,6 @@ def _cmd_attribute(args) -> int:
     start, end = args.date_from, args.date_to
     if not start < end:
         raise EmptyPeriod(f"--from {start} must be before --to {end}")
-    for path in (Path(args.portfolio), Path(args.market)):
-        if not path.exists():
-            raise ParseError(f"no such file: {path}")
     if args.nav is not None and not (math.isfinite(args.nav) and args.nav > 0.0):
         raise ParseError(f"--nav must be a finite number > 0, got {args.nav}")
     snapshots = load_market_snapshots(args.market)
@@ -193,6 +190,9 @@ def run_cli(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an input or --output file that cannot be opened
+        print(f"error: {str(exc.strerror).lower()}: {exc.filename}", file=sys.stderr)
         return 1
 
 

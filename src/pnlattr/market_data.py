@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import date
 from typing import IO, Iterable, Sequence
@@ -165,8 +166,11 @@ def load_market_snapshots(source) -> list[MarketSnapshot]:
     if hasattr(source, "read"):
         return _parse_market_csv(source)
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _parse_market_csv(handle)
+        try:
+            with open(source, "r", encoding="utf-8", newline="") as handle:
+                return _parse_market_csv(handle)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{os.fsdecode(source)}: {exc}") from exc
     return _parse_market_csv(source)
 
 

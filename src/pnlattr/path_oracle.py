@@ -32,7 +32,7 @@ from typing import Any, IO, Iterable, Mapping
 
 import numpy as np
 
-from .attribution import FxMode, fx_split
+from .attribution import FxMode, _price_fn, fx_split
 from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative, SimulationError
 
 #: Relative finite-difference step for the Taylor-ladder partials.
@@ -368,15 +368,15 @@ class ItoDecomposition:
         return self.total - (self.carry + self.rate + self.market)
 
 
-def grid_ito_decomposition(pricer, path_r, path_x, grid, rel_step: float = DERIVATIVE_STEP) -> ItoDecomposition:
+def grid_ito_decomposition(pricer, path_r, path_x, grid) -> ItoDecomposition:
     """Decompose A(T, r_T, x_T) - A(t, r_t, x_t) along scalar state paths.
 
     carry sums the time partial times the time step; rate and market sum
     the first partial times the state increment plus half the second
     partial times the squared increment. All partials are central
-    differences at the left grid point with step rel_step * max(1, |v|).
+    differences at the left grid point with step DERIVATIVE_STEP * max(1, |v|).
     """
-    price = pricer.price if hasattr(pricer, "price") else pricer
+    price = _price_fn(pricer)
     r = np.asarray(path_r, dtype=float)
     x = np.asarray(path_x, dtype=float)
     u = np.asarray(grid, dtype=float)
@@ -388,9 +388,9 @@ def grid_ito_decomposition(pricer, path_r, path_x, grid, rel_step: float = DERIV
     carry_terms, rate_terms, market_terms = [], [], []
     for i in range(1, len(u)):
         s, ri, xi = float(u[i - 1]), float(r[i - 1]), float(x[i - 1])
-        hs = rel_step * max(1.0, abs(s))
-        hr = rel_step * max(1.0, abs(ri))
-        hx = rel_step * max(1.0, abs(xi))
+        hs = DERIVATIVE_STEP * max(1.0, abs(s))
+        hr = DERIVATIVE_STEP * max(1.0, abs(ri))
+        hx = DERIVATIVE_STEP * max(1.0, abs(xi))
         f0 = price(s, ri, xi)
         d_s = (price(s + hs, ri, xi) - price(s - hs, ri, xi)) / (2.0 * hs)
         f_ru, f_rd = price(s, ri + hr, xi), price(s, ri - hr, xi)
@@ -449,17 +449,16 @@ class CoarseFineComparison:
 def compare_coarse_vs_fine(
     paths: PathSet,
     fx_mode: FxMode = FxMode.AVERAGE,
-    asset_key: str = "asset",
-    fx_key: str = "fx",
 ) -> CoarseFineComparison:
-    """Two-point split from the path endpoints against the product-rule sums.
+    """Two-point split from the "asset" and "fx" path endpoints against the
+    product-rule sums.
 
     Both sides reproduce the same endpoint total; only the split differs,
     and the covariation sum is exactly what the two-point scheme smears
     into its fx and asset parts.
     """
-    a = paths.paths[asset_key]
-    chi = paths.paths[fx_key]
+    a = paths.paths["asset"]
+    chi = paths.paths["fx"]
     return _compare_rows((paths.seed,), paths.n_steps, a[None, :], chi[None, :], fx_mode)[0]
 
 

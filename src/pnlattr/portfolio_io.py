@@ -29,16 +29,19 @@ EUR and at most one foreign currency.
 (absolute currency amounts) replace the generated bond coupon schedule
 when present; bonds otherwise get their coupon schedule automatically.
 
-A value the instrument rejects (say `coupon_frequency = 3`) is a
-ParseError naming the position and its section header line; an
-out-of-order or negative `cashflow`, and a `transaction` with a non-finite
-quantity change or a non-finite or negative cost, name their own line.
+A value the instrument rejects (say `coupon_frequency = 3`, or bond dates
+whose coupon roll would run back past year 1) is a ParseError naming the
+position and its section header line; an out-of-order or negative
+`cashflow`, and a `transaction` with a non-finite quantity change or a
+non-finite or negative cost, name their own line.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from datetime import date
+from typing import Any, Callable, NamedTuple
 
 from .attribution import Bucket, Portfolio, Position, checked_transaction, currency_code
 from .errors import DuplicatePositionId, ParseError, UnknownBucket
@@ -50,12 +53,19 @@ from .pricers import (
     CashSpec,
     CdsPricer,
     CdsSpec,
+    ProtectionSide,
     bond_cashflows,
 )
 
 _SECTION = re.compile(r"^\[position\s+(?P<id>\S+)\]$")
-_REPEATABLE = ("transaction", "cashflow")
 _TRAILING_COMMENT = re.compile(r"\s+#.*")
+_DATE = date.fromisoformat
+_KINDS = {float: "number", _DATE: "date", int: "integer"}  # what a parse failure calls the value
+# keys that may repeat: the layout of their value and a parser per part
+_REPEATABLE = {
+    "transaction": ("DATE QUANTITY_CHANGE COST_EUR", (_DATE, float, float)),
+    "cashflow": ("DATE AMOUNT", (_DATE, float)),
+}
 
 
 def load_portfolio(source) -> Portfolio:
@@ -63,8 +73,11 @@ def load_portfolio(source) -> Portfolio:
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{os.fsdecode(source)}: {exc}") from exc
     else:
         lines = [line.rstrip("\n") for line in source]
 
@@ -73,7 +86,7 @@ def load_portfolio(source) -> Portfolio:
     seen = set()
     for position_id, header_line, fields in sections:
         if position_id in seen:
-            raise DuplicatePositionId(f"line {header_line}: duplicate position id {position_id!r}")
+            raise DuplicatePositionId(f"row {header_line}: duplicate position id {position_id!r}")
         seen.add(position_id)
         positions.append(_build_position(position_id, header_line, fields))
     return Portfolio(positions=tuple(positions))
@@ -115,41 +128,92 @@ def _require(fields, key, position_id, header_line):
     return fields.pop(key)
 
 
-def _parse_float(value, line_no, key):
+def _parse(parse, value, line_no, key):
+    """parse(value), with a ValueError raised as a ParseError naming the line."""
     try:
-        return float(value)
+        return parse(value)
     except ValueError as exc:
-        raise ParseError(f"bad number for {key!r}: {value!r}", row=line_no) from exc
+        message = f"bad {_KINDS[parse]} for {key!r}: {value!r}" if parse in _KINDS else str(exc)
+        raise ParseError(message, row=line_no) from exc
 
 
-def _parse_date(value, line_no, key):
+def _choice(key, options):
+    """Parser of a case-insensitive token among `options`' keys, read as its value."""
+    def parse(value):
+        token = value.lower()
+        if token not in options:
+            raise ValueError(f"{key} must be {' or '.join(map(repr, options))}, got {token!r}")
+        return options[token]
+    return parse
+
+
+class _Key(NamedTuple):
+    """A holdings key: the constructor field it fills, its parser, and its
+    value when absent (None: the key is required)."""
+
+    name: str
+    field: str
+    parse: Callable[[str], Any]
+    default: Any = None
+
+
+class _Instrument(NamedTuple):
+    """How a section becomes an instrument: its spec and pricer, its keys in
+    read order, and the spec fields (or None) bounding its transaction dates."""
+
+    spec: type
+    pricer: type
+    keys: tuple[_Key, ...]
+    life: tuple[str | None, str | None]
+    coupons: Callable[[Any], CashflowSchedule] | None = None  # schedule without `cashflow` lines
+
+
+_DIRECTION = _Key("direction", "notional_sign", _choice("direction", {"long": 1, "short": -1}), 1)
+_CURRENCY = _Key("currency", "currency", currency_code, "USD")
+_INSTRUMENTS = {
+    "bond": _Instrument(BondSpec, BondPricer, (
+        _Key("coupon_frequency", "coupon_frequency", int, 2),
+        _Key("notional", "notional", float),
+        _Key("issue", "issue", _DATE),
+        _Key("maturity", "maturity", _DATE),
+        _Key("coupon_rate", "coupon_rate", float),
+    ), ("issue", "maturity"), bond_cashflows),
+    "cds": _Instrument(CdsSpec, CdsPricer, (
+        _Key("protection", "direction", _choice("protection", {s.value: s for s in ProtectionSide}),
+             ProtectionSide.BOUGHT),
+        _Key("notional", "notional", float),
+        _Key("maturity", "maturity", _DATE),
+        _Key("contractual_spread", "contractual_spread", float),
+    ), (None, "maturity")),
+    "cash": _Instrument(CashSpec, CashPricer, (
+        _Key("balance", "balance", float),
+        _Key("deposit_rate", "deposit_rate", float),
+        _Key("start", "start", _DATE),
+    ), ("start", None)),
+}
+
+
+def _value(fields, key: _Key, position_id, header_line):
+    if key.default is not None and key.name not in fields:
+        return key.default
+    line_no, value = _require(fields, key.name, position_id, header_line)
+    return _parse(key.parse, value, line_no, key.name)
+
+
+def _entries(fields, key):
+    """(line, parsed parts) of each line of a repeatable key, in file order."""
+    layout, parsers = _REPEATABLE[key]
+    for line_no, value in fields.pop(key, []):
+        parts = value.split()
+        if len(parts) != len(parsers):
+            raise ParseError(f"{key} needs {layout!r}, got {value!r}", row=line_no)
+        yield line_no, tuple(_parse(parse, part, line_no, key) for parse, part in zip(parsers, parts))
+
+
+def _build(cls, position_id, row, *args, **kwargs):
+    """cls(*args, **kwargs), with a ValueError raised as a ParseError naming the position and row."""
     try:
-        return date.fromisoformat(value)
-    except ValueError as exc:
-        raise ParseError(f"bad date for {key!r}: {value!r}", row=line_no) from exc
-
-
-def _parse_int(value, line_no, key):
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ParseError(f"bad integer for {key!r}: {value!r}", row=line_no) from exc
-
-
-def _float_field(fields, key, position_id, header_line):
-    line_no, value = _require(fields, key, position_id, header_line)
-    return _parse_float(value, line_no, key)
-
-
-def _date_field(fields, key, position_id, header_line):
-    line_no, value = _require(fields, key, position_id, header_line)
-    return _parse_date(value, line_no, key)
-
-
-def _build(cls, position_id, row, **kwargs):
-    """cls(**kwargs), with a ValueError raised as a ParseError naming the position and row."""
-    try:
-        return cls(**kwargs)
+        return cls(*args, **kwargs)
     except ValueError as exc:
         raise ParseError(f"position {position_id!r}: {exc}", row=row) from exc
 
@@ -161,127 +225,54 @@ def _build_position(position_id, header_line, fields) -> Position:
     except ValueError:
         valid = ", ".join(b.value for b in Bucket)
         raise UnknownBucket(
-            f"line {line_no}: unknown bucket {bucket_token!r} (expected one of: {valid})"
+            f"row {line_no}: unknown bucket {bucket_token!r} (expected one of: {valid})"
         ) from None
 
-    line_no, instrument = _require(fields, "instrument", position_id, header_line)
+    instrument_line, instrument = _require(fields, "instrument", position_id, header_line)
     instrument = instrument.lower()
+    sign = _value(fields, _DIRECTION, position_id, header_line)
 
-    sign = 1
-    if "direction" in fields:
-        line_no_dir, token = fields.pop("direction")
-        token = token.lower()
-        if token not in ("long", "short"):
-            raise ParseError(f"direction must be 'long' or 'short', got {token!r}", row=line_no_dir)
-        sign = 1 if token == "long" else -1
-
-    transactions = []
-    for txn_line, value in fields.pop("transaction", []):
-        parts = value.split()
-        if len(parts) != 3:
-            raise ParseError(
-                f"transaction needs 'DATE QUANTITY_CHANGE COST_EUR', got {value!r}", row=txn_line
-            )
-        txn = _build(
-            checked_transaction, position_id, txn_line,
-            date=_parse_date(parts[0], txn_line, "transaction"),
-            quantity_change=_parse_float(parts[1], txn_line, "transaction"),
-            cost_eur=_parse_float(parts[2], txn_line, "transaction"),
-        )
-        transactions.append(txn)
-
+    transactions = [_build(checked_transaction, position_id, txn_line, *parts)
+                    for txn_line, parts in _entries(fields, "transaction")]
     explicit_cashflows = []
-    for cf_line, value in fields.pop("cashflow", []):
-        parts = value.split()
-        if len(parts) != 2:
-            raise ParseError(f"cashflow needs 'DATE AMOUNT', got {value!r}", row=cf_line)
-        entry = (_parse_date(parts[0], cf_line, "cashflow"), _parse_float(parts[1], cf_line, "cashflow"))
+    for cf_line, entry in _entries(fields, "cashflow"):
         # the schedule's own checks, on this entry and the one before it
         _build(CashflowSchedule, position_id, cf_line, entries=(*explicit_cashflows[-1:], entry))
         explicit_cashflows.append(entry)
 
-    currency = {}
-    if "currency" in fields:
-        currency_line, code = fields.pop("currency")
-        try:
-            currency["currency"] = currency_code(code)
-        except ValueError as exc:
-            raise ParseError(str(exc), row=currency_line) from exc
-
-    if instrument == "bond":
-        frequency = 2
-        if "coupon_frequency" in fields:
-            freq_line, freq_value = fields.pop("coupon_frequency")
-            frequency = _parse_int(freq_value, freq_line, "coupon_frequency")
-        spec = _build(
-            BondSpec, position_id, header_line,
-            notional=_float_field(fields, "notional", position_id, header_line),
-            issue=_date_field(fields, "issue", position_id, header_line),
-            maturity=_date_field(fields, "maturity", position_id, header_line),
-            coupon_rate=_float_field(fields, "coupon_rate", position_id, header_line),
-            coupon_frequency=frequency,
-        )
-        pricer = BondPricer(spec)
-        schedule = (
-            CashflowSchedule(tuple(explicit_cashflows)) if explicit_cashflows
-            else _build(bond_cashflows, position_id, header_line, spec=spec)
-        )
-        life = (spec.issue, spec.maturity)
-    elif instrument == "cds":
-        protection_line, protection = fields.pop("protection", (header_line, "bought"))
-        protection = protection.lower()
-        if protection not in ("bought", "sold"):
-            raise ParseError(
-                f"protection must be 'bought' or 'sold', got {protection!r}", row=protection_line
-            )
-        spec = _build(
-            CdsSpec, position_id, header_line,
-            notional=_float_field(fields, "notional", position_id, header_line),
-            maturity=_date_field(fields, "maturity", position_id, header_line),
-            contractual_spread=_float_field(fields, "contractual_spread", position_id, header_line),
-            direction=protection,
-        )
-        pricer = CdsPricer(spec)
-        schedule = CashflowSchedule(tuple(explicit_cashflows))
-        life = (None, spec.maturity)
-    elif instrument == "cash":
-        spec = _build(
-            CashSpec, position_id, header_line,
-            balance=_float_field(fields, "balance", position_id, header_line),
-            deposit_rate=_float_field(fields, "deposit_rate", position_id, header_line),
-            start=_date_field(fields, "start", position_id, header_line),
-        )
-        pricer = CashPricer(spec)
-        schedule = CashflowSchedule(tuple(explicit_cashflows))
-        life = (spec.start, None)
-    else:
+    currency = _value(fields, _CURRENCY, position_id, header_line)
+    kind = _INSTRUMENTS.get(instrument)
+    if kind is None:
         raise ParseError(
-            f"unknown instrument {instrument!r} (expected bond, cds, or cash)", row=line_no
+            f"unknown instrument {instrument!r} (expected bond, cds, or cash)", row=instrument_line
         )
+    spec = _build(kind.spec, position_id, header_line,
+                  **{key.field: _value(fields, key, position_id, header_line) for key in kind.keys})
+    if explicit_cashflows or kind.coupons is None:
+        schedule = CashflowSchedule(tuple(explicit_cashflows))
+    else:
+        schedule = _build(kind.coupons, position_id, header_line, spec=spec)
 
     for key, (stray_line, _) in fields.items():
         raise ParseError(f"unknown key {key!r} for instrument {instrument!r}", row=stray_line)
 
-    start_life, end_life = life
+    start_life, end_life = (name and getattr(spec, name) for name in kind.life)
     for txn in transactions:
         if start_life is not None and txn.date < start_life:
-            raise ParseError(
-                f"position {position_id!r}: transaction {txn.date} before instrument start {start_life}",
-                row=header_line,
-            )
-        if end_life is not None and txn.date > end_life:
-            raise ParseError(
-                f"position {position_id!r}: transaction {txn.date} after maturity {end_life}",
-                row=header_line,
-            )
+            fault = f"before instrument start {start_life}"
+        elif end_life is not None and txn.date > end_life:
+            fault = f"after maturity {end_life}"
+        else:
+            continue
+        raise ParseError(f"position {position_id!r}: transaction {txn.date} {fault}", row=header_line)
 
     return _build(
         Position, position_id, header_line,
         id=position_id,
         bucket=bucket,
-        pricer=pricer,
+        pricer=kind.pricer(spec),
         notional_sign=sign,
         schedule=schedule,
         transactions=tuple(transactions),
-        **currency,
+        currency=currency,
     )

@@ -32,7 +32,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from functools import lru_cache
 from typing import Any, Protocol
 
 from .dates import DAYS_PER_YEAR, add_months, year_fraction
@@ -76,13 +75,16 @@ class Pricer(Protocol):
 
 @dataclass(frozen=True)
 class BondSpec:
-    """Fixed-coupon bullet bond."""
+    """Fixed-coupon bullet bond, with its coupon dates rolled once at construction."""
 
     notional: float
     issue: date
     maturity: date
     coupon_rate: float
     coupon_frequency: int = 2
+    # coupon dates after issue, the last one the maturity, and their ordinals
+    _coupon_dates: tuple[date, ...] = field(init=False, repr=False, compare=False)
+    _coupon_ordinals: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.notional) and self.notional > 0.0):
@@ -93,26 +95,17 @@ class BondSpec:
             raise ValueError(f"coupon_rate must be finite and >= 0, got {self.coupon_rate}")
         if self.coupon_frequency not in (1, 2, 4, 12):
             raise ValueError(f"coupon_frequency must be 1, 2, 4 or 12, got {self.coupon_frequency}")
-
-
-@lru_cache(maxsize=None)
-def _coupon_dates(spec: BondSpec) -> tuple[date, ...]:
-    # rolled backward from maturity; each date derived from maturity directly
-    # so month-end clamping never compounds
-    step = 12 // spec.coupon_frequency
-    out = []
-    k = 0
-    d = spec.maturity
-    while d > spec.issue:
-        out.append(d)
-        k += 1
-        d = add_months(spec.maturity, -k * step)
-    return tuple(reversed(out))
-
-
-@lru_cache(maxsize=None)
-def _coupon_ordinals(spec: BondSpec) -> tuple[int, ...]:
-    return tuple(d.toordinal() for d in _coupon_dates(spec))
+        # rolled backward from maturity; each date derived from maturity directly
+        # so month-end clamping never compounds
+        step = 12 // self.coupon_frequency
+        dates = []
+        d = self.maturity
+        while d > self.issue:
+            dates.append(d)
+            d = add_months(self.maturity, -len(dates) * step)
+        dates.reverse()
+        object.__setattr__(self, "_coupon_dates", tuple(dates))
+        object.__setattr__(self, "_coupon_ordinals", tuple(d.toordinal() for d in dates))
 
 
 def bond_cashflows(spec: BondSpec) -> CashflowSchedule:
@@ -120,7 +113,7 @@ def bond_cashflows(spec: BondSpec) -> CashflowSchedule:
     if spec.coupon_rate == 0.0:
         return CashflowSchedule()
     amount = spec.notional * spec.coupon_rate / spec.coupon_frequency
-    return CashflowSchedule(tuple((d, amount) for d in _coupon_dates(spec)))
+    return CashflowSchedule(tuple((d, amount) for d in spec._coupon_dates))
 
 
 def price_bond(spec: BondSpec, s: date, curve: ZeroCurve, factors: MarketFactors) -> float:
@@ -130,7 +123,7 @@ def price_bond(spec: BondSpec, s: date, curve: ZeroCurve, factors: MarketFactors
     # taus = 0, then the ACT/365F year fractions to each coupon date after s;
     # the last coupon date is the maturity, so taus is also the recovery
     # trapezoid grid
-    ordinals = _coupon_ordinals(spec)
+    ordinals = spec._coupon_ordinals
     o_s = s.toordinal()
     taus = [0.0] + [(o - o_s) / DAYS_PER_YEAR for o in ordinals[bisect_right(ordinals, o_s):]]
     basis, lam = factors.basis_spread, factors.hazard_rate

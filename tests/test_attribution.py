@@ -11,6 +11,7 @@ from pnlattr import (
     EmptyPeriod,
     FxMode,
     MissingSnapshot,
+    NonFiniteReport,
     Portfolio,
     Position,
     PricerEvaluationFailed,
@@ -413,3 +414,23 @@ def test_position_rejects_non_finite_transactions(quantity_change, cost, message
     with pytest.raises(ValueError, match=message):
         Position(id="p", bucket=Bucket.OTHER, pricer=linear_pricer(),
                  transactions=(Transaction(0.5, quantity_change, cost),))
+
+
+def test_parts_that_overflow_are_a_non_finite_report_naming_the_subperiod_or_period():
+    with pytest.raises(NonFiniteReport, match="attribution parts must be finite"):
+        AttributionResult(1.0, 0.0, 0.0, 0.0, 1.0).scaled(float("inf"))
+    huge = AttributionResult(fx=1e308, rate=0.0, market=0.0, carry=0.0, total=1e308)
+    with pytest.raises(NonFiniteReport, match="attribution parts overflow when summed"):
+        AttributionResult.combine([huge, huge])
+
+    # each subperiod's own total is finite; only their sum overflows
+    grid = [0.0, 1.0, 2.0, 3.0]
+    price = dict(zip(grid, (-1.2e308, -0.4e308, 0.4e308, 1.2e308))).get
+    pos = Position(id="P", bucket=Bucket.OTHER, pricer=lambda s, r, x: price(s))
+    snaps = {u: ScalarState(0.0, 0.0, 1.0) for u in grid}
+    with pytest.raises(NonFiniteReport) as info:
+        attribute_position(pos, snaps, grid)
+    assert str(info.value).startswith("period (0.0, 3.0]: attribution parts overflow when summed")
+    with pytest.raises(NonFiniteReport) as info:
+        attribute_position(pos, snaps, [0.0, 3.0])
+    assert str(info.value).startswith("subperiod (0.0, 3.0]: attribution parts must be finite")

@@ -333,3 +333,39 @@ def test_missing_snapshot_error_prints_an_iso_date(tmp_path, market_csv, portfol
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "error: position ACME_BOND: no market snapshot at 2022-01-15\n"
+
+
+DEMO_PERIOD = ["--from", "2021-12-31", "--to", "2022-04-01"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["validate", "--portfolio", "missing.txt"], "no such file or directory: missing.txt"),
+    (["attribute", "--portfolio", ".", "--market", str(DEMO_DATA / "market.csv"), *DEMO_PERIOD],
+     "is a directory: ."),
+    (["validate", "--portfolio", "latin1.txt"],
+     "latin1.txt: 'utf-8' codec can't decode byte 0xc9 in position 13: invalid continuation byte"),
+    (["attribute", *DEMO_ARGS, *DEMO_PERIOD, "--output", "no/dir/r.csv"],
+     "no such file or directory: no/dir/r.csv"),
+    (["oracle", "--num-seeds", "2", "--steps", "4", "--output", "no/x.csv"],
+     "no such file or directory: no/x.csv"),
+], ids=["missing", "directory", "not-utf8", "attribute-output", "oracle-output"])
+def test_unreadable_or_unwritable_file_is_one_error_line(args, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.txt").write_bytes("[position CAF\xc9]\nbucket = Other\n".encode("latin-1"))
+    code = run_cli(args)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_overflowing_quantity_is_one_error_line(tmp_path, capsys):
+    portfolio = tmp_path / "portfolio.txt"
+    text = (DEMO_DATA / "portfolio.txt").read_text()
+    assert "transaction = 2022-03-01 0 1500" in text
+    portfolio.write_text(text.replace("transaction = 2022-03-01 0 1500", "transaction = 2022-03-01 1e305 1500"))
+    code = run_cli(["attribute", "--portfolio", str(portfolio), "--market", str(DEMO_DATA / "market.csv"),
+                    *DEMO_PERIOD])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: position NBB_BOND: subperiod (2022-03-01, 2022-04-01]: "
+                          "attribution parts must be finite")
+    assert err.count("\n") == 1

@@ -1,4 +1,5 @@
 import io
+import re
 import textwrap
 from datetime import date
 
@@ -24,6 +25,22 @@ notional = 1000000
 issue = 2021-01-15
 maturity = 2026-01-15
 coupon_rate = 0.04
+"""
+
+MINIMAL_CDS = """[position TWO]
+bucket = Hedge
+instrument = cds
+notional = 1000000
+maturity = 2026-01-15
+contractual_spread = 0.01
+"""
+
+MINIMAL_CASH = """[position THREE]
+bucket = Cash
+instrument = cash
+balance = 1000000
+deposit_rate = 0.01
+start = 2021-12-31
 """
 
 
@@ -111,15 +128,6 @@ def test_short_direction():
         load_portfolio(io.StringIO(MINIMAL_BOND + "direction = inverse\n"))
 
 
-MINIMAL_CDS = """[position PROT]
-bucket = MatchedBasis
-instrument = cds
-notional = 4000000
-maturity = 2026-08-15
-contractual_spread = 0.02
-"""
-
-
 @pytest.mark.parametrize("line, message", [
     ("protection = both", "row 7: protection must be 'bought' or 'sold', got 'both'"),
     ("direction = inverse", "row 7: direction must be 'long' or 'short', got 'inverse'"),
@@ -163,23 +171,6 @@ def test_trailing_comment_after_section_header_is_stripped():
     text += "currency = eur\t# lower case is fine\n"
     position = load_portfolio(io.StringIO(text)).positions[0]
     assert (position.id, position.currency) == ("ONE", "EUR")
-
-
-MINIMAL_CDS = """[position TWO]
-bucket = Hedge
-instrument = cds
-notional = 1000000
-maturity = 2026-01-15
-contractual_spread = 0.01
-"""
-
-MINIMAL_CASH = """[position THREE]
-bucket = Cash
-instrument = cash
-balance = 1000000
-deposit_rate = 0.01
-start = 2021-12-31
-"""
 
 
 @pytest.mark.parametrize("text, row, message", [
@@ -226,3 +217,129 @@ def test_coupon_roll_out_of_date_range_names_the_position():
         load_portfolio(io.StringIO(text))
     assert info.value.row == 1
     assert str(info.value) == "row 1: position 'ONE': year 0 is out of range"
+
+
+def _drop(text, key):
+    return re.sub(rf"(?m)^{key} = .*\n", "", text)
+
+
+def _swap(text, key, value):
+    return re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+
+
+B, C, K = MINIMAL_BOND, MINIMAL_CDS, MINIMAL_CASH
+HOLDINGS_DIAGNOSTICS = [
+    # missing required keys, each instrument in turn
+    ("bond-no-bucket", _drop(B, "bucket"), ParseError, "row 1: position 'ONE' lacks required key 'bucket'"),
+    ("bond-no-instrument", _drop(B, "instrument"), ParseError,
+     "row 1: position 'ONE' lacks required key 'instrument'"),
+    *[(f"bond-no-{key}", _drop(B, key), ParseError, f"row 1: position 'ONE' lacks required key '{key}'")
+      for key in ("notional", "issue", "maturity", "coupon_rate")],
+    *[(f"cds-no-{key}", _drop(C, key), ParseError, f"row 1: position 'TWO' lacks required key '{key}'")
+      for key in ("notional", "maturity", "contractual_spread")],
+    *[(f"cash-no-{key}", _drop(K, key), ParseError, f"row 1: position 'THREE' lacks required key '{key}'")
+      for key in ("balance", "deposit_rate", "start")],
+    # a value that does not parse, on every typed key
+    ("bond-bad-notional", _swap(B, "notional", "1e6x"), ParseError, "row 4: bad number for 'notional': '1e6x'"),
+    ("bond-bad-issue", _swap(B, "issue", "2021-13-01"), ParseError, "row 5: bad date for 'issue': '2021-13-01'"),
+    ("bond-bad-maturity", _swap(B, "maturity", "soon"), ParseError, "row 6: bad date for 'maturity': 'soon'"),
+    ("bond-bad-coupon_rate", _swap(B, "coupon_rate", "4%"), ParseError,
+     "row 7: bad number for 'coupon_rate': '4%'"),
+    ("bond-bad-coupon_frequency", B + "coupon_frequency = 2.5\n", ParseError,
+     "row 8: bad integer for 'coupon_frequency': '2.5'"),
+    ("cds-bad-notional", _swap(C, "notional", "one"), ParseError, "row 4: bad number for 'notional': 'one'"),
+    ("cds-bad-maturity", _swap(C, "maturity", "2026-02-30"), ParseError,
+     "row 5: bad date for 'maturity': '2026-02-30'"),
+    ("cds-bad-contractual_spread", _swap(C, "contractual_spread", "1bp"), ParseError,
+     "row 6: bad number for 'contractual_spread': '1bp'"),
+    ("cds-bad-protection", C + "protection = both\n", ParseError,
+     "row 7: protection must be 'bought' or 'sold', got 'both'"),
+    ("cash-bad-balance", _swap(K, "balance", "lots"), ParseError, "row 4: bad number for 'balance': 'lots'"),
+    ("cash-bad-deposit_rate", _swap(K, "deposit_rate", "1%"), ParseError,
+     "row 5: bad number for 'deposit_rate': '1%'"),
+    ("cash-bad-start", _swap(K, "start", "2021-12-32"), ParseError, "row 6: bad date for 'start': '2021-12-32'"),
+    ("bad-direction", B + "direction = up\n", ParseError, "row 8: direction must be 'long' or 'short', got 'up'"),
+    ("bad-currency", B + "currency = EURO\n", ParseError,
+     "row 8: currency must be a three-letter code, got 'EURO'"),
+    # unknown instrument and bucket, duplicate id, another instrument's key
+    ("unknown-instrument", _swap(B, "instrument", "swap"), ParseError,
+     "row 3: unknown instrument 'swap' (expected bond, cds, or cash)"),
+    ("unknown-bucket", _swap(B, "bucket", "SeniorSup"), UnknownBucket,
+     "row 2: unknown bucket 'SeniorSup' (expected one of: CapitalStructure, SeniorSub, MismatchBasis, "
+     "MatchedBasis, Other, Hedge, Cash)"),
+    ("duplicate-id", B + "\n" + B, DuplicatePositionId, "row 9: duplicate position id 'ONE'"),
+    ("bond-cash-key", B + "start = 2021-01-15\n", ParseError, "row 8: unknown key 'start' for instrument 'bond'"),
+    ("bond-cds-key", B + "protection = sold\n", ParseError,
+     "row 8: unknown key 'protection' for instrument 'bond'"),
+    ("cds-bond-key", C + "issue = 2021-01-15\n", ParseError, "row 7: unknown key 'issue' for instrument 'cds'"),
+    ("cds-bond-frequency", C + "coupon_frequency = 4\n", ParseError,
+     "row 7: unknown key 'coupon_frequency' for instrument 'cds'"),
+    ("cash-bond-key", K + "maturity = 2026-01-15\n", ParseError,
+     "row 7: unknown key 'maturity' for instrument 'cash'"),
+    ("cash-cds-key", K + "protection = bought\n", ParseError,
+     "row 7: unknown key 'protection' for instrument 'cash'"),
+    # a transaction outside the instrument's life
+    ("bond-before-issue", B + "transaction = 2020-01-01 0 10\n", ParseError,
+     "row 1: position 'ONE': transaction 2020-01-01 before instrument start 2021-01-15"),
+    ("bond-after-maturity", B + "transaction = 2030-01-01 0 10\n", ParseError,
+     "row 1: position 'ONE': transaction 2030-01-01 after maturity 2026-01-15"),
+    ("cds-after-maturity", C + "transaction = 2026-01-16 0 10\n", ParseError,
+     "row 1: position 'TWO': transaction 2026-01-16 after maturity 2026-01-15"),
+    ("cash-before-start", K + "transaction = 2021-12-30 0 10\n", ParseError,
+     "row 1: position 'THREE': transaction 2021-12-30 before instrument start 2021-12-31"),
+    # two faults in one section: the first named wins
+    ("direction-before-transaction", B + "transaction = 2022-01-01 x 0\ndirection = up\n", ParseError,
+     "row 9: direction must be 'long' or 'short', got 'up'"),
+    ("transaction-before-currency", B + "currency = EURO\ntransaction = 2022-01-01 x 0\n", ParseError,
+     "row 9: bad number for 'transaction': 'x'"),
+    ("cashflow-before-currency", B + "currency = EURO\ncashflow = 2022-01-01 x\n", ParseError,
+     "row 9: bad number for 'cashflow': 'x'"),
+    ("currency-before-instrument", _swap(B, "instrument", "swap") + "currency = EURO\n", ParseError,
+     "row 8: currency must be a three-letter code, got 'EURO'"),
+    ("currency-before-notional", _swap(B, "notional", "abc") + "currency = EURO\n", ParseError,
+     "row 8: currency must be a three-letter code, got 'EURO'"),
+    ("frequency-before-notional", _swap(B, "notional", "abc") + "coupon_frequency = x\n", ParseError,
+     "row 8: bad integer for 'coupon_frequency': 'x'"),
+    ("notional-before-missing-issue", _drop(_swap(B, "notional", "abc"), "issue"), ParseError,
+     "row 4: bad number for 'notional': 'abc'"),
+    ("protection-before-notional", _swap(C, "notional", "one") + "protection = both\n", ParseError,
+     "row 7: protection must be 'bought' or 'sold', got 'both'"),
+    ("balance-before-missing-start", _drop(_swap(K, "balance", "lots"), "start"), ParseError,
+     "row 4: bad number for 'balance': 'lots'"),
+    ("spec-before-stray-key", B + "color = blue\ncoupon_frequency = 3\n", ParseError,
+     "row 1: position 'ONE': coupon_frequency must be 1, 2, 4 or 12, got 3"),
+    ("cds-spec-before-stray-key", _swap(C, "contractual_spread", "-0.01") + "issue = 2021-01-15\n", ParseError,
+     "row 1: position 'TWO': contractual_spread must be finite and >= 0, got -0.01"),
+    ("schedule-before-stray-key", _swap(_swap(B, "notional", "1e308"), "coupon_rate", "10") + "color = blue\n",
+     ParseError, "row 1: position 'ONE': cashflow amounts must be finite and >= 0, got inf at 2021-07-15"),
+    ("stray-key-before-life", B + "transaction = 2030-01-01 0 10\ncolor = blue\n", ParseError,
+     "row 9: unknown key 'color' for instrument 'bond'"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", [case[1:] for case in HOLDINGS_DIAGNOSTICS],
+                         ids=[case[0] for case in HOLDINGS_DIAGNOSTICS])
+def test_holdings_diagnostics(text, error, message):
+    with pytest.raises(error) as info:
+        load_portfolio(io.StringIO(text))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_coupon_roll_out_of_date_range_is_a_load_error_with_explicit_cashflows():
+    text = MINIMAL_BOND.replace("issue = 2021-01-15", "issue = 0001-01-01").replace(
+        "maturity = 2026-01-15", "maturity = 0001-03-01") + "cashflow = 0001-03-01 20000\n"
+    with pytest.raises(ParseError) as info:
+        load_portfolio(io.StringIO(text))
+    assert str(info.value) == "row 1: position 'ONE': year 0 is out of range"
+
+
+def test_docstring_instrument_keys_match_the_loader_table():
+    doc = portfolio_io.__doc__
+    lines = doc[doc.index("Instrument keys:"):].split("\n\n")[0].splitlines()[1:]
+    listed = {}
+    for line in lines:
+        instrument, _, keys = line.partition(":")
+        listed[instrument.strip()] = {key.split()[0] for key in keys.split(",")}
+    table = portfolio_io._INSTRUMENTS
+    assert listed == {instrument: {key.name for key in kind.keys} for instrument, kind in table.items()}

@@ -28,7 +28,6 @@ from pnlattr import (
     price_cds,
 )
 from pnlattr.dates import add_months, year_fraction
-from pnlattr.pricers import _coupon_dates
 
 ANCHOR = date(2022, 1, 1)
 
@@ -58,7 +57,7 @@ def reference_bond(spec, s, curve, factors):
         return math.exp(-lam * tau)
 
     tau_mat = year_fraction(s, spec.maturity)
-    coupon_taus = [year_fraction(s, d) for d in _coupon_dates(spec) if d > s]
+    coupon_taus = [year_fraction(s, d) for d in spec._coupon_dates if d > s]
     amount = spec.coupon_rate / spec.coupon_frequency
     value = math.fsum(amount * disc(u) * surv(u) for u in coupon_taus)
     value += disc(tau_mat) * surv(tau_mat)

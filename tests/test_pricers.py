@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -216,3 +217,18 @@ def test_spec_rejects_non_finite_numbers(value):
         CdsSpec(notional=1.0, maturity=FIVE_YEARS, contractual_spread=value)
     with pytest.raises(ValueError, match="cashflow amounts must be finite"):
         CashflowSchedule(((date(2022, 6, 15), value),))
+
+
+def test_bond_coupon_dates_are_rolled_at_construction_and_ignored_by_eq_hash_repr():
+    spec = BondSpec(notional=100.0, issue=date(2021, 8, 31), maturity=date(2023, 2, 28),
+                    coupon_rate=0.05, coupon_frequency=2)
+    assert spec._coupon_dates == (date(2022, 2, 28), date(2022, 8, 28), date(2023, 2, 28))
+    assert spec._coupon_ordinals == tuple(d.toordinal() for d in spec._coupon_dates)
+    twin = BondSpec(100.0, date(2021, 8, 31), date(2023, 2, 28), 0.05, 2)
+    assert (spec == twin, hash(spec) == hash(twin), repr(spec) == repr(twin)) == (True, True, True)
+    assert "_coupon" not in repr(spec)
+    later = dataclasses.replace(spec, maturity=date(2023, 8, 28))
+    assert later._coupon_dates == (date(2022, 2, 28), date(2022, 8, 28), date(2023, 2, 28), date(2023, 8, 28))
+    assert [d for d, _ in bond_cashflows(later).entries] == list(later._coupon_dates)
+    with pytest.raises(ValueError, match="year 0 is out of range"):
+        BondSpec(notional=100.0, issue=date(1, 1, 1), maturity=date(1, 3, 1), coupon_rate=0.0)
