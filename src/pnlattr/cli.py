@@ -23,14 +23,6 @@ from .market_data import load_market_snapshots
 from .portfolio_io import load_portfolio
 from .reporting import build_report_rows, render_report
 
-_FX_MODES = {"average": FxMode.AVERAGE, "start-end": FxMode.START_END}
-_CARRY_MODES = {
-    "corrected": CarryMode.CORRECTED,
-    "literal": CarryMode.LITERAL,
-    "sophis": CarryMode.SOPHIS,
-}
-
-
 def _iso_date(text: str) -> date:
     try:
         return date.fromisoformat(text)
@@ -65,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="period start (exclusive), ISO date")
     attribute.add_argument("--to", dest="date_to", required=True, type=_iso_date,
                            help="period end (inclusive), ISO date")
-    attribute.add_argument("--fx-mode", choices=sorted(_FX_MODES), default="average")
-    attribute.add_argument("--carry-mode", choices=sorted(_CARRY_MODES), default="corrected")
+    attribute.add_argument("--fx-mode", choices=[m.value for m in FxMode], default="average")
+    attribute.add_argument("--carry-mode", choices=[m.value for m in CarryMode], default="corrected")
     attribute.add_argument("--format", choices=("csv", "json"), default="csv")
     attribute.add_argument("--nav", type=float, help="reference NAV for bps columns")
     attribute.add_argument("--standalone", action="append", default=[], type=_standalone,
@@ -82,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--corr", type=float, default=0.0, help="asset/fx correlation")
     oracle.add_argument("--jump-intensity", type=float, default=0.0,
                         help="common jumps per unit time")
-    oracle.add_argument("--fx-mode", choices=sorted(_FX_MODES), default="average")
+    oracle.add_argument("--fx-mode", choices=[m.value for m in FxMode], default="average")
     oracle.add_argument("--output", help="write CSV here instead of stdout")
 
     validate = sub.add_parser("validate", help="check input files and exit")
@@ -107,7 +99,7 @@ def _cmd_attribute(args) -> int:
     snapshots = load_market_snapshots(args.market)
     portfolio = load_portfolio(args.portfolio)
     attribution = attribute_portfolio(
-        portfolio, snapshots, start, end, _FX_MODES[args.fx_mode], _CARRY_MODES[args.carry_mode]
+        portfolio, snapshots, start, end, FxMode(args.fx_mode), CarryMode(args.carry_mode)
     )
     rows = build_report_rows(attribution)
     text = render_report(rows, args.format, nav=args.nav, standalone_lines=args.standalone)
@@ -152,7 +144,7 @@ def _cmd_oracle(args) -> int:
         params,
         args.steps,
         range(args.seed, args.seed + args.num_seeds),
-        _FX_MODES[args.fx_mode],
+        FxMode(args.fx_mode),
     )
     _write_output(write_discrepancy_csv(study), args.output)
     print(

@@ -11,6 +11,7 @@ currency (so a falling EUR-USD market quote means a RISING fx rate here).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -152,43 +153,58 @@ def _split_series(cell: str, row: int, column: str) -> list[float]:
         raise ParseError(f"bad number in series: {exc}", row=row, column=column) from exc
 
 
+def input_lines(source):
+    """The lines of an input file, line endings kept.
+
+    `source` is a filesystem path, an open text stream, or any iterable of
+    lines; a stream or an iterable is returned as given. A path is read as
+    UTF-8 with or without a byte-order mark, and its lines end at '\\n',
+    '\\r\\n' or '\\r'. A path that is not UTF-8 is a ParseError naming it.
+    """
+    if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
+        return source
+    try:
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+            return io.StringIO(handle.read(), newline="")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{os.fsdecode(source)}: {exc}") from exc
+
+
 def load_market_snapshots(source) -> list[MarketSnapshot]:
     """Read snapshots from CSV with the documented schema, sorted by date.
 
-    `source` may be a filesystem path, an open text stream, or any iterable
-    of CSV lines. Header is mandatory:
+    `source` is read by `input_lines`: a path (UTF-8, with or without a
+    byte-order mark), an open text stream, or any iterable of CSV lines.
+    Header is mandatory and names each of these columns once, in any order:
 
         date,fx,hazard,recovery,basis,curve_tenors,curve_rates
 
     with curve columns holding semicolon-separated numbers of equal length,
-    ISO-8601 dates, and '.' decimal points.
+    ISO-8601 dates, and '.' decimal points. At least one data row is
+    required, and no row may have a non-empty cell beyond the header's
+    last column.
     """
-    if hasattr(source, "read"):
-        return _parse_market_csv(source)
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        try:
-            with open(source, "r", encoding="utf-8", newline="") as handle:
-                return _parse_market_csv(handle)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{os.fsdecode(source)}: {exc}") from exc
-    return _parse_market_csv(source)
-
-
-def _parse_market_csv(lines) -> list[MarketSnapshot]:
-    reader = csv.reader(lines)
+    reader = csv.reader(input_lines(source))
     try:
         header = next(reader)
     except StopIteration:
         raise MissingField("market CSV is empty, header row required") from None
-    positions = {name.strip(): i for i, name in enumerate(header)}
+    names = [name.strip() for name in header]
     for column in MARKET_CSV_COLUMNS:
-        if column not in positions:
+        if column not in names:
             raise MissingField(f"market CSV header lacks column {column!r}")
+        if names.count(column) > 1:
+            raise ParseError(f"market CSV header names column {column!r} twice")
+    positions = {column: names.index(column) for column in MARKET_CSV_COLUMNS}
 
     snapshots: dict[date, MarketSnapshot] = {}
     for row_no, row in enumerate(reader, start=2):
         if not row or all(cell.strip() == "" for cell in row):
             continue
+        for extra in row[len(header):]:
+            if extra.strip():
+                raise ParseError(f"cell {extra!r} lies beyond the header's {len(header)} columns",
+                                 row=row_no)
 
         def cell(column: str) -> str:
             idx = positions[column]
@@ -231,6 +247,8 @@ def _parse_market_csv(lines) -> list[MarketSnapshot]:
             raise ParseError(str(exc), row=row_no) from exc
         snapshots[as_of] = snapshot
 
+    if not snapshots:
+        raise MissingField("market CSV has no data rows")
     return [snapshots[d] for d in sorted(snapshots)]
 
 
@@ -239,9 +257,7 @@ def dump_market_snapshots(snapshots: Iterable[MarketSnapshot], stream: IO[str] |
 
     Returns the CSV text when no stream is given.
     """
-    import io as _io
-
-    out = stream if stream is not None else _io.StringIO()
+    out = stream if stream is not None else io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(MARKET_CSV_COLUMNS)
     for snap in snapshots:

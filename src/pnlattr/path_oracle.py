@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, IO, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -510,19 +510,12 @@ def covariation_study(
     return StudyResult(tuple(comparisons))
 
 
-def write_discrepancy_csv(comparisons, stream: IO[str] | None = None):
-    """CSV report: seed,n_steps,component,coarse,fine,diff per comparison row.
-
-    Returns the text when no stream is given.
-    """
+def write_discrepancy_csv(comparisons) -> str:
+    """CSV text: seed,n_steps,component,coarse,fine,diff per comparison row."""
     if isinstance(comparisons, StudyResult):
         comparisons = comparisons.comparisons
-    text = "seed,n_steps,component,coarse,fine,diff\n" + "".join(
+    return "seed,n_steps,component,coarse,fine,diff\n" + "".join(
         f"{c.seed},{c.n_steps},{component},{coarse!r},{fine!r},{diff!r}\n"
         for c in comparisons
         for component, coarse, fine, diff in c.rows()
     )
-    if stream is None:
-        return text
-    stream.write(text)
-    return None

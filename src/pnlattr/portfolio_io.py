@@ -38,13 +38,13 @@ non-finite or negative cost, name their own line.
 
 from __future__ import annotations
 
-import os
 import re
 from datetime import date
 from typing import Any, Callable, NamedTuple
 
 from .attribution import Bucket, Portfolio, Position, checked_transaction, currency_code
 from .errors import DuplicatePositionId, ParseError, UnknownBucket
+from .market_data import input_lines
 from .pricers import (
     BondPricer,
     BondSpec,
@@ -69,19 +69,14 @@ _REPEATABLE = {
 
 
 def load_portfolio(source) -> Portfolio:
-    """Parse the holdings file; `source` is a path, stream, or line iterable."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{os.fsdecode(source)}: {exc}") from exc
-    else:
-        lines = [line.rstrip("\n") for line in source]
+    """Parse the holdings file, which needs at least one [position ...] section.
 
-    sections = _split_sections(lines)
+    `source` is read by `market_data.input_lines`: a path (UTF-8, with or
+    without a byte-order mark), an open text stream, or any iterable of lines.
+    """
+    sections = _split_sections(input_lines(source))
+    if not sections:
+        raise ParseError("holdings file has no [position ...] section")
     positions = []
     seen = set()
     for position_id, header_line, fields in sections:

@@ -258,13 +258,24 @@ def test_oracle_bad_numeric_flag_is_validation_error(flags, message, capsys):
 DEMO_DATA = Path(__file__).parents[1] / "demos" / "data"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_demo_report_reproduces_golden(fmt, tmp_path, capsys):
-    # the README's CLI command on the demo book
+@pytest.mark.parametrize("fmt, export", [
+    ("csv", None), ("json", None), ("csv", "bom"), ("json", "bom"), ("csv", "bom-crlf"), ("json", "bom-crlf"),
+], ids=["csv", "json", "csv-bom", "json-bom", "csv-bom-crlf", "json-bom-crlf"])
+def test_demo_report_reproduces_golden(fmt, export, tmp_path, capsys):
+    # the README's CLI command on the demo book, also as exported with a
+    # UTF-8 byte-order mark (Excel's "CSV UTF-8"), with or without CRLF line ends
+    data = DEMO_DATA
+    if export:
+        data = tmp_path
+        for name in ("portfolio.txt", "market.csv"):
+            text = (DEMO_DATA / name).read_bytes()
+            if export == "bom-crlf":
+                text = text.replace(b"\n", b"\r\n")
+            (data / name).write_bytes(b"\xef\xbb\xbf" + text)
     out = tmp_path / f"report.{fmt}"
     code = run_cli(["attribute",
-                    "--portfolio", str(DEMO_DATA / "portfolio.txt"),
-                    "--market", str(DEMO_DATA / "market.csv"),
+                    "--portfolio", str(data / "portfolio.txt"),
+                    "--market", str(data / "market.csv"),
                     "--from", "2021-12-31", "--to", "2022-04-01",
                     "--nav", "50000000", "--standalone", "FEES=-62500",
                     "--format", fmt, "--output", str(out)])
@@ -272,6 +283,9 @@ def test_demo_report_reproduces_golden(fmt, tmp_path, capsys):
     assert code == 0
     golden = Path(__file__).parent / "data" / f"demo_report_golden.{fmt}"
     assert out.read_bytes() == golden.read_bytes()
+    assert run_cli(["validate", "--portfolio", str(data / "portfolio.txt"),
+                    "--market", str(data / "market.csv")]) == 0
+    assert capsys.readouterr().err == "market OK: 4 snapshots\nportfolio OK: 3 positions\n"
 
 
 DEMO_ARGS = ["--portfolio", str(DEMO_DATA / "portfolio.txt"), "--market", str(DEMO_DATA / "market.csv")]
@@ -355,6 +369,24 @@ def test_unreadable_or_unwritable_file_is_one_error_line(args, message, tmp_path
     code = run_cli(args)
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, name, text, message", [
+    ("--portfolio", "portfolio.txt", "", "holdings file has no [position ...] section"),
+    ("--portfolio", "portfolio.txt", "# no positions yet\n\n   # none\n",
+     "holdings file has no [position ...] section"),
+    ("--market", "market.csv", "date,fx,hazard,recovery,basis,curve_tenors,curve_rates\n",
+     "market CSV has no data rows"),
+], ids=["empty-holdings", "comment-only-holdings", "header-only-market"])
+def test_input_no_run_can_use_fails_validate_and_attribute_alike(flag, name, text, message, tmp_path,
+                                                                  capsys):
+    (tmp_path / name).write_text(text)
+    files = {"--portfolio": str(DEMO_DATA / "portfolio.txt"), "--market": str(DEMO_DATA / "market.csv"),
+             flag: str(tmp_path / name)}
+    attribute = ["attribute", "--portfolio", files["--portfolio"], "--market", files["--market"], *DEMO_PERIOD]
+    for args in (["validate", flag, files[flag]], attribute):
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_overflowing_quantity_is_one_error_line(tmp_path, capsys):

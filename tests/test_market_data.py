@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from datetime import date
 
 import pytest
@@ -129,6 +130,26 @@ def test_bad_number_and_mismatched_series():
         load_market_snapshots(io.StringIO(base + "2022-01-01,1.1,abc,0.4,0,1,0.01\n"))
     with pytest.raises(ParseError, match="curve_tenors has 2"):
         load_market_snapshots(io.StringIO(base + "2022-01-01,1.1,0.02,0.4,0,1;2,0.01\n"))
+
+
+@pytest.mark.parametrize("header, row, message", [
+    ("date,fx,fx,hazard,recovery,basis,curve_tenors,curve_rates",
+     "2022-01-01,1.1,9.99,0.02,0.4,0,0.5;1,0.005;0.007",
+     "market CSV header names column 'fx' twice"),
+    # a decimal comma in the last column spills into a cell the header lacks
+    ("date,fx,hazard,recovery,basis,curve_tenors,curve_rates",
+     "2022-01-01,1.1,0.02,0.4,0,0.5;1,0.005;0,007",
+     "row 2: cell '007' lies beyond the header's 7 columns"),
+], ids=["repeated-column", "too-wide-row"])
+def test_ambiguous_market_layout_is_a_parse_error(header, row, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_market_snapshots([header, row])
+
+
+def test_empty_cells_beyond_the_header_are_ignored():
+    header = "date,fx,hazard,recovery,basis,curve_tenors,curve_rates"
+    row = "2022-01-01,1.1,0.02,0.4,0,0.5;1,0.005;0.007"
+    assert load_market_snapshots([header, row + ", ,"]) == load_market_snapshots([header, row])
 
 
 def test_round_trip_is_numerically_identical(market_csv):
