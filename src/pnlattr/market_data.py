@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
 from datetime import date
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 from .errors import (
     DuplicateDate,
@@ -66,33 +67,23 @@ class ZeroCurve:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_table", (tenors, rates, slopes))
 
-    def zero_rate(self, tenor: float | Sequence[float]) -> float | list[float]:
-        """Interpolated zero rate at a year fraction, or at each of a sequence of them.
+    def zero_rate(self, tenor: float) -> float:
+        """Interpolated zero rate at a year fraction.
 
-        A float tenor gives a float; a sequence gives a list, equal element
-        by element to the float results. The rate is `numpy.interp`'s, bit for
-        bit: `slope * (x - xp[j]) + fp[j]` between nodes j and j + 1, the
-        node's own rate exactly on a node, flat beyond both ends. A sequence
-        is walked node by node, which is cheapest when it ascends; a tenor
-        below the current node restarts the walk at the first node.
+        The rate is `numpy.interp`'s, bit for bit: `slope * (x - xp[j]) + fp[j]`
+        between nodes j and j + 1, the node's own rate exactly on a node, flat
+        beyond both ends. The bond and CDS pricers walk the same table with
+        this rule inline; this method is their reference.
         """
-        if isinstance(tenor, (int, float)):
-            return self.zero_rate((tenor,))[0]
         tenors, rates, slopes = self._table
         last = len(tenors) - 1
-        out = []
         j = 0
-        for x in tenor:
-            if x < tenors[j]:
-                j = 0
-            while j < last and tenors[j + 1] <= x:
-                j += 1
-            # tenors[j] <= x < tenors[j + 1], or x lies beyond an end of the curve
-            if j == last or x <= tenors[j]:
-                out.append(rates[j])
-            else:
-                out.append(slopes[j] * (x - tenors[j]) + rates[j])
-        return out
+        while j < last and tenors[j + 1] <= tenor:
+            j += 1
+        # tenors[j] <= tenor < tenors[j + 1], or tenor lies beyond an end of the curve
+        if j == last or tenor <= tenors[j]:
+            return rates[j]
+        return slopes[j] * (tenor - tenors[j]) + rates[j]
 
 
 @dataclass(frozen=True)
@@ -157,12 +148,17 @@ def input_lines(source):
     """The lines of an input file, line endings kept.
 
     `source` is a filesystem path, an open text stream, or any iterable of
-    lines; a stream or an iterable is returned as given. A path is read as
-    UTF-8 with or without a byte-order mark, and its lines end at '\\n',
-    '\\r\\n' or '\\r'. A path that is not UTF-8 is a ParseError naming it.
+    lines. A path is read as UTF-8 with or without a byte-order mark, and its
+    lines end at '\\n', '\\r\\n' or '\\r'. A path that is not UTF-8 is a
+    ParseError naming it. A stream or an iterable is read as given, except
+    that one byte-order mark ('\\ufeff') leading its first line is dropped.
     """
     if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
-        return source
+        lines = iter(source)
+        first = next(lines, None)
+        if first is None:
+            return lines
+        return itertools.chain((first.removeprefix("\ufeff"),), lines)
     try:
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return io.StringIO(handle.read(), newline="")

@@ -23,6 +23,14 @@ Models are reduced-form with a flat default intensity lambda:
                     identity spread = lambda * (1 - recovery) prices to
                     exactly zero
     cash            balance * exp(deposit_rate * elapsed)
+
+A bond or CDS evaluation is one pass over its ascending grid of year
+fractions: tau 0, then the coupon dates after s for a bond, or the quarterly
+quadrature grid for a CDS. Each point takes its zero rate from the curve's
+node table by `ZeroCurve.zero_rate`'s rule, walked inline with a node index
+that only moves forward, then its discount and survival factors, and the
+summands go to `math.fsum`. Scalar `zero_rate` is the reference the tests
+hold both pricers to, bit for bit.
 """
 
 from __future__ import annotations
@@ -120,24 +128,41 @@ def price_bond(spec: BondSpec, s: date, curve: ZeroCurve, factors: MarketFactors
     """Dirty reduced-form bond value at s; see the module docstring for the model."""
     if s > spec.maturity:
         raise PastMaturity(f"valuation {s} after maturity {spec.maturity}")
-    # taus = 0, then the ACT/365F year fractions to each coupon date after s;
-    # the last coupon date is the maturity, so taus is also the recovery
-    # trapezoid grid
+    tenors, rates, slopes = curve._table
+    last = len(tenors) - 1
+    basis, lam = factors.basis_spread, factors.hazard_rate
+    with_recovery = factors.recovery != 0.0
+    amount = spec.coupon_rate / spec.coupon_frequency
+    # the grid is tau 0, then the ACT/365F year fraction to each coupon date
+    # after s; the last coupon date is the maturity, so the grid is also the
+    # recovery trapezoid grid. Tau 0 lies on or below the first node, so its
+    # rate is rates[0].
+    d0 = math.exp(-(rates[0] + basis) * 0.0)
+    p0 = math.exp(-lam * 0.0)
+    coupons = []
+    trapezoids = []
     ordinals = spec._coupon_ordinals
     o_s = s.toordinal()
-    taus = [0.0] + [(o - o_s) / DAYS_PER_YEAR for o in ordinals[bisect_right(ordinals, o_s):]]
-    basis, lam = factors.basis_spread, factors.hazard_rate
-    disc = [math.exp(-(z + basis) * u) for z, u in zip(curve.zero_rate(taus), taus)]
-    surv = [math.exp(-lam * u) for u in taus]
+    j = 0
+    for o in ordinals[bisect_right(ordinals, o_s):]:
+        u = (o - o_s) / DAYS_PER_YEAR
+        while j < last and tenors[j + 1] <= u:
+            j += 1
+        if j == last or u <= tenors[j]:
+            z = rates[j]
+        else:
+            z = slopes[j] * (u - tenors[j]) + rates[j]
+        d1 = math.exp(-(z + basis) * u)
+        p1 = math.exp(-lam * u)
+        coupons.append(amount * d1 * p1)
+        if with_recovery:
+            trapezoids.append(0.5 * (d0 + d1) * (p0 - p1))
+        d0, p0 = d1, p1
 
-    amount = spec.coupon_rate / spec.coupon_frequency
-    value = math.fsum([amount * d * p for d, p in zip(disc[1:], surv[1:])])
-    value += disc[-1] * surv[-1]
-    if factors.recovery != 0.0 and taus[-1] > 0.0:
-        integral = math.fsum(
-            [0.5 * (d0 + d1) * (p0 - p1) for d0, d1, p0, p1 in zip(disc, disc[1:], surv, surv[1:])]
-        )
-        value += factors.recovery * integral
+    value = math.fsum(coupons)
+    value += d0 * p0
+    if trapezoids:
+        value += factors.recovery * math.fsum(trapezoids)
     return spec.notional * value
 
 
@@ -178,13 +203,27 @@ def price_cds(spec: CdsSpec, s: date, curve: ZeroCurve, factors: MarketFactors) 
     tau = year_fraction(s, spec.maturity)
     if tau <= 0.0:
         return 0.0
+    tenors, rates, slopes = curve._table
+    last = len(tenors) - 1
     lam = factors.hazard_rate
     steps = max(1, math.ceil(tau * 4))
-    grid = [tau * k / steps for k in range(steps + 1)]
-    risky = [math.exp(-z * u - lam * u) for z, u in zip(curve.zero_rate(grid), grid)]
-    annuity = math.fsum(
-        [0.5 * (f0 + f1) * (u1 - u0) for f0, f1, u0, u1 in zip(risky, risky[1:], grid, grid[1:])]
-    )
+    # grid point 0 is tau 0, on or below the first node, so its rate is rates[0]
+    u0 = 0.0
+    f0 = math.exp(-rates[0] * u0 - lam * u0)
+    trapezoids = []
+    j = 0
+    for k in range(1, steps + 1):
+        u1 = tau * k / steps
+        while j < last and tenors[j + 1] <= u1:
+            j += 1
+        if j == last or u1 <= tenors[j]:
+            z = rates[j]
+        else:
+            z = slopes[j] * (u1 - tenors[j]) + rates[j]
+        f1 = math.exp(-z * u1 - lam * u1)
+        trapezoids.append(0.5 * (f0 + f1) * (u1 - u0))
+        u0, f0 = u1, f1
+    annuity = math.fsum(trapezoids)
     buyer_value = spec.notional * annuity * ((1.0 - factors.recovery) * lam - spec.contractual_spread)
     return buyer_value if spec.direction is ProtectionSide.BOUGHT else -buyer_value
 

@@ -2,6 +2,7 @@ import io
 import math
 import re
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from pnlattr import (
     ZeroCurve,
     dump_market_snapshots,
     load_market_snapshots,
+    load_portfolio,
 )
 
 ANCHOR = date(2022, 1, 1)
@@ -99,6 +101,31 @@ def test_load_sorts_unordered_rows(market_csv):
     shuffled = [lines[0], lines[3], lines[1], lines[4], lines[2]]
     snaps = load_market_snapshots(shuffled)
     assert [s.as_of for s in snaps] == sorted(s.as_of for s in snaps)
+
+
+DEMO_DATA = Path(__file__).parents[1] / "demos" / "data"
+
+
+@pytest.mark.parametrize("load, name", [
+    (load_market_snapshots, "market.csv"), (load_portfolio, "portfolio.txt"),
+], ids=["market", "holdings"])
+@pytest.mark.parametrize("form", ["stream", "lines"])
+def test_caller_opened_input_may_start_with_a_byte_order_mark(load, name, form, tmp_path):
+    # Excel's "CSV UTF-8" export, opened by the caller as plain UTF-8, loads
+    # as the same file does by path
+    bom_copy = tmp_path / name
+    bom_copy.write_bytes(b"\xef\xbb\xbf" + (DEMO_DATA / name).read_bytes())
+    with open(bom_copy, encoding="utf-8") as handle:
+        source = handle if form == "stream" else handle.readlines()
+        assert load(source) == load(DEMO_DATA / name)
+
+
+@pytest.mark.parametrize("empty", [lambda: io.StringIO(""), list], ids=["stream", "lines"])
+def test_empty_caller_opened_input_keeps_its_errors(empty):
+    with pytest.raises(MissingField, match="market CSV is empty"):
+        load_market_snapshots(empty())
+    with pytest.raises(ParseError, match=r"no \[position"):
+        load_portfolio(empty())
 
 
 def test_duplicate_date_names_the_date(market_csv):

@@ -3,10 +3,12 @@ the month roll against `calendar`.
 
 The pricer references below evaluate the model one tenor at a time with
 `math.exp` and float `zero_rate` calls, the way the pricers were first
-written. The pricers make one sequence `zero_rate` call per evaluation and
-the same `math.exp` and `math.fsum` arithmetic, so prices agree bit for bit.
-Because the references share `zero_rate`, the curve is checked on its own
-against `np.interp`, the interpolation the seed program used.
+written. The pricers make one pass over their grid, walking the curve's
+node table inline by `zero_rate`'s rule, with the same `math.exp` and
+`math.fsum` arithmetic, so prices agree bit for bit. Curves with nodes on
+the instrument's own year fractions pin the walk's on-node case. Because
+the references share `zero_rate`, the curve is checked on its own against
+`np.interp`, the interpolation the seed program used.
 """
 
 import calendar
@@ -15,6 +17,7 @@ import math
 from datetime import date, timedelta
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,12 +35,35 @@ from pnlattr.dates import add_months, year_fraction
 ANCHOR = date(2022, 1, 1)
 
 # -0.0 rates make the on-node case visible: interpolating there gives +0.0
-nodes_st = st.tuples(st.floats(0.0, 40.0), st.floats(-0.05, 0.2) | st.just(-0.0))
+rates_st = st.floats(-0.05, 0.2) | st.just(-0.0)
+nodes_st = st.tuples(st.floats(0.0, 40.0), rates_st)
 curves = st.lists(
     nodes_st,
     min_size=1, max_size=10,
     unique_by=lambda node: round(node[0], 6),
 ).map(lambda nodes: ZeroCurve(ANCHOR, tuple(sorted(nodes))))
+
+
+def curves_on(grid):
+    """Curves whose nodes sit on points of an instrument's own grid.
+
+    A node on a grid point must give that node's rate, not the interpolation
+    from the node below it. Single-node curves, a first node above 0 and
+    -0.0 rates all occur.
+    """
+    tenors = st.lists(st.sampled_from(grid), min_size=1, max_size=10, unique=True).map(sorted)
+    return tenors.flatmap(lambda ts: st.lists(rates_st, min_size=len(ts), max_size=len(ts)).map(
+        lambda rs: ZeroCurve(ANCHOR, tuple(zip(ts, rs)))))
+
+
+def bond_grid(spec, s):
+    return [0.0] + [year_fraction(s, d) for d in spec._coupon_dates if d > s]
+
+
+def cds_grid(spec, s):
+    tau = year_fraction(s, spec.maturity)
+    steps = max(1, math.ceil(tau * 4))
+    return [tau * k / steps for k in range(steps + 1)]
 
 factors_st = st.builds(
     MarketFactors,
@@ -85,9 +111,9 @@ def reference_cds(spec, s, curve, factors):
     return buyer if spec.direction is ProtectionSide.BOUGHT else -buyer
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(
-    curve=curves,
+    data=st.data(),
     factors=factors_st,
     notional=st.floats(1.0, 1e8),
     issue_offset=st.integers(-4000, 0),
@@ -96,28 +122,53 @@ def reference_cds(spec, s, curve, factors):
     coupon_rate=st.one_of(st.just(0.0), st.floats(0.0, 0.15)),
     frequency=st.sampled_from((1, 2, 4, 12)),
 )
-def test_price_bond_matches_scalar_reference(curve, factors, notional, issue_offset, life,
+def test_price_bond_matches_scalar_reference(data, factors, notional, issue_offset, life,
                                              before_maturity, coupon_rate, frequency):
     issue = ANCHOR + timedelta(days=issue_offset)
     maturity = issue + timedelta(days=life)
     spec = BondSpec(notional, issue, maturity, coupon_rate, frequency)
     s = maturity - timedelta(days=min(before_maturity, life))
+    curve = data.draw(curves | curves_on(bond_grid(spec, s)))
     assert price_bond(spec, s, curve, factors) == reference_bond(spec, s, curve, factors)
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(
-    curve=curves,
+    data=st.data(),
     factors=factors_st,
     notional=st.floats(1.0, 1e8),
     days_to_maturity=st.integers(0, 12000),
     spread=st.floats(0.0, 0.1),
     direction=st.sampled_from(ProtectionSide),
 )
-def test_price_cds_matches_scalar_reference(curve, factors, notional, days_to_maturity,
+def test_price_cds_matches_scalar_reference(data, factors, notional, days_to_maturity,
                                             spread, direction):
     spec = CdsSpec(notional, ANCHOR + timedelta(days=days_to_maturity), spread, direction)
+    curve = data.draw(curves | curves_on(cds_grid(spec, ANCHOR)))
     assert price_cds(spec, ANCHOR, curve, factors) == reference_cds(spec, ANCHOR, curve, factors)
+
+
+ON_GRID_BOND = BondSpec(1e6, date(2019, 3, 15), date(2034, 3, 15), 0.045, 2)
+ON_GRID_CDS = CdsSpec(1e6, date(2031, 6, 20), 0.01)
+
+
+@pytest.mark.parametrize("nodes", [
+    ((-1, 0.03),),
+    ((0, 0.14), (-1, 0.019)),
+    ((4, 0.087), (-1, -0.009)),
+    ((3, 0.053), (5, 0.116), (-1, -0.0)),
+    ((1, -0.0), (4, 0.124), (-1, -0.007)),
+], ids=["single", "from-0", "above-0", "to-minus-0", "from-minus-0"])
+def test_nodes_on_the_instrument_grid_price_as_the_reference(nodes):
+    # each node is (index into the instrument's own grid, rate). With these
+    # rates, interpolating up to a node from the node below it misses that
+    # node's rate in the last bits, and the price shows it
+    factors = MarketFactors(0.02, 0.4, 0.001)
+    for spec, grid, price, reference in ((ON_GRID_BOND, bond_grid, price_bond, reference_bond),
+                                         (ON_GRID_CDS, cds_grid, price_cds, reference_cds)):
+        taus = grid(spec, ANCHOR)
+        curve = ZeroCurve(ANCHOR, tuple((taus[i], rate) for i, rate in nodes))
+        assert price(spec, ANCHOR, curve, factors) == reference(spec, ANCHOR, curve, factors)
 
 
 def _tenors(nodes):
@@ -139,30 +190,6 @@ def test_zero_rate_equals_np_interp_bit_for_bit(data, curve):
     scalar = [curve.zero_rate(t) for t in tenors]
     assert all(type(z) is float for z in scalar)
     assert [z.hex() for z in scalar] == [z.hex() for z in expected]
-    # a sequence gives a list equal to the per-element float results
-    sequence = curve.zero_rate(tenors)
-    assert type(sequence) is list
-    assert [z.hex() for z in sequence] == [z.hex() for z in scalar]
-    assert curve.zero_rate(tuple(tenors)) == sequence
-
-
-def _orders(tenors):
-    # the orders zero_rate's node walk treats differently: ascending, descending,
-    # shuffled, and each tenor twice in a row
-    return st.sampled_from((
-        sorted(tenors),
-        sorted(tenors, reverse=True),
-        [t for t in sorted(tenors) for _ in range(2)],
-    )) | st.permutations(tenors)
-
-
-@given(data=st.data(), curve=curves | one_node_curves)
-def test_zero_rate_walk_equals_np_interp_in_any_order(data, curve):
-    tenors = data.draw(_tenors(curve.nodes).flatmap(_orders))
-    node_tenors, node_rates = zip(*curve.nodes)
-    expected = [z.hex() for z in np.interp(tenors, node_tenors, node_rates).tolist()]
-    assert [curve.zero_rate(t).hex() for t in tenors] == expected
-    assert [z.hex() for z in curve.zero_rate(tenors)] == expected
 
 
 def test_curve_table_is_derived_state():
