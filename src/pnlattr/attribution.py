@@ -29,6 +29,7 @@ results add componentwise.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
@@ -114,25 +115,13 @@ class AttributionResult:
         return self.total - (self.fx + self.rate + self.market + self.carry)
 
     def scaled(self, factor: float) -> "AttributionResult":
-        return AttributionResult(
-            fx=factor * self.fx,
-            rate=factor * self.rate,
-            market=factor * self.market,
-            carry=factor * self.carry,
-            total=factor * self.total,
-            scale=abs(factor) * self.scale,
-        )
-
-    @classmethod
-    def zero(cls) -> "AttributionResult":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0)
+        return AttributionResult(factor * self.fx, factor * self.rate, factor * self.market,
+                                 factor * self.carry, factor * self.total, abs(factor) * self.scale)
 
     @classmethod
     def combine(cls, results: Iterable["AttributionResult"]) -> "AttributionResult":
         """Componentwise sum (compensated) of any number of results."""
         results = list(results)
-        if not results:
-            return cls.zero()
         try:
             return cls(
                 fx=math.fsum(r.fx for r in results),
@@ -140,7 +129,7 @@ class AttributionResult:
                 market=math.fsum(r.market for r in results),
                 carry=math.fsum(r.carry for r in results),
                 total=math.fsum(r.total for r in results),
-                scale=max(r.scale for r in results),
+                scale=max((r.scale for r in results), default=0.0),
             )
         except OverflowError as exc:
             raise NonFiniteReport(f"attribution parts overflow when summed: {exc}") from exc
@@ -340,24 +329,76 @@ def segment_period(scope, t, T) -> list:
     return sorted(dates)
 
 
-def _as_snapshot_map(snapshots) -> Mapping:
-    if isinstance(snapshots, Mapping):
-        return snapshots
-    return {snap.as_of: snap for snap in snapshots}
+#: One position's subperiod (start, end] with every input of its split but the prices. The
+#: three start prices include start_coupon, the coupon paid at start in literal mode (0.0
+#: otherwise); coupon is paid at end and converts at coupon_fx.
+_Subperiod = namedtuple("_Subperiod", "start end snap_start snap_end chi_start chi_end "
+                                      "quantity start_coupon coupon coupon_fx")
+
+#: What a run reads before its first price: the snapshot and each held currency's quote
+#: at every grid date, and each position's tuple of _Subperiods.
+_Plan = namedtuple("_Plan", "snapshots quotes subperiods")
 
 
-def _quantities(transactions, notional_sign: int, dates: Sequence) -> list[float]:
-    """Position.quantity_at for each of the ascending dates, from one pass
-    over the transactions in date order."""
-    ordered = sorted(transactions, key=lambda txn: txn.date)
-    quantity, i = float(notional_sign), 0
-    out = []
-    for when in dates:
-        while i < len(ordered) and ordered[i].date <= when:
-            quantity += ordered[i].quantity_change
-            i += 1
-        out.append(quantity)
-    return out
+def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: CarryMode, named: bool) -> _Plan:
+    """Check a snapshot at every grid date, then every schedule against the
+    grid, and lay out the run; with `named`, an error is prefixed with the
+    position it stops (the first, for a missing snapshot)."""
+    if not positions:
+        return _Plan((), {}, ())
+    mapped = snapshots if isinstance(snapshots, Mapping) else {snap.as_of: snap for snap in snapshots}
+    grid_set, start, end = set(grid), grid[0], grid[-1]
+    pos = positions[0]
+    try:
+        for u in grid:
+            if u not in mapped:
+                raise MissingSnapshot(f"no market snapshot at {u}")
+        for pos in positions:
+            for d, amount in pos.schedule.entries:
+                if start < d <= end and amount != 0.0 and d not in grid_set:
+                    raise ScheduleOutsideGrid(f"cashflow at {d} not on the attribution grid")
+    except EngineError as exc:
+        if named:
+            _prefix(exc, f"position {pos.id}")
+        raise
+    snaps = tuple(mapped[u] for u in grid)
+    quotes = {currency: [1.0] * len(grid) if currency == "EUR" else [_fx_rate(s.fx) for s in snaps]
+              for currency in dict.fromkeys(pos.currency for pos in positions)}
+    literal, sophis = carry_mode is CarryMode.LITERAL, carry_mode is CarryMode.SOPHIS
+    subperiods = []
+    for pos in positions:
+        chi, amount_on = quotes[pos.currency], pos.schedule.amount_on
+        subperiods.append(tuple(
+            _Subperiod(grid[i - 1], grid[i], snaps[i - 1], snaps[i], chi[i - 1], chi[i],
+                       pos.quantity_at(grid[i - 1]), amount_on(grid[i - 1]) if literal else 0.0,
+                       amount_on(grid[i]), chi[-1] if sophis else 0.5 * (chi[i - 1] + chi[i]))
+            for i in range(1, len(grid))))
+    return _Plan(snaps, quotes, tuple(subperiods))
+
+
+def _attribute(price, subperiods: Sequence[_Subperiod], fx_mode: FxMode):
+    """Split one position's planned subperiods in order; returns (results, their sum)."""
+    end_new, results = None, []
+    for (u_prev, u_cur, snap_prev, snap_cur, chi_prev, chi_cur,
+         quantity, start_coupon, coupon, coupon_fx) in subperiods:
+        try:
+            split, end_new = _split(price, u_prev, u_cur, snap_prev, snap_cur, chi_prev, chi_cur,
+                                    fx_mode, end_new, start_coupon)
+            if quantity != 1.0:
+                split = split.scaled(quantity)
+            if coupon != 0.0:
+                coupon_eur = quantity * coupon * coupon_fx
+                split = AttributionResult(split.fx, split.rate, split.market, split.carry + coupon_eur,
+                                          split.total + coupon_eur, max(split.scale, abs(coupon_eur)))
+        except EngineError as exc:
+            _prefix(exc, f"subperiod ({u_prev}, {u_cur}]")
+            raise
+        results.append(split)
+    try:
+        return results, AttributionResult.combine(results)
+    except EngineError as exc:
+        _prefix(exc, f"period ({subperiods[0].start}, {subperiods[-1].end}]")
+        raise
 
 
 def attribute_position(
@@ -373,55 +414,15 @@ def attribute_position(
     componentwise sum. In CORRECTED mode the aggregate total equals the
     realized EUR PnL including coupons converted around their payment
     dates; in LITERAL mode each subperiod starts at the pre-coupon price,
-    reproducing the shortfall that motivates the correction.
+    reproducing the shortfall that motivates the correction. Checked once,
+    before the first price: the grid (a start and an end date), a snapshot
+    at every grid date, then the position's cashflows against the grid.
     """
-    snaps = _as_snapshot_map(snapshots)
     grid = list(grid)
     if len(grid) < 2:
         raise EmptyPeriod("attribution grid needs at least a start and an end date")
-    for u in grid:
-        if u not in snaps:
-            raise MissingSnapshot(f"no market snapshot at {u}")
-    grid_set = set(grid)
-    start, end = grid[0], grid[-1]
-    for d, amount in position.schedule.entries:
-        if start < d <= end and amount != 0.0 and d not in grid_set:
-            raise ScheduleOutsideGrid(f"cashflow at {d} not on the attribution grid")
-
-    price = _price_fn(position.pricer)
-    chis = [1.0 if position.currency == "EUR" else _fx_rate(snaps[u].fx) for u in grid]
-    end_new = None
-    quantities = _quantities(position.transactions, position.notional_sign, grid[:-1])
-    results: list[AttributionResult] = []
-    for i, (u_prev, u_cur, quantity) in enumerate(zip(grid, grid[1:], quantities)):
-        start_coupon = position.schedule.amount_on(u_prev) if carry_mode is CarryMode.LITERAL else 0.0
-        coupon = position.schedule.amount_on(u_cur)
-        try:
-            split, end_new = _split(price, u_prev, u_cur, snaps[u_prev], snaps[u_cur], chis[i], chis[i + 1],
-                                    fx_mode, end_new, start_coupon)
-            if quantity != 1.0:
-                split = split.scaled(quantity)
-            if coupon != 0.0:
-                fx_weight = chis[-1] if carry_mode is CarryMode.SOPHIS else 0.5 * (chis[i] + chis[i + 1])
-                coupon_eur = quantity * coupon * fx_weight
-                split = AttributionResult(
-                    fx=split.fx,
-                    rate=split.rate,
-                    market=split.market,
-                    carry=split.carry + coupon_eur,
-                    total=split.total + coupon_eur,
-                    scale=max(split.scale, abs(coupon_eur)),
-                )
-        except EngineError as exc:
-            _prefix(exc, f"subperiod ({u_prev}, {u_cur}]")
-            raise
-        results.append(split)
-
-    try:
-        return results, AttributionResult.combine(results)
-    except EngineError as exc:
-        _prefix(exc, f"period ({start}, {end}]")
-        raise
+    [subperiods] = _plan((position,), snapshots, grid, carry_mode, named=False).subperiods
+    return _attribute(_price_fn(position.pricer), subperiods, fx_mode)
 
 
 def _prefix(exc: Exception, where: str) -> None:
@@ -464,9 +465,12 @@ def attribute_portfolio(
     """Attribute every position on the common transaction/coupon grid.
 
     EUR positions convert at 1 and all others at the market's one fx
-    column, so a book may not mix two foreign currencies. Positions come
-    back in input order; bucket and fund totals are the report's job (see
-    reporting.render_report).
+    column, so a book may not mix two foreign currencies. Before the first
+    price, and once per run, this checks the currencies, the grid (t < T),
+    a snapshot at every grid date, then each position's schedule against
+    the grid; an error names the position, the first one for a missing
+    snapshot. Positions come back in input order; bucket and fund totals
+    are the report's job (see reporting.render_report).
     """
     foreign = [pos for pos in portfolio.positions if pos.currency != "EUR"]
     for pos in foreign[1:]:
@@ -474,21 +478,14 @@ def attribute_portfolio(
             raise MixedCurrencies(f"position {foreign[0].id} is in {foreign[0].currency} and position "
                                   f"{pos.id} in {pos.currency}; the market quotes one foreign currency")
     grid = segment_period(portfolio, t, T)
-    snaps = _as_snapshot_map(snapshots)
+    plan = _plan(portfolio.positions, snapshots, grid, carry_mode, named=True)
     per_position: list[PositionAttribution] = []
-    for pos in portfolio.positions:
+    for pos, subperiods in zip(portfolio.positions, plan.subperiods):
         try:
-            subperiods, aggregate = attribute_position(pos, snaps, grid, fx_mode, carry_mode)
+            results, aggregate = _attribute(_price_fn(pos.pricer), subperiods, fx_mode)
         except EngineError as exc:
             _prefix(exc, f"position {pos.id}")
             raise
-        per_position.append(
-            PositionAttribution(
-                position_id=pos.id,
-                bucket=pos.bucket,
-                subperiods=tuple(subperiods),
-                aggregate=aggregate,
-                costs=pos.costs_in(t, T),
-            )
-        )
+        per_position.append(PositionAttribution(pos.id, pos.bucket, tuple(results), aggregate,
+                                                pos.costs_in(t, T)))
     return PortfolioAttribution(period=(t, T), grid=tuple(grid), positions=tuple(per_position))

@@ -315,6 +315,48 @@ def test_portfolio_error_names_the_position():
         attribute_portfolio(portfolio, snaps, 0.0, 1.0)
 
 
+def test_missing_rebalance_snapshot_names_the_first_position():
+    # the grid is common to the book, so the first position meets the gap
+    # that only the second position's rebalance put on the grid
+    portfolio = Portfolio(positions=(
+        Position(id="a", bucket=Bucket.OTHER, pricer=linear_pricer()),
+        Position(id="b", bucket=Bucket.OTHER, pricer=linear_pricer(),
+                 transactions=(Transaction(0.5, 1.0, 0.0),)),
+    ))
+    snaps = {u: ScalarState(0.01, 0.02, 1.1) for u in (0.0, 1.0)}
+    with pytest.raises(MissingSnapshot) as info:
+        attribute_portfolio(portfolio, snaps, 0.0, 1.0)
+    assert str(info.value) == "position a: no market snapshot at 0.5"
+
+
+def test_empty_portfolio_needs_no_snapshots():
+    result = attribute_portfolio(Portfolio(()), {}, 0.0, 1.0)
+    assert result.positions == ()
+    assert result.grid == (0.0, 1.0)
+
+
+class CountingSnapshots(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+def test_snapshots_are_checked_once_per_run():
+    portfolio = Portfolio(positions=(
+        Position(id="a", bucket=Bucket.OTHER, pricer=linear_pricer()),
+        Position(id="b", bucket=Bucket.OTHER, pricer=linear_pricer(),
+                 transactions=(Transaction(0.5, 1.0, 0.0),)),
+    ))
+    snaps = CountingSnapshots({u: ScalarState(0.01, 0.02, 1.1) for u in (0.0, 0.5, 1.0)})
+    result = attribute_portfolio(portfolio, snaps, 0.0, 1.0)
+    assert result.grid == (0.0, 0.5, 1.0)
+    assert snaps.lookups == 3
+
+
 def test_engine_error_names_the_position_and_the_subperiod():
     def price(s, r, x):
         if s == 0.5:

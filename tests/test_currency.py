@@ -79,6 +79,16 @@ def test_one_foreign_currency_besides_eur_is_accepted():
     assert [p.aggregate.fx for p in result.positions] == [pytest.approx(-10.0), 0.0, pytest.approx(-10.0)]
 
 
+def test_eur_only_book_reads_no_quote():
+    portfolio = Portfolio(positions=(
+        Position(id="cash", bucket=Bucket.CASH, pricer=lambda s, r, x: 100.0 + s, currency="EUR"),
+    ))
+    snaps = {u: ScalarState(0.0, 0.0, -1.0) for u in (0.0, 1.0)}
+    result = attribute_portfolio(portfolio, snaps, 0.0, 1.0)
+    assert result.positions[0].aggregate.fx == 0.0
+    assert result.positions[0].aggregate.total == 1.0
+
+
 def test_position_built_in_code_checks_its_currency():
     def position(currency):
         return Position(id="p", bucket=Bucket.OTHER, pricer=lambda s, r, x: 100.0, currency=currency)

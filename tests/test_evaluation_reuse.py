@@ -85,8 +85,8 @@ SNAPS = {u: ScalarState(0.01 + 0.03 * u * u, 0.02 + 0.01 * math.sin(7 * u), 1.1 
 def test_evaluation_count_and_bit_identical_subperiods(carry_mode, fx_mode):
     n = len(GRID) - 1
     # coupons on the first grid date, on interior grid dates and at the end;
-    # quantities change mid-grid, listed out of date order, in dyadic steps so
-    # any summation order is exact
+    # quantities change mid-grid, listed out of date order, in dyadic steps
+    # (test_out_of_order_quantity_changes_add_in_file_order checks the order)
     schedule = CashflowSchedule(((0.0, 1.5), (0.25, 2.5), (0.625, 1.75), (1.0, 2.5)))
     transactions = (Transaction(0.5, -0.75, 0.0), Transaction(-1.0, 0.5, 0.0),
                     Transaction(0.125, 1.25, 0.0))
@@ -100,6 +100,21 @@ def test_evaluation_count_and_bit_identical_subperiods(carry_mode, fx_mode):
     expected = reference_subperiods(position, SNAPS, GRID, fx_mode, carry_mode)
     assert subperiods == expected
     assert aggregate == AttributionResult.combine(expected)
+
+
+@pytest.mark.parametrize("carry_mode", list(CarryMode))
+def test_out_of_order_quantity_changes_add_in_file_order(carry_mode):
+    # changes that are not dyadic round differently in another order, and
+    # holdings add them in file order, as Position.quantity_at does
+    schedule = CashflowSchedule(((0.25, 2.5), (1.0, 2.5)))
+    transactions = (Transaction(0.5, 0.1175, 0.0), Transaction(0.125, -0.1402, 0.0),
+                    Transaction(0.625, 0.1811, 0.0))
+    position = Position(id="p", bucket=Bucket.OTHER, pricer=CountingPricer(toy_price),
+                        schedule=schedule, transactions=transactions)
+
+    subperiods, _ = attribute_position(position, SNAPS, GRID, FxMode.AVERAGE, carry_mode)
+
+    assert subperiods == reference_subperiods(position, SNAPS, GRID, FxMode.AVERAGE, carry_mode)
 
 
 @pytest.mark.parametrize("carry_mode", list(CarryMode))
