@@ -341,9 +341,10 @@ _Plan = namedtuple("_Plan", "snapshots quotes subperiods")
 
 
 def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: CarryMode, named: bool) -> _Plan:
-    """Check a snapshot at every grid date, then every schedule against the
-    grid, and lay out the run; with `named`, an error is prefixed with the
-    position it stops (the first, for a missing snapshot)."""
+    """Check a snapshot at every grid date, then every cashflow and
+    transaction against the grid, and lay out the run; with `named`, an
+    error is prefixed with the position it stops (the first, for a missing
+    snapshot)."""
     if not positions:
         return _Plan((), {}, ())
     mapped = snapshots if isinstance(snapshots, Mapping) else {snap.as_of: snap for snap in snapshots}
@@ -357,6 +358,9 @@ def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: Carr
             for d, amount in pos.schedule.entries:
                 if start < d <= end and amount != 0.0 and d not in grid_set:
                     raise ScheduleOutsideGrid(f"cashflow at {d} not on the attribution grid")
+            for txn in pos.transactions:
+                if start < txn.date < end and txn.quantity_change != 0.0 and txn.date not in grid_set:
+                    raise ScheduleOutsideGrid(f"transaction at {txn.date} not on the attribution grid")
     except EngineError as exc:
         if named:
             _prefix(exc, f"position {pos.id}")
@@ -416,7 +420,8 @@ def attribute_position(
     dates; in LITERAL mode each subperiod starts at the pre-coupon price,
     reproducing the shortfall that motivates the correction. Checked once,
     before the first price: the grid (a start and an end date), a snapshot
-    at every grid date, then the position's cashflows against the grid.
+    at every grid date, then the position's cashflows and the transactions
+    dated strictly inside the period against the grid.
     """
     grid = list(grid)
     if len(grid) < 2:

@@ -62,7 +62,8 @@ class MixedCurrencies(EngineError):
 
 
 class ScheduleOutsideGrid(EngineError):
-    """A cashflow inside the period does not sit on the attribution grid."""
+    """A cashflow or a transaction inside the period does not sit on the
+    attribution grid."""
 
 
 class InvalidCorrelation(EngineError):

@@ -1,12 +1,17 @@
 """Report assembly: position rows, bucket subtotals, fund total.
 
-CSV layout groups positions under their bucket, emits one SUBTOTAL row per
-bucket, one POSITIONS row summing all buckets, any standalone pass-through
-lines (fees, hedge costs, cash parking given as inputs, not computed), and
-a final TOTAL row. EUR prints with 0 decimals; when a reference NAV is
-supplied every value column is mirrored in basis points (EUR * 10000 /
-NAV) printed with 1 decimal, rounding half-even. JSON carries the same
-tree at full precision. Output is byte-stable for identical inputs.
+The report is laid out once, and both formats read that layout: positions
+grouped by bucket, one SUBTOTAL row per bucket, one POSITIONS row summing
+all buckets, any standalone pass-through lines (fees, hedge costs, cash
+parking given as inputs, not computed), and TOTAL (POSITIONS with the
+standalone amounts added to total_eur). A NAV, if given, must be finite and
+> 0 (else ValueError); every value column is then mirrored in basis points
+(EUR * 10000 / NAV). CSV prints EUR with 0 decimals and bps with 1, rounding
+half-even: an exact -0.0 prints as 0, but a value that rounds to zero from
+below prints as -0 or -0.0, as the seed program prints it. JSON holds the
+same rows at full precision in one object: `nav`, `positions` in bucket
+order, `buckets` (the SUBTOTAL rows), `positions_total`, `standalones` as
+`{label, total_eur[, total_bps]}`, and `total`. Output is byte-stable.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 from .attribution import Bucket, PortfolioAttribution
@@ -23,6 +29,7 @@ from .errors import EmptyResults, NonFiniteReport
 
 EUR_COLUMNS = ("fx_eur", "rate_eur", "market_eur", "carry_eur", "costs_eur", "total_eur", "hedged_eur")
 CSV_COLUMNS = ("position", "bucket") + EUR_COLUMNS
+_BPS_COLUMNS = tuple(c.replace("_eur", "_bps") for c in EUR_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,7 @@ class ReportRow:
         return self.market_eur + self.carry_eur - self.costs_eur
 
     def values(self) -> tuple[float, ...]:
+        """The EUR_COLUMNS values, in that order."""
         return (
             self.fx_eur,
             self.rate_eur,
@@ -53,12 +61,9 @@ class ReportRow:
             self.hedged_eur,
         )
 
-    def to_dict(self, nav: float | None = None) -> dict:
-        out = {"position": self.position, "bucket": self.bucket}
-        out.update(zip(EUR_COLUMNS, self.values()))
-        if nav is not None:
-            out.update({c.replace("_eur", "_bps"): bps(v, nav) for c, v in zip(EUR_COLUMNS, self.values())})
-        return out
+
+#: The stored EUR fields of a ReportRow, which sums and standalone rows fill.
+_AMOUNTS = tuple(f.name for f in fields(ReportRow))[2:]
 
 
 def bps(eur: float, nav: float) -> float:
@@ -87,64 +92,31 @@ def build_report_rows(attribution: PortfolioAttribution) -> list[ReportRow]:
 
 
 def _sum_rows(label: str, bucket: str, rows: Sequence[ReportRow]) -> ReportRow:
-    return ReportRow(
-        position=label,
-        bucket=bucket,
-        fx_eur=sum(r.fx_eur for r in rows),
-        rate_eur=sum(r.rate_eur for r in rows),
-        market_eur=sum(r.market_eur for r in rows),
-        carry_eur=sum(r.carry_eur for r in rows),
-        costs_eur=sum(r.costs_eur for r in rows),
-        total_eur=sum(r.total_eur for r in rows),
-    )
+    """Each stored field summed with plain `sum` in row order; the bytes depend on that order."""
+    return ReportRow(label, bucket, **{name: sum(getattr(row, name) for row in rows) for name in _AMOUNTS})
 
 
-def _bucket_order(rows: Sequence[ReportRow]) -> list[str]:
-    known = [b.value for b in Bucket]
-    seen = []
+#: The report laid out once: each bucket's (members, SUBTOTAL) in bucket order,
+#: then POSITIONS, the standalone rows and TOTAL.
+_Layout = namedtuple("_Layout", "buckets positions_total standalones total")
+
+
+def _lay_out(rows: Sequence[ReportRow], standalone_lines: Sequence[tuple[str, float]]) -> _Layout:
+    """Known buckets in Bucket order, then unknown ones by name; members keep input order."""
+    groups: dict[str, list[ReportRow]] = {}
     for row in rows:
-        if row.bucket not in seen:
-            seen.append(row.bucket)
-    return sorted(seen, key=lambda b: (known.index(b) if b in known else len(known), b))
-
-
-def _layout(rows, standalone_lines):
-    """(kind, row) pairs in final presentation order."""
-    layout = []
-    for bucket in _bucket_order(rows):
-        members = [r for r in rows if r.bucket == bucket]
-        for member in members:
-            layout.append(("position", member))
-        layout.append(("subtotal", _sum_rows("SUBTOTAL", bucket, members)))
+        groups.setdefault(row.bucket, []).append(row)
+    known = [b.value for b in Bucket]
+    order = sorted(groups, key=lambda b: (known.index(b) if b in known else len(known), b))
     positions_total = _sum_rows("POSITIONS", "", rows)
-    layout.append(("positions_total", positions_total))
-    for label, amount in standalone_lines:
-        layout.append(("standalone", ReportRow(label, "STANDALONE", 0.0, 0.0, 0.0, 0.0, 0.0, amount)))
-    standalone_sum = sum(amount for _, amount in standalone_lines)
-    layout.append(
-        (
-            "total",
-            ReportRow(
-                "TOTAL",
-                "",
-                positions_total.fx_eur,
-                positions_total.rate_eur,
-                positions_total.market_eur,
-                positions_total.carry_eur,
-                positions_total.costs_eur,
-                positions_total.total_eur + standalone_sum,
-            ),
-        )
+    return _Layout(
+        buckets=[(groups[b], _sum_rows("SUBTOTAL", b, groups[b])) for b in order],
+        positions_total=positions_total,
+        standalones=[ReportRow(label, "STANDALONE", **(dict.fromkeys(_AMOUNTS, 0.0) | {"total_eur": amount}))
+                     for label, amount in standalone_lines],
+        total=replace(positions_total, position="TOTAL",
+                      total_eur=positions_total.total_eur + sum(amount for _, amount in standalone_lines)),
     )
-    return layout
-
-
-def _format_eur(value: float) -> str:
-    return f"{value + 0.0:.0f}"
-
-
-def _format_bps(value: float) -> str:
-    return f"{value + 0.0:.1f}"
 
 
 def render_report(
@@ -154,62 +126,48 @@ def render_report(
     standalone_lines: Iterable[tuple[str, float]] = (),
 ) -> str:
     """Render report rows (or a PortfolioAttribution) as CSV or JSON text."""
-    if isinstance(results, PortfolioAttribution):
-        rows = build_report_rows(results)
-    else:
-        rows = list(results)
+    if nav is not None and not (math.isfinite(nav) and nav > 0.0):
+        raise ValueError(f"nav must be a finite number > 0, got {nav}")
+    rows = build_report_rows(results) if isinstance(results, PortfolioAttribution) else list(results)
     if not rows:
         raise EmptyResults("no attribution results to report")
-    standalone_lines = [(str(label), float(amount)) for label, amount in standalone_lines]
-    layout = _layout(rows, standalone_lines)
-    for _, row in layout:
+    layout = _lay_out(rows, [(str(label), float(amount)) for label, amount in standalone_lines])
+    printed = [row for members, subtotal in layout.buckets for row in (*members, subtotal)]
+    printed += [layout.positions_total, *layout.standalones, layout.total]
+    for row in printed:
         for column, value in zip(EUR_COLUMNS, row.values()):
             if not math.isfinite(value if nav is None else bps(value, nav)):
                 scale = "" if nav is None else f" in bps of nav {nav:g}"
                 raise NonFiniteReport(f"{row.position}: {column} {value:g}{scale} is not finite")
+    header = CSV_COLUMNS if nav is None else CSV_COLUMNS + _BPS_COLUMNS
     if format == "csv":
-        return _render_csv(layout, nav)
-    if format == "json":
-        return _render_json(layout, nav)
-    raise ValueError(f"unknown report format {format!r} (expected 'csv' or 'json')")
-
-
-def _render_csv(layout, nav) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = list(CSV_COLUMNS)
-    if nav is not None:
-        header += [c.replace("_eur", "_bps") for c in EUR_COLUMNS]
-    writer.writerow(header)
-    for _, row in layout:
-        record = [row.position, row.bucket] + [_format_eur(v) for v in row.values()]
-        if nav is not None:
-            record += [_format_bps(bps(v, nav)) for v in row.values()]
-        writer.writerow(record)
-    return out.getvalue()
-
-
-def _render_json(layout, nav) -> str:
-    tree = {
-        "nav": nav,
-        "positions": [],
-        "buckets": [],
-        "positions_total": None,
-        "standalones": [],
-        "total": None,
-    }
-    for kind, row in layout:
-        if kind == "position":
-            tree["positions"].append(row.to_dict(nav))
-        elif kind == "subtotal":
-            tree["buckets"].append(row.to_dict(nav))
-        elif kind == "positions_total":
-            tree["positions_total"] = row.to_dict(nav)
-        elif kind == "standalone":
-            entry = {"label": row.position, "total_eur": row.total_eur}
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in printed:
+            values = row.values()
+            record = [row.position, row.bucket] + [f"{v + 0.0:.0f}" for v in values]
             if nav is not None:
-                entry["total_bps"] = bps(row.total_eur, nav)
-            tree["standalones"].append(entry)
-        elif kind == "total":
-            tree["total"] = row.to_dict(nav)
-    return json.dumps(tree, indent=2) + "\n"
+                record += [f"{bps(v, nav) + 0.0:.1f}" for v in values]
+            writer.writerow(record)
+        return out.getvalue()
+    if format == "json":
+        def entry(row: ReportRow) -> dict:
+            values = row.values()
+            if nav is not None:
+                values += tuple(bps(v, nav) for v in values)
+            return dict(zip(header, (row.position, row.bucket) + values))
+
+        tree = {
+            "nav": nav,
+            "positions": [entry(row) for members, _ in layout.buckets for row in members],
+            "buckets": [entry(subtotal) for _, subtotal in layout.buckets],
+            "positions_total": entry(layout.positions_total),
+            "standalones": [
+                {"label": row.position, **{c: v for c, v in entry(row).items() if c.startswith("total_")}}
+                for row in layout.standalones
+            ],
+            "total": entry(layout.total),
+        }
+        return json.dumps(tree, indent=2) + "\n"
+    raise ValueError(f"unknown report format {format!r} (expected 'csv' or 'json')")

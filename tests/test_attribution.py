@@ -238,6 +238,19 @@ def test_quantity_changes_scale_subperiods():
     assert agg.total == pytest.approx(1 * 4.0 + 2 * 6.0, rel=1e-12)
 
 
+def test_rebalance_inside_a_subperiod_is_rejected():
+    # on [0, 1] the buy at 0.5 would be ignored: a total of 10.0, not the realized 16.0
+    prices = {0.0: 100.0, 0.5: 104.0, 1.0: 110.0}
+    pos = Position(id="p", bucket=Bucket.OTHER, pricer=lambda s, r, x: prices[s],
+                   transactions=(Transaction(0.5, 1.0, 0.0), Transaction(0.25, 0.0, 3.0)))
+    snaps = {u: ScalarState(0.0, 0.0, 1.0) for u in prices}
+    with pytest.raises(ScheduleOutsideGrid, match=r"^transaction at 0.5 not on the attribution grid$"):
+        attribute_position(pos, snaps, [0.0, 1.0])
+    # a cost-only transaction off the grid moves no holding, so it is not checked
+    _, agg = attribute_position(pos, snaps, [0.0, 0.5, 1.0])
+    assert agg.total == pytest.approx(16.0, rel=1e-12)
+
+
 def test_short_position_flips_signs():
     pos = Position(id="p", bucket=Bucket.HEDGE, pricer=linear_pricer(), notional_sign=-1)
     snaps = {0.0: ScalarState(0.01, 0.02, 1.0), 1.0: ScalarState(0.03, 0.01, 1.0)}

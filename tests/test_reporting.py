@@ -1,11 +1,23 @@
 import csv
 import io
 import json
+import math
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pnlattr import EmptyResults, ReportRow, bps, render_report
+from pnlattr import (Bucket, EmptyResults, ReportRow, attribute_portfolio, bps, load_market_snapshots,
+                     load_portfolio, render_report)
 from pnlattr.reporting import CSV_COLUMNS
+
+# the frozen seed program, read only: the report must print what it printed
+REPO = Path(__file__).resolve().parents[1]
+sys.path.append(str(REPO / "perfbench"))
+from seedref import (attribution as seed_attribution, market_data as seed_market_data,  # noqa: E402
+                     portfolio_io as seed_portfolio_io, reporting as seed_reporting)
 
 
 def row(position, bucket, fx=0.0, rate=0.0, market=0.0, carry=0.0, costs=0.0, total=None):
@@ -124,3 +136,52 @@ def test_unknown_format_rejected():
 def test_negative_zero_never_printed():
     records = parse_csv(render_report([row("z", "Other", fx=-0.0)], "csv"))
     assert records[0]["fx_eur"] == "0"
+
+
+@pytest.mark.parametrize("nav", [0.0, -1e6, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_nav_must_be_finite_and_positive(nav, format):
+    with pytest.raises(ValueError, match=rf"^nav must be a finite number > 0, got {nav}$"):
+        render_report(SAMPLE, format, nav=nav, standalone_lines=[("FEES", -10.0)])
+
+
+def as_seed_row(row):
+    return seed_reporting.ReportRow(*(getattr(row, f.name) for f in fields(ReportRow)))
+
+
+labels = st.text(alphabet='AZaz09 ,"_', min_size=1, max_size=8)
+amounts = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-0.5, 0.0, exclude_min=True, exclude_max=True),
+    st.builds(lambda mantissa, exponent, sign: sign * mantissa * 10.0 ** exponent,
+              st.floats(1.0, 10.0), st.integers(-3, 11), st.sampled_from([1.0, -1.0])),
+)
+report_rows = st.lists(
+    st.builds(ReportRow, labels, st.sampled_from([b.value for b in Bucket] + ["Unlisted bucket"]),
+              amounts, amounts, amounts, amounts, amounts, amounts),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_rows, st.none() | st.floats(1e3, 1e10),
+       st.lists(st.tuples(labels, amounts), max_size=3))
+def test_report_prints_what_the_seed_program_printed(rows, nav, standalones):
+    for format in ("csv", "json"):
+        expected = seed_reporting.render_report([as_seed_row(r) for r in rows], format, nav=nav,
+                                                standalone_lines=standalones)
+        assert render_report(rows, format, nav=nav, standalone_lines=standalones) == expected
+
+
+def test_attribution_report_prints_what_the_seed_program_printed():
+    portfolio, market = REPO / "demos/data/portfolio.txt", REPO / "demos/data/market.csv"
+    snapshots = load_market_snapshots(market)
+    t, T = snapshots[0].as_of, snapshots[-1].as_of
+    attribution = attribute_portfolio(load_portfolio(portfolio), snapshots, t, T)
+    seed = seed_attribution.attribute_portfolio(seed_portfolio_io.load_portfolio(portfolio),
+                                                seed_market_data.load_market_snapshots(market), t, T)
+    standalones = [("FEES", -62500.0), ('FX COSTS, "OTHER"', 1250.5)]
+    for format in ("csv", "json"):
+        for nav in (None, 50_000_000.0):
+            assert (render_report(attribution, format, nav=nav, standalone_lines=standalones)
+                    == seed_reporting.render_report(seed, format, nav=nav, standalone_lines=standalones))
