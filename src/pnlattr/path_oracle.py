@@ -148,17 +148,116 @@ def _require_positive_fx(paths: Mapping[str, np.ndarray]) -> None:
         raise SimulationError("fx trajectory must stay strictly positive")
 
 
+_UINT32_MASK = 0xFFFFFFFF
+_UINT128_MASK = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, n: int):
+    """The xor and multiplier columns of n successive SeedSequence hash steps.
+
+    The hash constant starts at init and is multiplied by mult modulo 2**32
+    at each step, whatever the data, so the whole sequence is fixed.
+    """
+    xors, mults = [], []
+    for _ in range(n):
+        xors.append(init)
+        init = init * mult & _UINT32_MASK
+        mults.append(init)
+    return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
+
+
+# numpy's SeedSequence constants (bit_generator.pyx): pool of 4 words, mixed
+# by 4 + 4 * 3 hashmix steps, then 8 output words for PCG64's 4 uint64 words.
+_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_XOR, _STATE_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_LEFT = np.uint32(0xCA01F9DD)
+_MIX_RIGHT = np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+# PCG64's 128-bit LCG multiplier (pcg64.h, PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+# Seeds whose PCG64 states are derived in one array pass. Deriving and
+# setting the states of 256 seeds took about 1 ms, 4 us a seed against
+# 13 us for default_rng, and the pass's arrays are a few kB.
+_STATE_CHUNK = 256
+# Chunks with fewer seeds go to default_rng seed by seed: for one seed the
+# pass took about 110 us, against 16 us for default_rng, and the two broke
+# even near 8-10 seeds.
+_MIN_DERIVED = 12
+
+
+def _hashmix(words, xors, mults):
+    words = (words ^ xors) * mults
+    return words ^ (words >> _SHIFT)
+
+
+def _pcg64_states(seeds: list) -> list:
+    """[PCG64(seed).state for seed in seeds], with None for each seed that
+    is not a non-negative int below 2**128.
+
+    numpy's SeedSequence splits such a seed into at most four 32-bit words,
+    least significant first. Its pool has four words, and a missing word
+    hashes as a 0 word does, so every seed is a column of four words.
+    The pool mix and generate_state(4, uint64) run on (words, seeds) uint32
+    arrays, which wrap as numpy's uint32_t does. pcg64_set_seed then takes
+    state words 0-1 as the initial state and 2-3 as the stream, and its
+    two-step LCG start-up runs on Python ints modulo 2**128.
+    """
+    covered = [type(seed) is int and 0 <= seed <= _UINT128_MASK for seed in seeds]
+    ints = [seed if ok else 0 for seed, ok in zip(seeds, covered)]
+    pool = _hashmix(
+        np.array([[seed >> shift & _UINT32_MASK for seed in ints] for shift in (0, 32, 64, 96)], np.uint32),
+        _POOL_XOR[:4],
+        _POOL_MULT[:4],
+    )
+    # numpy mixes hashmix(pool[src]) into each other word in turn; pool[src]
+    # does not change within its round, so its three hashes are one pass
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        step = 4 + 3 * src
+        hashed = _hashmix(pool[src], _POOL_XOR[step : step + 3], _POOL_MULT[step : step + 3])
+        mixed = _MIX_LEFT * pool[dst] - _MIX_RIGHT * hashed
+        pool[dst] = mixed ^ (mixed >> _SHIFT)
+    words = _hashmix(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MULT).astype(np.uint64)
+    state_hi, state_lo, inc_hi, inc_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+    states = []
+    for ok, s_hi, s_lo, i_hi, i_lo in zip(covered, state_hi, state_lo, inc_hi, inc_lo):
+        if not ok:
+            states.append(None)
+            continue
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _UINT128_MASK
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _UINT128_MASK
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _seed_states(seeds: Iterable) -> Iterable:
+    """Yield (seed, PCG64 state dict or None), taking _STATE_CHUNK seeds at a time."""
+    seeds = iter(seeds)
+    while chunk := list(islice(seeds, _STATE_CHUNK)):
+        states = _pcg64_states(chunk) if len(chunk) >= _MIN_DERIVED else [None] * len(chunk)
+        yield from zip(chunk, states)
+
+
 def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int]):
     """Yield (seed block, values) for blocks of at most _BLOCK seeds.
 
-    values has shape (len(block), n_steps + 1, len(params.processes)).
+    values has shape (len(params.processes), len(block), n_steps + 1).
     n_steps, the correlation, the per-step drift and diffusion and the jump
     intensity are checked, and the correlation factored, once before the
-    first seed is taken. Each seed draws from its own generator in a fixed
-    order (normals, then jump counts), so a seed's values do not depend on
-    the other seeds of its block. Each block's values must be finite and
-    its fx path, if any, > 0; a SimulationError names the first seed that
-    breaks this.
+    first seed is taken. Each seed draws from its own PCG64 stream in a
+    fixed order (normals, then jump counts), so a seed's values do not
+    depend on the other seeds of its block. Each block's values must be
+    finite and its fx path, if any, > 0; a SimulationError names the first
+    seed that breaks this.
+
+    The stream is default_rng(seed)'s. In chunks of at least _MIN_DERIVED
+    seeds, the state default_rng's PCG64 would start from is derived for a
+    whole chunk at once by _pcg64_states, which follows numpy's seeding
+    step for step, and set on one reused generator. A PCG64 stream is
+    fixed by its state and nothing else, so the draws are the same. Other
+    seeds, and those that derivation does not cover, go to default_rng.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -182,31 +281,56 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
         )
     jump_logs = np.array([math.log1p(s.jump_size) for s in specs])
     fx_index = next((j for j, s in enumerate(specs) if s.name == "fx"), None)
+    # per-process columns, broadcast over (processes, block, steps)
+    drift_step, diffusion, initial, jump_logs = (
+        x[:, None, None] for x in (drift_step, diffusion, initial, jump_logs)
+    )
 
-    seeds = iter(seeds)
-    while block := list(islice(seeds, _BLOCK)):
-        normals = np.empty((len(block), n_steps, len(specs)))
-        counts = np.empty((len(block), n_steps), dtype=np.int64) if jumps else None
-        for i, seed in enumerate(block):
-            rng = np.random.default_rng(seed)
-            normals[i] = rng.standard_normal((n_steps, len(specs)))
+    generator = None
+    seed_states = _seed_states(seeds)
+    while block_states := list(islice(seed_states, _BLOCK)):
+        block = [seed for seed, _ in block_states]
+        try:
+            normals = np.empty((len(block), n_steps, len(specs)))
+            counts = np.empty((len(block), n_steps), dtype=np.int64) if jumps else None
+            values = np.empty((len(specs), len(block), n_steps + 1))
+        except (ValueError, MemoryError):
+            raise SimulationError(
+                f"n_steps {n_steps}: cannot allocate a block of {len(block)} x {n_steps} x {len(specs)} values"
+            ) from None
+        for i, (seed, state) in enumerate(block_states):
+            if state is None:
+                rng = np.random.default_rng(seed)
+            else:
+                if generator is None:
+                    generator = np.random.Generator(np.random.PCG64(0))
+                rng = generator
+                rng.bit_generator.state = state
+            rng.standard_normal(out=normals[i])
             if jumps:
                 counts[i] = rng.poisson(params.jump_intensity * dt, n_steps)
         if factor is not None:
             normals = normals @ factor.T
-        log_steps = drift_step + diffusion * normals
+        # values holds the log paths until exp: the same operations as on
+        # (block, steps, processes) arrays, with the operands of some + and *
+        # swapped, which IEEE arithmetic allows, so equal bit for bit
+        values[:, :, 0] = 0.0
+        log_steps = values[:, :, 1:]
+        np.multiply(normals.transpose(2, 0, 1), diffusion, out=log_steps)
+        log_steps += drift_step
         if jumps:
-            log_steps = log_steps + counts[:, :, None] * jump_logs
-        log_paths = np.zeros((len(block), n_steps + 1, len(specs)))
-        np.cumsum(log_steps, axis=1, out=log_paths[:, 1:])
+            log_steps += counts * jump_logs
+        np.cumsum(log_steps, axis=2, out=log_steps)
         with np.errstate(over="ignore"):
-            values = initial * np.exp(log_paths)
+            np.exp(values, out=values)
+            values *= initial
         finite = np.isfinite(values)
         if not finite.all():
-            i, _, j = np.argwhere(~finite)[0]
+            i = np.flatnonzero(~finite.all(axis=(0, 2)))[0]
+            _, j = np.argwhere(~finite[:, i].T)[0]  # the first step, then the first process
             raise SimulationError(f"seed {block[i]}: process {specs[j].name!r} path is not finite")
         if fx_index is not None:
-            positive = values[:, :, fx_index] > 0.0
+            positive = values[fx_index] > 0.0
             if not positive.all():
                 seed = block[np.argwhere(~positive)[0][0]]
                 raise SimulationError(f"seed {seed}: fx trajectory must stay strictly positive")
@@ -222,7 +346,7 @@ def simulate_paths(params: SimulationParams, n_steps: int, seed: int) -> PathSet
     """
     _, values = next(_simulate_values(params, n_steps, (seed,)))
     grid = np.linspace(0.0, params.horizon, n_steps + 1)
-    paths = {spec.name: np.ascontiguousarray(values[0, :, j]) for j, spec in enumerate(params.processes)}
+    paths = {spec.name: values[j, 0] for j, spec in enumerate(params.processes)}
     return PathSet(grid=grid, paths=paths, seed=seed)
 
 
@@ -505,8 +629,8 @@ def covariation_study(
     """
     comparisons = []
     for block, values in _simulate_values(params, n_steps, seeds):
-        paths = {spec.name: values[:, :, j] for j, spec in enumerate(params.processes)}
-        comparisons += _compare_rows(block, values.shape[1] - 1, paths["asset"], paths["fx"], fx_mode)
+        paths = {spec.name: values[j] for j, spec in enumerate(params.processes)}
+        comparisons += _compare_rows(block, n_steps, paths["asset"], paths["fx"], fx_mode)
     return StudyResult(tuple(comparisons))
 
 

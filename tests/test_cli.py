@@ -244,6 +244,11 @@ def test_oracle_reproduces_golden_csv(tmp_path, capsys):
     (["--corr=-inf"], "error: --corr must be a finite number, got -inf"),
     (["--steps", "1", "--jump-intensity", "20000"], "error: seed 0: process 'asset' path is not finite"),
     (["--seed", "-3", "--steps", "33"], "error: --seed must be >= 0, got -3"),
+    # numpy rejects both sizes before it allocates anything
+    (["--steps", str(2**60)],
+     f"error: n_steps {2**60}: cannot allocate a block of 2 x {2**60} x 2 values\n"),
+    (["--steps", str(10**20)],
+     f"error: n_steps {10**20}: cannot allocate a block of 2 x {10**20} x 2 values\n"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_oracle_bad_numeric_flag_is_validation_error(flags, message, capsys):

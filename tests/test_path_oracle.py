@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnlattr import path_oracle
@@ -326,7 +326,8 @@ def study_inputs(draw):
         jump_intensity=draw(st.floats(0.5, 6.0)) if jumps else 0.0,
     )
     n_seeds = draw(st.integers(0, 70))
-    seeds = draw(st.lists(st.integers(0, 2**63), min_size=n_seeds, max_size=n_seeds))
+    # up to 2**130: seeds from 2**128 on go to default_rng, not derivation
+    seeds = draw(st.lists(st.integers(0, 2**130), min_size=n_seeds, max_size=n_seeds))
     if n_seeds >= 2 and draw(st.booleans()):
         seeds[-1] = seeds[0]
     return params, draw(st.integers(1, 40)), seeds, draw(st.sampled_from(FxMode))
@@ -344,7 +345,40 @@ def test_batched_study_equals_seedwise_route(inputs):
             assert np.array_equal(paths.paths[spec.name], reference[:, j])
         seedwise.append(compare_coarse_vs_fine(paths, fx_mode))
     expected = write_discrepancy_csv(StudyResult(tuple(seedwise)))
+    # 20-seed state chunks: chunk edges fall inside 32-seed blocks, and a
+    # last chunk of fewer than _MIN_DERIVED seeds goes to default_rng
+    assert 0 < 20 % path_oracle._MIN_DERIVED < path_oracle._MIN_DERIVED
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(path_oracle, "_STATE_CHUNK", 20)
+        assert write_discrepancy_csv(covariation_study(params, n_steps, seeds, fx_mode)) == expected
     assert write_discrepancy_csv(covariation_study(params, n_steps, seeds, fx_mode)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=40))
+@example(seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**127, 2**128 - 1])  # the seed word edges
+@pytest.mark.filterwarnings("error")  # uint32 wraparound must not warn
+def test_derived_states_equal_numpys(seeds):
+    assert path_oracle._pcg64_states(seeds) == [np.random.PCG64(seed).state for seed in seeds]
+
+
+def test_seeds_outside_the_derivation_take_default_rngs_stream_or_error():
+    outside = [2**128, np.int64(7), True, -1]
+    assert path_oracle._pcg64_states(list(range(20)) + outside)[20:] == [None] * 4
+    params = SimulationParams(processes=TWO_GBM.processes, jump_intensity=2.0)
+    seeds = list(range(20)) + outside[:3]
+    study = covariation_study(params, 16, seeds)
+    expected = [compare_coarse_vs_fine(simulate_paths(params, 16, seed)) for seed in seeds]
+    assert write_discrepancy_csv(study) == write_discrepancy_csv(expected)
+    for seed in outside[:3]:
+        paths = simulate_paths(params, 16, seed).paths
+        reference = _seedwise_values(params, 16, seed)
+        assert np.array_equal(np.column_stack((paths["asset"], paths["fx"])), reference)
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError) as got:
+        covariation_study(params, 16, list(range(20)) + [-1])
+    assert str(got.value) == str(want.value)
 
 
 def test_study_of_no_seeds_is_empty():
