@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
+from ._record import Record
 from .errors import (
     DuplicatePositionId,
     EmptyPeriod,
@@ -83,8 +84,7 @@ def _price_fn(pricer):
     raise TypeError(f"pricer {pricer!r} is neither callable nor has a price method")
 
 
-@dataclass(frozen=True)
-class AttributionResult:
+class AttributionResult(Record):
     """EUR PnL split into four additive parts.
 
     residual = total - (fx + rate + market + carry) and must vanish to
@@ -92,23 +92,19 @@ class AttributionResult:
     `scale` is the size of the EUR values the parts were computed from:
     round-off is measured against it, since a total that cancels (a coupon
     offsetting the price drop it causes) leaves the values' round-off behind.
+    It stays out of ==, hash and repr.
     """
 
-    fx: float
-    rate: float
-    market: float
-    carry: float
-    total: float
-    scale: float = field(default=0.0, compare=False, repr=False)
+    _fields = ("fx", "rate", "market", "carry", "total")
 
-    def __post_init__(self):
-        parts = (self.fx, self.rate, self.market, self.carry, self.total)
-        if not all(math.isfinite(v) for v in parts):
-            raise NonFiniteReport(f"attribution parts must be finite, got {parts}")
-        if abs(self.residual) > ADDITIVITY_TOL * max(1.0, abs(self.total), self.scale):
-            raise ValueError(
-                f"parts do not sum to total: residual {self.residual:g} against total {self.total:g}"
-            )
+    def __init__(self, fx: float, rate: float, market: float, carry: float, total: float, scale: float = 0.0):
+        isfinite = math.isfinite
+        if not (isfinite(fx) and isfinite(rate) and isfinite(market) and isfinite(carry) and isfinite(total)):
+            raise NonFiniteReport(f"attribution parts must be finite, got {(fx, rate, market, carry, total)}")
+        residual = total - (fx + rate + market + carry)  # as the residual property computes it
+        if abs(residual) > ADDITIVITY_TOL * max(1.0, abs(total), scale):
+            raise ValueError(f"parts do not sum to total: residual {residual:g} against total {total:g}")
+        self.__dict__.update(fx=fx, rate=rate, market=market, carry=carry, total=total, scale=scale)
 
     @property
     def residual(self) -> float:
@@ -300,17 +296,17 @@ class Position:
         return math.fsum(t.cost_eur for t in self.transactions if start <= t.date <= end)
 
 
-@dataclass(frozen=True)
-class Portfolio:
-    positions: tuple[Position, ...]
+class Portfolio(Record):
+    _fields = ("positions",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(self.positions))
+    def __init__(self, positions: tuple[Position, ...]):
+        positions = tuple(positions)
         seen = set()
-        for pos in self.positions:
+        for pos in positions:
             if pos.id in seen:
                 raise DuplicatePositionId(f"duplicate position id {pos.id!r}")
             seen.add(pos.id)
+        self.__dict__.update(positions=positions)
 
 
 def segment_period(scope, t, T) -> list:
@@ -435,22 +431,22 @@ def _prefix(exc: Exception, where: str) -> None:
     exc.args = (f"{where}: {exc.args[0] if exc.args else exc}",) + tuple(exc.args[1:])
 
 
-@dataclass(frozen=True)
-class PositionAttribution:
+class PositionAttribution(Record):
     """Per-position outcome: subperiod trail, aggregate, and EUR costs."""
 
-    position_id: str
-    bucket: Bucket
-    subperiods: tuple[AttributionResult, ...]
-    aggregate: AttributionResult
-    costs: float
+    _fields = ("position_id", "bucket", "subperiods", "aggregate", "costs")
+
+    def __init__(self, position_id: str, bucket: Bucket, subperiods: tuple[AttributionResult, ...],
+                 aggregate: AttributionResult, costs: float):
+        self.__dict__.update(position_id=position_id, bucket=bucket, subperiods=subperiods,
+                             aggregate=aggregate, costs=costs)
 
 
-@dataclass(frozen=True)
-class PortfolioAttribution:
-    period: tuple[Any, Any]
-    grid: tuple
-    positions: tuple[PositionAttribution, ...]
+class PortfolioAttribution(Record):
+    _fields = ("period", "grid", "positions")
+
+    def __init__(self, period: tuple[Any, Any], grid: tuple, positions: tuple[PositionAttribution, ...]):
+        self.__dict__.update(period=period, grid=grid, positions=positions)
 
     def by_id(self, position_id: str) -> PositionAttribution:
         for pos in self.positions:

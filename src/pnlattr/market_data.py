@@ -15,10 +15,11 @@ import io
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from typing import IO, Iterable
 
+from ._record import Record
 from .errors import (
     DuplicateDate,
     EmptyNodes,
@@ -38,8 +39,7 @@ MARKET_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ZeroCurve:
+class ZeroCurve(Record):
     """Continuously compounded zero curve, linear in zero rate between nodes.
 
     Nodes are (tenor, rate) pairs with tenors as ACT/365F year fractions
@@ -47,13 +47,10 @@ class ZeroCurve:
     extrapolate flat beyond both ends.
     """
 
-    anchor_date: date
-    nodes: tuple[tuple[float, float], ...]
-    # (tenors, rates, slopes): slopes[j] is the slope from node j to node j + 1
-    _table: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("anchor_date", "nodes")
 
-    def __post_init__(self):
-        nodes = tuple((float(t), float(r)) for t, r in self.nodes)
+    def __init__(self, anchor_date: date, nodes: tuple[tuple[float, float], ...]):
+        nodes = tuple((float(t), float(r)) for t, r in nodes)
         if not nodes:
             raise EmptyNodes("zero curve needs at least one node")
         if not all(math.isfinite(t) and math.isfinite(r) for t, r in nodes):
@@ -64,8 +61,8 @@ class ZeroCurve:
         if any(b <= a for a, b in zip(tenors, tenors[1:])):
             raise NonMonotoneTenors(f"tenors must be strictly increasing, got {list(tenors)}")
         slopes = tuple((r1 - r0) / (t1 - t0) for t0, t1, r0, r1 in zip(tenors, tenors[1:], rates, rates[1:]))
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_table", (tenors, rates, slopes))
+        # _table is (tenors, rates, slopes): slopes[j] is the slope from node j to node j + 1
+        self.__dict__.update(anchor_date=anchor_date, nodes=nodes, _table=(tenors, rates, slopes))
 
     def zero_rate(self, tenor: float) -> float:
         """Interpolated zero rate at a year fraction.
@@ -86,36 +83,34 @@ class ZeroCurve:
         return slopes[j] * (tenor - tenors[j]) + rates[j]
 
 
-@dataclass(frozen=True)
-class MarketFactors:
+class MarketFactors(Record):
     """Non-rate pricing state: flat default intensity, recovery, basis spread.
 
     The attribution treats this bundle as one opaque state that is swapped
     wholesale between dates, never bumped component by component.
     """
 
-    hazard_rate: float
-    recovery: float = 0.0
-    basis_spread: float = 0.0
+    _fields = ("hazard_rate", "recovery", "basis_spread")
 
-    def __post_init__(self):
-        if not math.isfinite(self.hazard_rate) or self.hazard_rate < 0.0:
-            raise ValueError(f"hazard_rate must be finite and >= 0, got {self.hazard_rate}")
-        if not math.isfinite(self.basis_spread):
-            raise ValueError(f"basis_spread must be finite, got {self.basis_spread}")
-        if not 0.0 <= self.recovery < 1.0:
-            raise ValueError(f"recovery must be in [0, 1), got {self.recovery}")
+    def __init__(self, hazard_rate: float, recovery: float = 0.0, basis_spread: float = 0.0):
+        if not math.isfinite(hazard_rate) or hazard_rate < 0.0:
+            raise ValueError(f"hazard_rate must be finite and >= 0, got {hazard_rate}")
+        if not math.isfinite(basis_spread):
+            raise ValueError(f"basis_spread must be finite, got {basis_spread}")
+        if not 0.0 <= recovery < 1.0:
+            raise ValueError(f"recovery must be in [0, 1), got {recovery}")
+        self.__dict__.update(hazard_rate=hazard_rate, recovery=recovery, basis_spread=basis_spread)
 
 
-@dataclass(frozen=True)
-class FxQuote:
+class FxQuote(Record):
     """EUR price of one unit of the asset currency; finite and strictly positive."""
 
-    rate: float
+    _fields = ("rate",)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ValueError(f"fx rate must be finite and > 0, got {self.rate}")
+    def __init__(self, rate: float):
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise ValueError(f"fx rate must be finite and > 0, got {rate}")
+        self.__dict__.update(rate=rate)
 
 
 @dataclass(frozen=True)
@@ -188,9 +183,9 @@ def load_market_snapshots(source) -> list[MarketSnapshot]:
     names = [name.strip() for name in header]
     for column in MARKET_CSV_COLUMNS:
         if column not in names:
-            raise MissingField(f"market CSV header lacks column {column!r}")
+            raise MissingField(f"row 1: market CSV header lacks column {column!r}")
         if names.count(column) > 1:
-            raise ParseError(f"market CSV header names column {column!r} twice")
+            raise ParseError(f"market CSV header names column {column!r} twice", row=1)
     positions = {column: names.index(column) for column in MARKET_CSV_COLUMNS}
 
     snapshots: dict[date, MarketSnapshot] = {}

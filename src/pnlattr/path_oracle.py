@@ -26,12 +26,12 @@ keeps geometric paths strictly positive for any step size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
+from ._record import Record
 from .attribution import FxMode, _price_fn, fx_split
 from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative, SimulationError
 
@@ -47,73 +47,65 @@ _BLOCK = 32
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class GbmSpec:
+class GbmSpec(Record):
     """One geometric process: start level, drift, volatility, and the
     multiplicative size it jumps by when a common jump fires."""
 
-    name: str
-    initial: float
-    drift: float = 0.0
-    volatility: float = 0.0
-    jump_size: float = 0.0
+    _fields = ("name", "initial", "drift", "volatility", "jump_size")
 
-    def __post_init__(self):
-        if not self.initial > 0.0:
-            raise ValueError(f"{self.name}: geometric processes need initial > 0")
-        if self.volatility < 0.0:
-            raise ValueError(f"{self.name}: volatility must be >= 0")
-        if self.jump_size <= -1.0:
-            raise ValueError(f"{self.name}: jump_size must be > -1")
+    def __init__(self, name: str, initial: float, drift: float = 0.0, volatility: float = 0.0,
+                 jump_size: float = 0.0):
+        if not initial > 0.0:
+            raise ValueError(f"{name}: geometric processes need initial > 0")
+        if volatility < 0.0:
+            raise ValueError(f"{name}: volatility must be >= 0")
+        if jump_size <= -1.0:
+            raise ValueError(f"{name}: jump_size must be > -1")
+        self.__dict__.update(name=name, initial=initial, drift=drift, volatility=volatility, jump_size=jump_size)
 
 
-@dataclass(frozen=True)
-class SimulationParams:
+class SimulationParams(Record):
     """Process set plus horizon, correlation, and common-jump intensity."""
 
-    processes: tuple[GbmSpec, ...]
-    horizon: float = 1.0
-    correlation: Any = None
-    jump_intensity: float = 0.0
+    _fields = ("processes", "horizon", "correlation", "jump_intensity")
 
-    def __post_init__(self):
-        object.__setattr__(self, "processes", tuple(self.processes))
-        if not self.processes:
+    def __init__(self, processes: tuple[GbmSpec, ...], horizon: float = 1.0, correlation: Any = None,
+                 jump_intensity: float = 0.0):
+        processes = tuple(processes)
+        if not processes:
             raise ValueError("need at least one process")
-        if not self.horizon > 0.0:
+        if not horizon > 0.0:
             raise ValueError("horizon must be > 0")
-        if self.jump_intensity < 0.0:
+        if jump_intensity < 0.0:
             raise ValueError("jump_intensity must be >= 0")
+        self.__dict__.update(processes=processes, horizon=horizon, correlation=correlation,
+                             jump_intensity=jump_intensity)
 
 
-@dataclass(frozen=True)
-class PathSet:
+class PathSet(Record):
     """Simulated trajectories on a shared grid; arrays are read-only."""
 
-    grid: np.ndarray
-    paths: Mapping[str, np.ndarray]
-    seed: int
+    _fields = ("grid", "paths", "seed")
 
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+    def __init__(self, grid: np.ndarray, paths: Mapping[str, np.ndarray], seed: int):
+        grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) < 2:
             raise LengthMismatch("grid must be one-dimensional with at least two points")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid times must be strictly increasing")
-        paths = {}
-        for name, values in self.paths.items():
+        arrays = {}
+        for name, values in paths.items():
             arr = np.asarray(values, dtype=float)
             if arr.shape != grid.shape:
                 raise LengthMismatch(
                     f"path {name!r} has {arr.shape[0] if arr.ndim == 1 else 'bad'} points, grid has {len(grid)}"
                 )
-            paths[name] = arr
-        _require_positive_fx(paths)
+            arrays[name] = arr
+        _require_positive_fx(arrays)
         grid.flags.writeable = False
-        for arr in paths.values():
+        for arr in arrays.values():
             arr.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "paths", paths)
+        self.__dict__.update(grid=grid, paths=arrays, seed=seed)
 
     @property
     def n_steps(self) -> int:
@@ -350,20 +342,18 @@ def simulate_paths(params: SimulationParams, n_steps: int, seed: int) -> PathSet
     return PathSet(grid=grid, paths=paths, seed=seed)
 
 
-@dataclass(frozen=True)
-class GridDecomposition:
+class GridDecomposition(Record):
     """The three product-rule sums; they add to `total` exactly."""
 
-    fx_integral: float
-    asset_integral: float
-    covariation: float
-    total: float
+    _fields = ("fx_integral", "asset_integral", "covariation", "total")
 
-    def __post_init__(self):
-        scale = max(1.0, abs(self.fx_integral), abs(self.asset_integral), abs(self.covariation))
-        gap = self.total - (self.fx_integral + self.asset_integral + self.covariation)
+    def __init__(self, fx_integral: float, asset_integral: float, covariation: float, total: float):
+        scale = max(1.0, abs(fx_integral), abs(asset_integral), abs(covariation))
+        gap = total - (fx_integral + asset_integral + covariation)
         if abs(gap) > 1e-9 * scale:
             raise ValueError(f"telescoping identity violated by {gap:g}")
+        self.__dict__.update(fx_integral=fx_integral, asset_integral=asset_integral, covariation=covariation,
+                             total=total)
 
 
 def grid_product_decomposition(path_asset, path_fx) -> GridDecomposition:
@@ -474,18 +464,17 @@ def _exact_row_sums(x: np.ndarray) -> list[float]:
     return sums
 
 
-@dataclass(frozen=True)
-class ItoDecomposition:
+class ItoDecomposition(Record):
     """Taylor-ladder split of an asset-currency move along a state path.
 
     residual is the genuine approximation error against the exact endpoint
     move; nothing re-absorbs it.
     """
 
-    carry: float
-    rate: float
-    market: float
-    total: float
+    _fields = ("carry", "rate", "market", "total")
+
+    def __init__(self, carry: float, rate: float, market: float, total: float):
+        self.__dict__.update(carry=carry, rate=rate, market=market, total=total)
 
     @property
     def residual(self) -> float:
@@ -541,15 +530,13 @@ def grid_ito_decomposition(pricer, path_r, path_x, grid) -> ItoDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class CoarseFineComparison:
+class CoarseFineComparison(Record):
     """Endpoint-only split next to the fine-grid decomposition of one path."""
 
-    seed: int
-    n_steps: int
-    coarse_fx: float
-    coarse_asset: float
-    fine: GridDecomposition
+    _fields = ("seed", "n_steps", "coarse_fx", "coarse_asset", "fine")
+
+    def __init__(self, seed: int, n_steps: int, coarse_fx: float, coarse_asset: float, fine: GridDecomposition):
+        self.__dict__.update(seed=seed, n_steps=n_steps, coarse_fx=coarse_fx, coarse_asset=coarse_asset, fine=fine)
 
     @property
     def total(self) -> float:
@@ -595,11 +582,13 @@ def _compare_rows(seeds, n_steps: int, a: np.ndarray, chi: np.ndarray, fx_mode: 
     ]
 
 
-@dataclass(frozen=True)
-class StudyResult:
+class StudyResult(Record):
     """Coarse-vs-fine comparisons over many seeds plus covariation stats."""
 
-    comparisons: tuple[CoarseFineComparison, ...]
+    _fields = ("comparisons",)
+
+    def __init__(self, comparisons: tuple[CoarseFineComparison, ...]):
+        self.__dict__.update(comparisons=comparisons)
 
     def covariations(self) -> np.ndarray:
         return np.array([c.fine.covariation for c in self.comparisons])

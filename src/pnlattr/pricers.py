@@ -37,18 +37,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from typing import Any, Protocol
 
+from ._record import Record
 from .dates import DAYS_PER_YEAR, add_months, year_fraction
 from .errors import PastMaturity
 from .market_data import MarketFactors, ZeroCurve
 
 
-@dataclass(frozen=True)
-class CashflowSchedule:
+class CashflowSchedule(Record):
     """Dated cash amounts leaving an instrument, in payment order.
 
     Amounts are in the instrument currency and in the same units as the
@@ -57,19 +56,17 @@ class CashflowSchedule:
     they are mutually comparable.
     """
 
-    entries: tuple[tuple[Any, float], ...] = ()
-    _by_date: dict = field(init=False, repr=False, compare=False)
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple((d, float(a)) for d, a in self.entries)
+    def __init__(self, entries: tuple[tuple[Any, float], ...] = ()):
+        entries = tuple((d, float(a)) for d, a in entries)
         for (d1, _), (d2, _) in zip(entries, entries[1:]):
             if not d1 < d2:
                 raise ValueError(f"cashflow dates must be strictly increasing: {d1} >= {d2}")
         for d, amount in entries:
             if not (math.isfinite(amount) and amount >= 0.0):
                 raise ValueError(f"cashflow amounts must be finite and >= 0, got {amount} at {d}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_by_date", dict(entries))
+        self.__dict__.update(entries=entries, _by_date=dict(entries))
 
     def amount_on(self, when) -> float:
         return self._by_date.get(when, 0.0)
@@ -81,39 +78,34 @@ class Pricer(Protocol):
     def price(self, s, curve: ZeroCurve, factors: MarketFactors) -> float: ...
 
 
-@dataclass(frozen=True)
-class BondSpec:
+class BondSpec(Record):
     """Fixed-coupon bullet bond, with its coupon dates rolled once at construction."""
 
-    notional: float
-    issue: date
-    maturity: date
-    coupon_rate: float
-    coupon_frequency: int = 2
-    # coupon dates after issue, the last one the maturity, and their ordinals
-    _coupon_dates: tuple[date, ...] = field(init=False, repr=False, compare=False)
-    _coupon_ordinals: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("notional", "issue", "maturity", "coupon_rate", "coupon_frequency")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.notional) and self.notional > 0.0):
-            raise ValueError(f"notional must be finite and > 0, got {self.notional}")
-        if not self.maturity > self.issue:
-            raise ValueError(f"maturity {self.maturity} not after issue {self.issue}")
-        if not (math.isfinite(self.coupon_rate) and self.coupon_rate >= 0.0):
-            raise ValueError(f"coupon_rate must be finite and >= 0, got {self.coupon_rate}")
-        if self.coupon_frequency not in (1, 2, 4, 12):
-            raise ValueError(f"coupon_frequency must be 1, 2, 4 or 12, got {self.coupon_frequency}")
-        # rolled backward from maturity; each date derived from maturity directly
-        # so month-end clamping never compounds
-        step = 12 // self.coupon_frequency
+    def __init__(self, notional: float, issue: date, maturity: date, coupon_rate: float,
+                 coupon_frequency: int = 2):
+        if not (math.isfinite(notional) and notional > 0.0):
+            raise ValueError(f"notional must be finite and > 0, got {notional}")
+        if not maturity > issue:
+            raise ValueError(f"maturity {maturity} not after issue {issue}")
+        if not (math.isfinite(coupon_rate) and coupon_rate >= 0.0):
+            raise ValueError(f"coupon_rate must be finite and >= 0, got {coupon_rate}")
+        if coupon_frequency not in (1, 2, 4, 12):
+            raise ValueError(f"coupon_frequency must be 1, 2, 4 or 12, got {coupon_frequency}")
+        # coupon dates after issue, the last one the maturity, rolled backward
+        # from maturity; each date derived from maturity directly so month-end
+        # clamping never compounds
+        step = 12 // coupon_frequency
         dates = []
-        d = self.maturity
-        while d > self.issue:
+        d = maturity
+        while d > issue:
             dates.append(d)
-            d = add_months(self.maturity, -len(dates) * step)
+            d = add_months(maturity, -len(dates) * step)
         dates.reverse()
-        object.__setattr__(self, "_coupon_dates", tuple(dates))
-        object.__setattr__(self, "_coupon_ordinals", tuple(d.toordinal() for d in dates))
+        self.__dict__.update(notional=notional, issue=issue, maturity=maturity, coupon_rate=coupon_rate,
+                             coupon_frequency=coupon_frequency, _coupon_dates=tuple(dates),
+                             _coupon_ordinals=tuple(d.toordinal() for d in dates))
 
 
 def bond_cashflows(spec: BondSpec) -> CashflowSchedule:
@@ -171,23 +163,19 @@ class ProtectionSide(str, Enum):
     SOLD = "sold"
 
 
-@dataclass(frozen=True)
-class CdsSpec:
+class CdsSpec(Record):
     """Credit default swap with continuously paid premium."""
 
-    notional: float
-    maturity: date
-    contractual_spread: float
-    direction: ProtectionSide = ProtectionSide.BOUGHT
+    _fields = ("notional", "maturity", "contractual_spread", "direction")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.notional) and self.notional > 0.0):
-            raise ValueError(f"notional must be finite and > 0, got {self.notional}")
-        if not (math.isfinite(self.contractual_spread) and self.contractual_spread >= 0.0):
-            raise ValueError(
-                f"contractual_spread must be finite and >= 0, got {self.contractual_spread}"
-            )
-        object.__setattr__(self, "direction", ProtectionSide(self.direction))
+    def __init__(self, notional: float, maturity: date, contractual_spread: float,
+                 direction: ProtectionSide = ProtectionSide.BOUGHT):
+        if not (math.isfinite(notional) and notional > 0.0):
+            raise ValueError(f"notional must be finite and > 0, got {notional}")
+        if not (math.isfinite(contractual_spread) and contractual_spread >= 0.0):
+            raise ValueError(f"contractual_spread must be finite and >= 0, got {contractual_spread}")
+        self.__dict__.update(notional=notional, maturity=maturity, contractual_spread=contractual_spread,
+                             direction=ProtectionSide(direction))
 
 
 def price_cds(spec: CdsSpec, s: date, curve: ZeroCurve, factors: MarketFactors) -> float:
@@ -228,17 +216,15 @@ def price_cds(spec: CdsSpec, s: date, curve: ZeroCurve, factors: MarketFactors) 
     return buyer_value if spec.direction is ProtectionSide.BOUGHT else -buyer_value
 
 
-@dataclass(frozen=True)
-class CashSpec:
+class CashSpec(Record):
     """Cash account accruing continuously at a fixed deposit rate."""
 
-    balance: float
-    deposit_rate: float
-    start: date
+    _fields = ("balance", "deposit_rate", "start")
 
-    def __post_init__(self):
-        if not math.isfinite(self.balance) or not math.isfinite(self.deposit_rate):
+    def __init__(self, balance: float, deposit_rate: float, start: date):
+        if not math.isfinite(balance) or not math.isfinite(deposit_rate):
             raise ValueError("balance and deposit_rate must be finite")
+        self.__dict__.update(balance=balance, deposit_rate=deposit_rate, start=start)
 
 
 def price_cash(spec: CashSpec, s: date, curve: ZeroCurve | None = None,
@@ -249,25 +235,25 @@ def price_cash(spec: CashSpec, s: date, curve: ZeroCurve | None = None,
     return spec.balance * math.exp(spec.deposit_rate * year_fraction(spec.start, s))
 
 
-@dataclass(frozen=True)
-class BondPricer:
-    spec: BondSpec
+class _SpecPricer(Record):
+    """A Pricer over the one instrument spec it holds."""
 
+    _fields = ("spec",)
+
+    def __init__(self, spec):
+        self.__dict__.update(spec=spec)
+
+
+class BondPricer(_SpecPricer):
     def price(self, s, curve, factors) -> float:
         return price_bond(self.spec, s, curve, factors)
 
 
-@dataclass(frozen=True)
-class CdsPricer:
-    spec: CdsSpec
-
+class CdsPricer(_SpecPricer):
     def price(self, s, curve, factors) -> float:
         return price_cds(self.spec, s, curve, factors)
 
 
-@dataclass(frozen=True)
-class CashPricer:
-    spec: CashSpec
-
+class CashPricer(_SpecPricer):
     def price(self, s, curve, factors) -> float:
         return price_cash(self.spec, s, curve, factors)

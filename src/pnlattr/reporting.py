@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .attribution import Bucket, PortfolioAttribution
 from .errors import EmptyResults, NonFiniteReport
 
@@ -32,18 +31,15 @@ CSV_COLUMNS = ("position", "bucket") + EUR_COLUMNS
 _BPS_COLUMNS = tuple(c.replace("_eur", "_bps") for c in EUR_COLUMNS)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record):
     """One report line; hedged_eur is fixed to market + carry - costs."""
 
-    position: str
-    bucket: str
-    fx_eur: float
-    rate_eur: float
-    market_eur: float
-    carry_eur: float
-    costs_eur: float
-    total_eur: float
+    _fields = ("position", "bucket", "fx_eur", "rate_eur", "market_eur", "carry_eur", "costs_eur", "total_eur")
+
+    def __init__(self, position: str, bucket: str, fx_eur: float, rate_eur: float, market_eur: float,
+                 carry_eur: float, costs_eur: float, total_eur: float):
+        self.__dict__.update(position=position, bucket=bucket, fx_eur=fx_eur, rate_eur=rate_eur,
+                             market_eur=market_eur, carry_eur=carry_eur, costs_eur=costs_eur, total_eur=total_eur)
 
     @property
     def hedged_eur(self) -> float:
@@ -63,7 +59,7 @@ class ReportRow:
 
 
 #: The stored EUR fields of a ReportRow, which sums and standalone rows fill.
-_AMOUNTS = tuple(f.name for f in fields(ReportRow))[2:]
+_AMOUNTS = ReportRow._fields[2:]
 
 
 def bps(eur: float, nav: float) -> float:
@@ -114,8 +110,9 @@ def _lay_out(rows: Sequence[ReportRow], standalone_lines: Sequence[tuple[str, fl
         positions_total=positions_total,
         standalones=[ReportRow(label, "STANDALONE", **(dict.fromkeys(_AMOUNTS, 0.0) | {"total_eur": amount}))
                      for label, amount in standalone_lines],
-        total=replace(positions_total, position="TOTAL",
-                      total_eur=positions_total.total_eur + sum(amount for _, amount in standalone_lines)),
+        total=ReportRow(**(vars(positions_total) | {
+            "position": "TOTAL",
+            "total_eur": positions_total.total_eur + sum(amount for _, amount in standalone_lines)})),
     )
 
 
@@ -152,6 +149,8 @@ def render_report(
             writer.writerow(record)
         return out.getvalue()
     if format == "json":
+        import json
+
         def entry(row: ReportRow) -> dict:
             values = row.values()
             if nav is not None:

@@ -331,6 +331,27 @@ print("numpy" in sys.modules, simulate_paths.__module__)
     assert result.stdout.split() == ["False", "True", "pnlattr.path_oracle"], result.stderr
 
 
+def test_import_pnlattr_cli_loads_no_numpy_or_json_and_two_dataclasses():
+    result = _python("""
+import sys
+import pnlattr.cli
+print("numpy" in sys.modules, "json" in sys.modules)
+import dataclasses, importlib, pkgutil
+import pnlattr
+for info in pkgutil.iter_modules(pnlattr.__path__):
+    module = importlib.import_module(f"pnlattr.{info.name}")
+    for name, value in vars(module).items():
+        if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__:
+            if isinstance(value, type) and dataclasses.is_dataclass(value):
+                print(name)
+""")
+    printed = result.stdout.split()
+    assert printed[:2] == ["False", "False"], result.stderr
+    assert sorted(printed[2:]) == ["MarketSnapshot", "Position"], (
+        "only Position and MarketSnapshot may stay dataclasses, because perfbench/trace.py calls "
+        "dataclasses.replace on them; every other record is a plain frozen class")
+
+
 def test_validate_reports_invalid_holdings_value_without_traceback(tmp_path, portfolio_text, capsys):
     portfolio = tmp_path / "portfolio.txt"
     portfolio.write_text(portfolio_text.replace("coupon_frequency = 2", "coupon_frequency = 3"))

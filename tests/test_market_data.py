@@ -173,6 +173,14 @@ def test_ambiguous_market_layout_is_a_parse_error(header, row, message):
         load_market_snapshots([header, row])
 
 
+def test_header_errors_name_row_1():
+    row = "2022-01-01,1.1,0.4,0,0.5;1,0.005;0.007"
+    with pytest.raises(MissingField, match=r"^row 1: market CSV header lacks column 'hazard'$"):
+        load_market_snapshots(["date,fx,recovery,basis,curve_tenors,curve_rates", row])
+    with pytest.raises(ParseError, match=r"^row 1: market CSV header names column 'fx' twice$"):
+        load_market_snapshots(["date,fx,fx,hazard,recovery,basis,curve_tenors,curve_rates", row])
+
+
 def test_empty_cells_beyond_the_header_are_ignored():
     header = "date,fx,hazard,recovery,basis,curve_tenors,curve_rates"
     row = "2022-01-01,1.1,0.02,0.4,0,0.5;1,0.005;0.007"

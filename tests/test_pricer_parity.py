@@ -12,7 +12,6 @@ the references share `zero_rate`, the curve is checked on its own against
 """
 
 import calendar
-import dataclasses
 import math
 from datetime import date, timedelta
 
@@ -201,10 +200,10 @@ def test_curve_table_is_derived_state():
     assert repr(twin) == repr(curve)
     assert "_table" not in repr(curve)
 
-    moved = dataclasses.replace(curve, nodes=((1.0, 0.05), (3.0, 0.07)))
+    moved = ZeroCurve(curve.anchor_date, ((1.0, 0.05), (3.0, 0.07)))
     assert moved._table == ((1.0, 3.0), (0.05, 0.07), ((0.07 - 0.05) / (3.0 - 1.0),))
     assert moved.zero_rate(2.0) == np.interp(2.0, (1.0, 3.0), (0.05, 0.07))
-    assert dataclasses.replace(curve)._table == curve._table
+    assert ZeroCurve(curve.anchor_date, curve.nodes)._table == curve._table
 
 
 def test_add_months_equals_monthrange_reference():

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -146,7 +145,7 @@ def test_nav_must_be_finite_and_positive(nav, format):
 
 
 def as_seed_row(row):
-    return seed_reporting.ReportRow(*(getattr(row, f.name) for f in fields(ReportRow)))
+    return seed_reporting.ReportRow(**vars(row))
 
 
 labels = st.text(alphabet='AZaz09 ,"_', min_size=1, max_size=8)
