@@ -5,14 +5,15 @@ Subcommands:
     oracle      coarse-vs-fine discrepancy study on simulated paths
     validate    ingest and check input files only
 
-Exit codes: 0 success, 1 validation/input failure, 2 usage error.
-Diagnostics go to stderr; the report goes to stdout or --output.
+Exit codes: 0 success, 1 validation/input failure, 2 usage error. Diagnostics go to stderr,
+the report to stdout or --output; main() flushes both, then os._exit skips interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from datetime import date
 from pathlib import Path
@@ -183,13 +184,27 @@ def run_cli(argv=None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # an input or --output file that cannot be opened
-        print(f"error: {str(exc.strerror).lower()}: {exc.filename}", file=sys.stderr)
-        return 1
+    except OSError as exc:  # an input or --output file that cannot be opened, or stdout
+        return _os_error(exc)
+
+
+def _os_error(exc: OSError) -> int:
+    reason = str(exc) if exc.strerror is None else exc.strerror.lower()
+    print(f"error: {reason}: {'<stdout>' if exc.filename is None else exc.filename}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    code = run_cli()  # an exception leaves through the normal exit, traceback included
+    try:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            code = code or _os_error(exc)  # a nonzero code: run_cli reported the failed write
+        sys.stderr.flush()
+    except OSError:  # stderr fails too, so nothing can be reported
+        code = 1
+    os._exit(code)  # nothing in pnlattr registers an atexit handler, and every file is closed
 
 
 if __name__ == "__main__":

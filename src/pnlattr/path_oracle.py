@@ -88,14 +88,14 @@ class PathSet(Record):
     _fields = ("grid", "paths", "seed")
 
     def __init__(self, grid: np.ndarray, paths: Mapping[str, np.ndarray], seed: int):
-        grid = np.asarray(grid, dtype=float)
+        grid = np.array(grid, dtype=float)  # a copy: the caller's arrays stay writeable
         if grid.ndim != 1 or len(grid) < 2:
             raise LengthMismatch("grid must be one-dimensional with at least two points")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid times must be strictly increasing")
         arrays = {}
         for name, values in paths.items():
-            arr = np.asarray(values, dtype=float)
+            arr = np.array(values, dtype=float)
             if arr.shape != grid.shape:
                 raise LengthMismatch(
                     f"path {name!r} has {arr.shape[0] if arr.ndim == 1 else 'bad'} points, grid has {len(grid)}"

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pnlattr.cli import run_cli
+from pnlattr.cli import main, run_cli
 
 
 @pytest.fixture
@@ -296,11 +297,15 @@ def test_demo_report_reproduces_golden(fmt, export, tmp_path, capsys):
 DEMO_ARGS = ["--portfolio", str(DEMO_DATA / "portfolio.txt"), "--market", str(DEMO_DATA / "market.csv")]
 
 
-def _python(code, *args):
+def _child_env():
     env = dict(os.environ)
     src = str(Path(__file__).parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+    return env
+
+
+def _python(code, *args):
+    return subprocess.run([sys.executable, "-c", code, *args], env=_child_env(), capture_output=True,
                           text=True, timeout=120)
 
 
@@ -427,3 +432,147 @@ def test_overflowing_quantity_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error: position NBB_BOND: subperiod (2022-03-01, 2022-04-01]: "
                           "attribution parts must be finite")
     assert err.count("\n") == 1
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout on a full disk: flush always raises OSError(*error), and write too if asked."""
+
+    def __init__(self, error, fail_write):
+        super().__init__()
+        self.error, self.fail_write = error, fail_write
+
+    def write(self, text):
+        if self.fail_write:
+            raise OSError(*self.error)
+        return super().write(text)
+
+    def flush(self):
+        raise OSError(*self.error)
+
+
+ENOSPC = (errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_stdout_write_error_names_stdout(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(ENOSPC, fail_write=True))
+    code = run_cli(["attribute", *DEMO_ARGS, *DEMO_PERIOD])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no space left on device: <stdout>\n"
+
+
+class _Exit(Exception):
+    pass
+
+
+def _main(monkeypatch, *argv):
+    """cli.main() in this process, returning the code it hands to os._exit."""
+    def exit_(code):
+        raise _Exit(code)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setattr(sys, "argv", ["pnlattr", *argv])
+    with pytest.raises(_Exit) as exited:
+        main()
+    return exited.value.args[0]
+
+
+@pytest.mark.parametrize("error, fail_write, message", [
+    (ENOSPC, False, "no space left on device: <stdout>"),
+    (ENOSPC, True, "no space left on device: <stdout>"),
+    (("stream detached",), False, "stream detached: <stdout>"),
+], ids=["final-flush", "write-and-final-flush", "no-strerror"])
+def test_failing_final_flush_is_one_error_line(error, fail_write, message, monkeypatch, capsys):
+    # a write that failed inside run_cli is reported there, and not again by main()
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(error, fail_write))
+    assert _main(monkeypatch, "attribute", *DEMO_ARGS, *DEMO_PERIOD) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n")
+    assert err.count("error") == 1
+
+
+def _cli(*args, stdout=subprocess.PIPE, unbuffered=False):
+    """`python -m pnlattr.cli` in a fresh interpreter whose stdout, unless
+    unbuffered, is block-buffered as a shell gives it, so the final flush in
+    main() writes whatever the buffer still holds."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
+    return subprocess.run([sys.executable, "-m", "pnlattr.cli", *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+DEMO_REPORT = ["attribute", *DEMO_ARGS, *DEMO_PERIOD, "--nav", "50000000", "--standalone", "FEES=-62500"]
+GOLDEN_ORACLE_ARGS = ["oracle", "--seed", "0", "--num-seeds", "40", "--steps", "32", "--corr", "0.5",
+                      "--jump-intensity", "3"]
+
+
+@pytest.mark.parametrize("args, code, golden", [
+    ([*DEMO_REPORT, "--format", "csv"], 0, "demo_report_golden.csv"),
+    ([*DEMO_REPORT, "--format", "json"], 0, "demo_report_golden.json"),
+    (GOLDEN_ORACLE_ARGS, 0, "oracle_golden.csv"),
+    (["validate", *DEMO_ARGS], 0, None),
+    (["attribute", *DEMO_ARGS, "--from", "2022-04-01", "--to", "2021-12-31"], 1, None),
+    (["oracle", "--num-seeds", "0"], 1, None),
+    (["attribute", *DEMO_ARGS, "--from", "2021-12-31"], 2, None),
+    (["frobnicate"], 2, None),
+], ids=["demo-csv", "demo-json", "oracle", "validate", "from-after-to", "no-seeds", "missing-flag",
+        "unknown-command"])
+def test_entry_point_writes_what_run_cli_writes(args, code, golden, monkeypatch, capsys):
+    result = _cli(*args)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(args) == code
+    captured = capsys.readouterr()
+    assert result.returncode == code, result.stderr
+    assert result.stdout.decode() == captured.out
+    assert result.stderr.decode() == captured.err
+    assert captured.err.count("error:") == (code != 0)
+    if golden:
+        assert result.stdout == (Path(__file__).parent / "data" / golden).read_bytes()
+
+
+def test_entry_point_report_larger_than_a_pipe_buffer_is_complete(tmp_path):
+    args = ["oracle", "--num-seeds", "2000", "--steps", "8"]
+    out = tmp_path / "oracle.csv"
+    piped = _cli(*args)
+    written = _cli(*args, "--output", str(out))
+    assert piped.returncode == written.returncode == 0, piped.stderr
+    assert len(piped.stdout) > 256 * 1024
+    assert piped.stdout == out.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [
+    ["attribute", *DEMO_ARGS, *DEMO_PERIOD],  # smaller than the buffer: fails at the final flush
+    ["oracle", "--num-seeds", "100", "--steps", "8"],  # larger: fails inside run_cli
+], ids=["small-report", "large-report"])
+def test_entry_point_stdout_on_a_full_device_is_one_error_line(args, unbuffered):
+    with open("/dev/full", "wb") as full:
+        result = _cli(*args, stdout=full, unbuffered=unbuffered)
+    err = result.stderr.decode()
+    assert result.returncode == 1, err
+    assert err.endswith("error: no space left on device: <stdout>\n")
+    assert err.count("error") == 1 and "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("fail, code, ran", [(False, 0, []), (True, 1, ["atexit", "handler", "ran"])],
+                         ids=["returns", "raises"])
+def test_entry_point_skips_atexit_handlers_unless_an_exception_escapes(fail, code, ran):
+    # os._exit skips other packages' atexit handlers; an exception escaping
+    # run_cli leaves through the normal exit, with its traceback and the handlers
+    result = _python("""
+import atexit, sys
+import pnlattr.cli as cli
+def fail(args):
+    raise RuntimeError("escaped run_cli")
+if sys.argv[1] == "fail":
+    cli._COMMANDS["validate"] = fail
+atexit.register(print, "atexit handler ran")
+sys.argv[1:] = ["validate", *sys.argv[2:]]
+cli.main()
+""", "fail" if fail else "pass", *DEMO_ARGS)
+    assert result.returncode == code, result.stderr
+    assert result.stdout.split() == ran
+    assert ("Traceback" in result.stderr and "RuntimeError: escaped run_cli" in result.stderr) == fail

@@ -176,6 +176,17 @@ def test_pathset_validation():
         PathSet(grid=[0.0, 1.0], paths={"fx": [1.0, -0.5]}, seed=0)
 
 
+def test_pathset_copies_and_freezes_arrays_leaving_the_callers_writeable():
+    grid, fx = np.linspace(0.0, 1.0, 3), np.array([1.0, 1.1, 1.2])
+    paths = PathSet(grid=grid, paths={"fx": fx}, seed=0)
+    assert grid.flags.writeable and fx.flags.writeable
+    assert paths.grid is not grid and paths.paths["fx"] is not fx
+    assert not paths.grid.flags.writeable and not paths.paths["fx"].flags.writeable
+    assert np.array_equal(paths.grid, grid) and np.array_equal(paths.paths["fx"], fx)
+    grid[1] = fx[1] = 0.25  # the caller's arrays change, the PathSet's do not
+    assert paths.grid[1] == 0.5 and paths.paths["fx"][1] == 1.1
+
+
 def test_ito_linear_pricer_recovers_closed_forms():
     theta, beta, gamma = 4.0, 200.0, -70.0
     def pricer(s, r, x):
