@@ -35,6 +35,7 @@ from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from ._record import Record
+from .conventions import CarryMode, FxMode, _fx_rate, _fx_weights, fx_split  # noqa: F401 (re-exported)
 from .errors import (
     DuplicatePositionId,
     EmptyPeriod,
@@ -49,30 +50,6 @@ from .pricers import CashflowSchedule
 
 #: Additivity tolerance, relative to max(1, |total|, scale).
 ADDITIVITY_TOL = 1e-9
-
-
-class FxMode(Enum):
-    """How the FX part and the asset-to-EUR conversion weight are formed."""
-
-    AVERAGE = "average"      # FX change on the average asset value, parts at the average quote
-    START_END = "start-end"  # FX change on the start value, parts at the end quote
-
-
-class CarryMode(Enum):
-    """How coupons enter the carry part across subperiods."""
-
-    CORRECTED = "corrected"  # subperiods start ex-coupon; parts reconcile to realized PnL
-    LITERAL = "literal"      # subperiods start at the pre-coupon price; the parts sum
-                             # then falls short of realized PnL by interior coupons
-    SOPHIS = "sophis"        # ex-coupon starts, but coupons converted at the period-end
-                             # quote, as the SOPHIS front-office column does
-
-
-def _fx_rate(quote) -> float:
-    rate = float(getattr(quote, "rate", quote))
-    if not rate > 0.0:
-        raise ValueError(f"fx quote must be > 0, got {rate}")
-    return rate
 
 
 def _price_fn(pricer):
@@ -129,28 +106,6 @@ class AttributionResult(Record):
             )
         except OverflowError as exc:
             raise NonFiniteReport(f"attribution parts overflow when summed: {exc}") from exc
-
-
-def fx_split(a_start, a_end, chi_start, chi_end, mode: FxMode = FxMode.AVERAGE):
-    """Split a_end*chi_end - a_start*chi_start into (fx_part, asset_part).
-
-    AVERAGE earns the full quote change on the mean asset value and
-    converts the asset move at the mean quote; START_END earns the quote
-    change on the start value and converts at the end quote. Both splits
-    sum to the same total exactly.
-    """
-    cs, ce = _fx_rate(chi_start), _fx_rate(chi_end)
-    value_weight, quote_weight = _fx_weights(a_start, a_end, cs, ce, mode)
-    return value_weight * (ce - cs), quote_weight * (a_end - a_start)
-
-
-def _fx_weights(a_start, a_end, cs, ce, mode: FxMode):
-    """(asset value that earns the quote change, quote that converts the asset move)."""
-    if mode is FxMode.AVERAGE:
-        return 0.5 * (a_start + a_end), 0.5 * (cs + ce)
-    if mode is FxMode.START_END:
-        return a_start, ce
-    raise ValueError(f"unknown fx mode {mode!r}")
 
 
 def _evaluate(price, label: str, s, curve, factors) -> float:

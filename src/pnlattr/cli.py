@@ -5,6 +5,9 @@ Subcommands:
     oracle      coarse-vs-fine discrepancy study on simulated paths
     validate    ingest and check input files only
 
+Each subcommand imports the modules it runs when it starts, so `oracle` never loads the
+attribute engine and `attribute` never loads numpy.
+
 Exit codes: 0 success, 1 validation/input failure, 2 usage error. Diagnostics go to stderr,
 the report to stdout or --output; main() flushes both, then os._exit skips interpreter teardown.
 """
@@ -18,11 +21,9 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from .attribution import CarryMode, FxMode, attribute_portfolio
+from .conventions import CarryMode, FxMode
 from .errors import EmptyPeriod, EngineError, ParseError
-from .market_data import load_market_snapshots
-from .portfolio_io import load_portfolio
-from .reporting import build_report_rows, render_report
+
 
 def _iso_date(text: str) -> date:
     try:
@@ -44,8 +45,14 @@ def _standalone(text: str) -> tuple[str, float]:
     return label, value
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own writer swallows a failed write; run_cli reports it
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pnlattr",
         description="Decompose EUR PnL into FX, rate, market, and carry parts.",
     )
@@ -92,6 +99,11 @@ def _write_output(text: str, output: str | None) -> None:
 
 
 def _cmd_attribute(args) -> int:
+    from .attribution import attribute_portfolio
+    from .market_data import load_market_snapshots
+    from .portfolio_io import load_portfolio
+    from .reporting import build_report_rows, render_report
+
     start, end = args.date_from, args.date_to
     if not start < end:
         raise EmptyPeriod(f"--from {start} must be before --to {end}")
@@ -157,6 +169,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .market_data import load_market_snapshots
+    from .portfolio_io import load_portfolio
+
     if not args.portfolio and not args.market:
         raise ParseError("validate needs --portfolio and/or --market")
     if args.market:
@@ -179,18 +194,26 @@ def run_cli(argv=None) -> int:
             parser.error("--standalone amounts must have a finite EUR sum")
     except SystemExit as exc:  # argparse already printed usage/synopsis
         return exc.code if isinstance(exc.code, int) else 2
+    except OSError as exc:  # --help on a stdout that cannot be written
+        return _os_error(exc)
     try:
         return _COMMANDS[args.command](args)
     except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(str(exc))
     except OSError as exc:  # an input or --output file that cannot be opened, or stdout
         return _os_error(exc)
 
 
 def _os_error(exc: OSError) -> int:
     reason = str(exc) if exc.strerror is None else exc.strerror.lower()
-    print(f"error: {reason}: {'<stdout>' if exc.filename is None else exc.filename}", file=sys.stderr)
+    return _error(f"{reason}: {'<stdout>' if exc.filename is None else exc.filename}")
+
+
+def _error(message: str) -> int:
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # stderr fails too, so nothing can be reported
+        pass
     return 1
 
 

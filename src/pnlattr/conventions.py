@@ -1,0 +1,54 @@
+"""The FX and carry conventions both engines share.
+
+`attribution` splits a position's PnL under them, and `path_oracle` splits
+simulated path endpoints the same way. This module imports only `enum`, so
+the oracle loads neither the attribute engine nor its dependencies.
+"""
+
+from enum import Enum
+
+
+class FxMode(Enum):
+    """How the FX part and the asset-to-EUR conversion weight are formed."""
+
+    AVERAGE = "average"      # FX change on the average asset value, parts at the average quote
+    START_END = "start-end"  # FX change on the start value, parts at the end quote
+
+
+class CarryMode(Enum):
+    """How coupons enter the carry part across subperiods."""
+
+    CORRECTED = "corrected"  # subperiods start ex-coupon; parts reconcile to realized PnL
+    LITERAL = "literal"      # subperiods start at the pre-coupon price; the parts sum
+                             # then falls short of realized PnL by interior coupons
+    SOPHIS = "sophis"        # ex-coupon starts, but coupons converted at the period-end
+                             # quote, as the SOPHIS front-office column does
+
+
+def _fx_rate(quote) -> float:
+    rate = float(getattr(quote, "rate", quote))
+    if not rate > 0.0:
+        raise ValueError(f"fx quote must be > 0, got {rate}")
+    return rate
+
+
+def fx_split(a_start, a_end, chi_start, chi_end, mode: FxMode = FxMode.AVERAGE):
+    """Split a_end*chi_end - a_start*chi_start into (fx_part, asset_part).
+
+    AVERAGE earns the full quote change on the mean asset value and
+    converts the asset move at the mean quote; START_END earns the quote
+    change on the start value and converts at the end quote. Both splits
+    sum to the same total exactly.
+    """
+    cs, ce = _fx_rate(chi_start), _fx_rate(chi_end)
+    value_weight, quote_weight = _fx_weights(a_start, a_end, cs, ce, mode)
+    return value_weight * (ce - cs), quote_weight * (a_end - a_start)
+
+
+def _fx_weights(a_start, a_end, cs, ce, mode: FxMode):
+    """(asset value that earns the quote change, quote that converts the asset move)."""
+    if mode is FxMode.AVERAGE:
+        return 0.5 * (a_start + a_end), 0.5 * (cs + ce)
+    if mode is FxMode.START_END:
+        return a_start, ce
+    raise ValueError(f"unknown fx mode {mode!r}")

@@ -32,7 +32,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from ._record import Record
-from .attribution import FxMode, _price_fn, fx_split
+from .conventions import FxMode, fx_split
 from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative, SimulationError
 
 #: Relative finite-difference step for the Taylor-ladder partials.
@@ -489,6 +489,8 @@ def grid_ito_decomposition(pricer, path_r, path_x, grid) -> ItoDecomposition:
     partial times the squared increment. All partials are central
     differences at the left grid point with step DERIVATIVE_STEP * max(1, |v|).
     """
+    from .attribution import _price_fn
+
     price = _price_fn(pricer)
     r = np.asarray(path_r, dtype=float)
     x = np.asarray(path_x, dtype=float)

@@ -336,6 +336,58 @@ print("numpy" in sys.modules, simulate_paths.__module__)
     assert result.stdout.split() == ["False", "True", "pnlattr.path_oracle"], result.stderr
 
 
+def test_every_exported_name_is_the_object_its_module_defines():
+    import importlib
+
+    import pnlattr
+    listed = dir(pnlattr)
+    for module, names in pnlattr._EXPORTS.items():
+        source = importlib.import_module(f"pnlattr.{module}")
+        for name in names.split():
+            assert getattr(pnlattr, name) is getattr(source, name), name
+            assert getattr(pnlattr, name).__module__ == source.__name__, name
+            assert name in listed, name
+
+
+def test_unknown_name_is_an_attribute_error_naming_it():
+    import pnlattr
+    with pytest.raises(AttributeError, match="module 'pnlattr' has no attribute 'attribute_book'"):
+        getattr(pnlattr, "attribute_book")
+    assert not hasattr(pnlattr, "_price_fn")
+
+
+def test_star_import_binds_every_name_but_the_oracle_and_loads_no_numpy():
+    result = _python("""
+import sys
+before = set(globals())
+from pnlattr import *
+import pnlattr
+bound = set(globals()) - before - {"before", "pnlattr"}
+print(len(bound), bound == set(pnlattr.__all__), "numpy" in sys.modules, "simulate_paths" in bound)
+""")
+    assert result.stdout.split() == ["58", "True", "False", "False"], result.stderr
+
+
+def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path):
+    result = _python("""
+import sys
+def loaded():
+    print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "pnlattr")),
+          "dataclasses" in sys.modules, "csv" in sys.modules)
+import pnlattr
+loaded()
+from pnlattr.cli import run_cli
+run_cli(["oracle", "--num-seeds", "3", "--steps", "4", "--output", sys.argv[1]])
+loaded()
+""", str(tmp_path / "oracle.csv"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "pnlattr False False",
+        "pnlattr,pnlattr._record,pnlattr.cli,pnlattr.conventions,pnlattr.errors,pnlattr.path_oracle "
+        "False False",
+    ]
+
+
 def test_import_pnlattr_cli_loads_no_numpy_or_json_and_two_dataclasses():
     result = _python("""
 import sys
@@ -460,6 +512,17 @@ def test_stdout_write_error_names_stdout(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: no space left on device: <stdout>\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["oracle", "--num-seeds", "0"],  # an EngineError
+    ["attribute", *DEMO_ARGS, *DEMO_PERIOD],  # an OSError from the report write
+], ids=["engine-error", "os-error"])
+def test_error_line_that_cannot_be_written_is_exit_1(args, monkeypatch):
+    broken = _FailingStdout((errno.EPIPE, os.strerror(errno.EPIPE)), fail_write=True)
+    monkeypatch.setattr(sys, "stdout", broken)
+    monkeypatch.setattr(sys, "stderr", broken)
+    assert run_cli(args) == 1
+
+
 class _Exit(Exception):
     pass
 
@@ -494,13 +557,21 @@ def _cli(*args, stdout=subprocess.PIPE, unbuffered=False):
     """`python -m pnlattr.cli` in a fresh interpreter whose stdout, unless
     unbuffered, is block-buffered as a shell gives it, so the final flush in
     main() writes whatever the buffer still holds."""
+    return subprocess.run(_cli_argv(*args), env=_cli_env(unbuffered), stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+def _cli_argv(*args):
+    return [sys.executable, "-m", "pnlattr.cli", *args]
+
+
+def _cli_env(unbuffered=False):
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     env["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
-    return subprocess.run([sys.executable, "-m", "pnlattr.cli", *args], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, timeout=120)
+    return env
 
 
 DEMO_REPORT = ["attribute", *DEMO_ARGS, *DEMO_PERIOD, "--nav", "50000000", "--standalone", "FEES=-62500"]
@@ -547,7 +618,8 @@ def test_entry_point_report_larger_than_a_pipe_buffer_is_complete(tmp_path):
 @pytest.mark.parametrize("args", [
     ["attribute", *DEMO_ARGS, *DEMO_PERIOD],  # smaller than the buffer: fails at the final flush
     ["oracle", "--num-seeds", "100", "--steps", "8"],  # larger: fails inside run_cli
-], ids=["small-report", "large-report"])
+    ["--help"],  # argparse's own writer would swallow the failed write
+], ids=["small-report", "large-report", "help"])
 def test_entry_point_stdout_on_a_full_device_is_one_error_line(args, unbuffered):
     with open("/dev/full", "wb") as full:
         result = _cli(*args, stdout=full, unbuffered=unbuffered)
@@ -555,6 +627,17 @@ def test_entry_point_stdout_on_a_full_device_is_one_error_line(args, unbuffered)
     assert result.returncode == 1, err
     assert err.endswith("error: no space left on device: <stdout>\n")
     assert err.count("error") == 1 and "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_entry_point_with_stdout_and_stderr_on_one_closed_pipe_exits_1():
+    # `pnlattr oracle ... 2>&1 | head -c 10`: the error line for the failed
+    # write cannot be written either, and no traceback may escape
+    with subprocess.Popen(_cli_argv("oracle", "--num-seeds", "2000", "--steps", "8"), env=_cli_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT) as child:
+        head = child.stdout.read(10)
+        child.stdout.close()
+        assert child.wait(timeout=120) == 1
+    assert head == b"seed,n_ste"
 
 
 @pytest.mark.parametrize("fail, code, ran", [(False, 0, []), (True, 1, ["atexit", "handler", "ran"])],
