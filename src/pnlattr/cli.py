@@ -109,8 +109,8 @@ def _cmd_attribute(args) -> int:
         raise EmptyPeriod(f"--from {start} must be before --to {end}")
     if args.nav is not None and not (math.isfinite(args.nav) and args.nav > 0.0):
         raise ParseError(f"--nav must be a finite number > 0, got {args.nav}")
-    snapshots = load_market_snapshots(args.market)
-    portfolio = load_portfolio(args.portfolio)
+    snapshots = _load(load_market_snapshots, args.market)
+    portfolio = _load(load_portfolio, args.portfolio)
     attribution = attribute_portfolio(
         portfolio, snapshots, start, end, FxMode(args.fx_mode), CarryMode(args.carry_mode)
     )
@@ -126,7 +126,7 @@ def _cmd_attribute(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .path_oracle import GbmSpec, SimulationParams, covariation_study, write_discrepancy_csv
+    from .path_oracle import GbmSpec, SimulationParams, _discrepancy_report
 
     if args.seed < 0:
         raise ParseError(f"--seed must be >= 0, got {args.seed}")
@@ -153,18 +153,11 @@ def _cmd_oracle(args) -> int:
         correlation=correlation,
         jump_intensity=args.jump_intensity,
     )
-    study = covariation_study(
-        params,
-        args.steps,
-        range(args.seed, args.seed + args.num_seeds),
-        FxMode(args.fx_mode),
-    )
-    _write_output(write_discrepancy_csv(study), args.output)
-    print(
-        f"{args.num_seeds} seeds, {args.steps} steps: covariation mean "
-        f"{study.covariation_mean:.6g}, stderr {study.covariation_stderr:.6g}",
-        file=sys.stderr,
-    )
+    seeds = range(args.seed, args.seed + args.num_seeds)
+    text, mean, stderr = _discrepancy_report(params, args.steps, seeds, FxMode(args.fx_mode))
+    _write_output(text, args.output)
+    print(f"{args.num_seeds} seeds, {args.steps} steps: covariation mean {mean:.6g}, stderr {stderr:.6g}",
+          file=sys.stderr)
     return 0
 
 
@@ -174,13 +167,29 @@ def _cmd_validate(args) -> int:
 
     if not args.portfolio and not args.market:
         raise ParseError("validate needs --portfolio and/or --market")
-    if args.market:
-        snapshots = load_market_snapshots(args.market)
-        print(f"market OK: {len(snapshots)} snapshots", file=sys.stderr)
-    if args.portfolio:
-        portfolio = load_portfolio(args.portfolio)
-        print(f"portfolio OK: {len(portfolio.positions)} positions", file=sys.stderr)
-    return 0
+    code = 0
+    for path, load, summary in (
+        (args.market, load_market_snapshots, lambda snapshots: f"market OK: {len(snapshots)} snapshots"),
+        (args.portfolio, load_portfolio, lambda portfolio: f"portfolio OK: {len(portfolio.positions)} positions"),
+    ):
+        if path:  # each file is checked and reported, whether or not the other fails
+            try:
+                loaded = _load(load, path)
+            except EngineError as exc:
+                code = _error(str(exc))
+            except OSError as exc:
+                code = _os_error(exc)
+            else:
+                print(summary(loaded), file=sys.stderr)
+    return code
+
+
+def _load(load, path: str):
+    """load(path), with an EngineError's message prefixed by the path."""
+    try:
+        return load(path)
+    except EngineError as exc:
+        raise EngineError(f"{path}: {exc}") from exc
 
 
 _COMMANDS = {"attribute": _cmd_attribute, "oracle": _cmd_oracle, "validate": _cmd_validate}

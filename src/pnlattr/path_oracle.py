@@ -21,18 +21,22 @@ the leftover is reported as a residual, never hidden.
 
 All simulation is seeded and reproducible bit for bit; log-space stepping
 keeps geometric paths strictly positive for any step size.
+
+Every coarse-vs-fine number comes from one column pass over a block of
+paths (`_columns`). The records are built from its columns, and the oracle
+subcommand formats its CSV straight from them without building any.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, repeat
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from ._record import Record
-from .conventions import FxMode, fx_split
+from .conventions import FxMode, _fx_weights
 from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative, SimulationError
 
 #: Relative finite-difference step for the Taylor-ladder partials.
@@ -101,7 +105,8 @@ class PathSet(Record):
                     f"path {name!r} has {arr.shape[0] if arr.ndim == 1 else 'bad'} points, grid has {len(grid)}"
                 )
             arrays[name] = arr
-        _require_positive_fx(arrays)
+        if "fx" in arrays and not np.all(arrays["fx"] > 0.0):
+            raise SimulationError("fx trajectory must stay strictly positive")
         grid.flags.writeable = False
         for arr in arrays.values():
             arr.flags.writeable = False
@@ -133,11 +138,6 @@ def _correlation_factor(correlation, size: int):
                 f"correlation matrix not positive semidefinite (min eigenvalue {eigenvalues.min():g})"
             ) from None
         return eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
-
-
-def _require_positive_fx(paths: Mapping[str, np.ndarray]) -> None:
-    if "fx" in paths and not np.all(paths["fx"] > 0.0):
-        raise SimulationError("fx trajectory must stay strictly positive")
 
 
 _UINT32_MASK = 0xFFFFFFFF
@@ -233,9 +233,8 @@ def _seed_states(seeds: Iterable) -> Iterable:
 
 
 def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int]):
-    """Yield (seed block, values) for blocks of at most _BLOCK seeds.
-
-    values has shape (len(params.processes), len(block), n_steps + 1).
+    """Yield (seed block, paths) for blocks of at most _BLOCK seeds, where
+    paths maps each process's name to its (len(block), n_steps + 1) values.
     n_steps, the correlation, the per-step drift and diffusion and the jump
     intensity are checked, and the correlation factored, once before the
     first seed is taken. Each seed draws from its own PCG64 stream in a
@@ -278,6 +277,7 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
         x[:, None, None] for x in (drift_step, diffusion, initial, jump_logs)
     )
 
+    np.empty(1 << 18)  # freeing 2 MB lifts glibc's mmap and trim thresholds: blocks reuse heap pages
     generator = None
     seed_states = _seed_states(seeds)
     while block_states := list(islice(seed_states, _BLOCK)):
@@ -326,7 +326,7 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
             if not positive.all():
                 seed = block[np.argwhere(~positive)[0][0]]
                 raise SimulationError(f"seed {seed}: fx trajectory must stay strictly positive")
-        yield block, values
+        yield block, {spec.name: values[j] for j, spec in enumerate(specs)}
 
 
 def simulate_paths(params: SimulationParams, n_steps: int, seed: int) -> PathSet:
@@ -336,10 +336,9 @@ def simulate_paths(params: SimulationParams, n_steps: int, seed: int) -> PathSet
     processes at once; each process then scales by (1 + jump_size). Draws
     happen in a fixed order, so identical inputs give identical paths.
     """
-    _, values = next(_simulate_values(params, n_steps, (seed,)))
+    _, paths = next(_simulate_values(params, n_steps, (seed,)))
     grid = np.linspace(0.0, params.horizon, n_steps + 1)
-    paths = {spec.name: values[j, 0] for j, spec in enumerate(params.processes)}
-    return PathSet(grid=grid, paths=paths, seed=seed)
+    return PathSet(grid=grid, paths={name: values[0] for name, values in paths.items()}, seed=seed)
 
 
 class GridDecomposition(Record):
@@ -356,6 +355,13 @@ class GridDecomposition(Record):
                              total=total)
 
 
+def _grid_decomposition(*sums: float) -> GridDecomposition:
+    """A GridDecomposition of sums _columns has checked, built without checking them again."""
+    record = object.__new__(GridDecomposition)
+    record.__dict__.update(zip(GridDecomposition._fields, sums))
+    return record
+
+
 def grid_product_decomposition(path_asset, path_fx) -> GridDecomposition:
     """Left-endpoint product-rule sums of two equal-length paths."""
     a = np.asarray(path_asset, dtype=float)
@@ -364,29 +370,35 @@ def grid_product_decomposition(path_asset, path_fx) -> GridDecomposition:
         raise LengthMismatch(f"paths must be equal-length vectors, got {a.shape} and {chi.shape}")
     if len(a) < 2:
         raise LengthMismatch("paths need at least two points")
-    return _product_rule_rows(a[None, :], chi[None, :])[0]
+    fine = _columns(a[None, :], chi[None, :], FxMode.AVERAGE)[2:]  # the endpoint split goes unused
+    return _grid_decomposition(*(column.item() for column in fine))
 
 
-def _product_rule_rows(a: np.ndarray, chi: np.ndarray) -> list[GridDecomposition]:
-    """One GridDecomposition per row of two (rows, points) path arrays.
-
-    Each row's fx, asset and covariation terms are stacked seed by seed
-    into one (3 * rows, steps) array whose row sums _exact_row_sums gives,
-    each equal to math.fsum of the row. The sums are exact, so they do not
-    depend on how rows are batched.
+def _columns(a: np.ndarray, chi: np.ndarray, fx_mode: FxMode) -> tuple[np.ndarray, ...]:
+    """The column pass: (coarse_fx, coarse_asset, fine_fx, fine_asset, covariation, total)
+    float64 arrays, one entry per row of (rows, points) asset and fx paths. The sums are
+    _exact_row_sums's, math.fsum of each row of terms, so batching does not change them.
+    The telescoping check runs after them; the split is fx_split's, without its fx > 0 check.
     """
-    da = a[:, 1:] - a[:, :-1]
-    dchi = chi[:, 1:] - chi[:, :-1]
-    terms = np.empty((len(a), 3, da.shape[1]))
-    np.multiply(a[:, :-1], dchi, out=terms[:, 0])
-    np.multiply(chi[:, :-1], da, out=terms[:, 1])
-    np.multiply(da, dchi, out=terms[:, 2])
-    sums = iter(_exact_row_sums(terms.reshape(-1, da.shape[1])))
-    totals = (a[:, -1] * chi[:, -1] - a[:, 0] * chi[:, 0]).tolist()
-    return [
-        GridDecomposition(fx_integral=fx, asset_integral=asset, covariation=cov, total=total)
-        for fx, asset, cov, total in zip(sums, sums, sums, totals)
-    ]
+    at, chit = a.T, chi.T  # (points, rows): the terms are laid out step-major for _exact_row_sums
+    da = at[1:] - at[:-1]
+    dchi = chit[1:] - chit[:-1]
+    terms = np.empty((len(da), len(a), 3))
+    np.multiply(at[:-1], dchi, out=terms[:, :, 0])
+    np.multiply(chit[:-1], da, out=terms[:, :, 1])
+    np.multiply(da, dchi, out=terms[:, :, 2])
+    fine_fx, fine_asset, covariation = np.array(_exact_row_sums(terms.reshape(len(da), -1).T)).reshape(-1, 3).T
+    a0, a1, chi0, chi1 = a[:, 0], a[:, -1], chi[:, 0], chi[:, -1]
+    total = a1 * chi1 - a0 * chi0
+    with np.errstate(all="ignore"):  # as the float arithmetic of GridDecomposition and fx_split, which never warns
+        # GridDecomposition's check row by row (fmax skips a nan as max does), the first failure raising
+        gap = total - (fine_fx + fine_asset + covariation)
+        scale = np.fmax(np.fmax(np.abs(fine_fx), np.abs(fine_asset)), np.fmax(np.abs(covariation), 1.0))
+        failed = np.flatnonzero(np.abs(gap) > 1e-9 * scale)
+        if len(failed):
+            raise ValueError(f"telescoping identity violated by {gap[failed[0]].item():g}")
+        value_weight, quote_weight = _fx_weights(a0, a1, chi0, chi1, fx_mode)
+        return value_weight * (chi1 - chi0), quote_weight * (a1 - a0), fine_fx, fine_asset, covariation, total
 
 
 # Arrays with fewer rows than this are summed by math.fsum row by row: on
@@ -414,7 +426,7 @@ def _exact_row_sums(x: np.ndarray) -> list[float]:
       keep every partial sum finite until n passes 2**23, and an overflow
       turns r into inf or nan, which fails the test below. Otherwise each
       TwoSum is exact and the row sums to s + sum(e) exactly.
-    - t = fl(sum(e)), in whatever order numpy adds, is off by at most
+    - t = fl(sum(e)), in whatever order it is added, is off by at most
       gamma_{n-1} * sum(|e|), and fl(sum(|e|)) >= (1 - u)**(n-2) * sum(|e|).
       So delta = fl(fl(sum(|e|)) * 4n * u + 2**-1022) bounds |sum(e) - t|
       with room to spare; the last term covers a product that underflows.
@@ -431,30 +443,29 @@ def _exact_row_sums(x: np.ndarray) -> list[float]:
     [2**-900, 2**1000), so that a zero takes fsum's sign and no gap
     underflows or is infinite. fsum's own errors, such as inf + -inf, are
     therefore raised as before, in row order. Arrays with fewer than
-    _ARRAY_ROWS rows go to math.fsum whole.
+    _ARRAY_ROWS rows go to math.fsum whole. The tree halves x.T, so each of
+    its steps reads contiguous memory when x is Fortran-ordered.
     """
     rows, n = x.shape
     if rows < _ARRAY_ROWS:
         return [math.fsum(memoryview(row)) for row in x]
     with np.errstate(all="ignore"):
-        s = x
-        errors = [np.zeros((rows, 0))]  # a one-column row has no errors
-        while s.shape[1] > 1:
-            half = s.shape[1] // 2
-            pair, error = _two_sum(s[:, :half], s[:, half : 2 * half])
-            errors.append(error)
-            s = np.concatenate((pair, s[:, -1:]), axis=1) if s.shape[1] % 2 else pair
-        e = np.concatenate(errors, axis=1)
-        t = e.sum(axis=1)
-        delta = np.abs(e).sum(axis=1) * (4 * n * 2.0**-53) + _TINY
-        r, r_err = _two_sum(s[:, 0], t)
+        s, t, abs_e = x.T, np.zeros(rows), np.zeros(rows)  # sum(e) and sum(|e|), level by level
+        while len(s) > 1:
+            half = len(s) // 2
+            pair, error = _two_sum(s[:half], s[half : 2 * half])
+            t += error.sum(axis=0)
+            abs_e += np.abs(error, out=error).sum(axis=0)
+            s = np.concatenate((pair, s[-1:])) if len(s) % 2 else pair
+        delta = abs_e * (4 * n * 2.0**-53) + _TINY
+        r, r_err = _two_sum(s[0], t)
         up = (np.nextafter(r, np.inf) - r) * 0.5
         down = (r - np.nextafter(r, -np.inf)) * 0.5
         size = np.abs(r)
         certified = (
             (r_err + delta < up)
             & (r_err - delta > -down)
-            & (np.abs(x).max(axis=1) < _BIG)
+            & (np.maximum(x.max(axis=1), -x.min(axis=1)) < _BIG)
             & (size >= _SMALL)
             & (size < _BIG)
         )
@@ -570,18 +581,21 @@ def compare_coarse_vs_fine(
     and the covariation sum is exactly what the two-point scheme smears
     into its fx and asset parts.
     """
-    a = paths.paths["asset"]
-    chi = paths.paths["fx"]
-    return _compare_rows((paths.seed,), paths.n_steps, a[None, :], chi[None, :], fx_mode)[0]
+    columns = _columns(paths.paths["asset"][None, :], paths.paths["fx"][None, :], fx_mode)
+    return _comparisons((paths.seed,), paths.n_steps, columns)[0]
 
 
-def _compare_rows(seeds, n_steps: int, a: np.ndarray, chi: np.ndarray, fx_mode: FxMode):
-    """compare_coarse_vs_fine for each row of (len(seeds), n_steps + 1) paths."""
-    ends = zip(a[:, 0].tolist(), a[:, -1].tolist(), chi[:, 0].tolist(), chi[:, -1].tolist())
-    return [
-        CoarseFineComparison(seed, n_steps, *fx_split(a0, a1, chi0, chi1, fx_mode), fine)
-        for seed, (a0, a1, chi0, chi1), fine in zip(seeds, ends, _product_rule_rows(a, chi))
-    ]
+def _comparisons(seeds, n_steps: int, columns) -> list[CoarseFineComparison]:
+    """One CoarseFineComparison per seed, from the rows of _columns."""
+    coarse_fx, coarse_asset, *fine = (column.tolist() for column in columns)
+    return [CoarseFineComparison(seed, n_steps, fx, asset, _grid_decomposition(*sums))
+            for seed, fx, asset, *sums in zip(seeds, coarse_fx, coarse_asset, *fine)]
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a 1-D array; nan, without a warning, for no values and one."""
+    n = len(values)
+    return (float(values.mean()) if n else math.nan), (float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan)
 
 
 class StudyResult(Record):
@@ -597,14 +611,11 @@ class StudyResult(Record):
 
     @property
     def covariation_mean(self) -> float:
-        return float(self.covariations().mean())
+        return _mean_stderr(self.covariations())[0]
 
     @property
     def covariation_stderr(self) -> float:
-        cov = self.covariations()
-        if len(cov) < 2:
-            return float("nan")
-        return float(cov.std(ddof=1) / math.sqrt(len(cov)))
+        return _mean_stderr(self.covariations())[1]
 
 
 def covariation_study(
@@ -615,22 +626,41 @@ def covariation_study(
 ) -> StudyResult:
     """Run compare_coarse_vs_fine over many seeds in the given order.
 
-    Equal bit for bit to compare_coarse_vs_fine(simulate_paths(...)) per
-    seed, but simulated and decomposed a block of seeds per array pass.
+    Equal bit for bit to compare_coarse_vs_fine(simulate_paths(...)) per seed, but a
+    block of seeds is simulated per array pass and its records built from one column pass.
     """
     comparisons = []
-    for block, values in _simulate_values(params, n_steps, seeds):
-        paths = {spec.name: values[j] for j, spec in enumerate(params.processes)}
-        comparisons += _compare_rows(block, n_steps, paths["asset"], paths["fx"], fx_mode)
+    for block, paths in _simulate_values(params, n_steps, seeds):
+        comparisons += _comparisons(block, n_steps, _columns(paths["asset"], paths["fx"], fx_mode))
     return StudyResult(tuple(comparisons))
 
 
+_CSV_HEADER = "seed,n_steps,component,coarse,fine,diff\n"
+
+
+def _csv_lines(rows) -> str:
+    """Three CSV lines per (seed, n_steps, coarse_fx, coarse_asset, fine_fx, fine_asset, covariation) row."""
+    return "".join(
+        f"{seed},{n},fx,{cfx!r},{ffx!r},{cfx - ffx!r}\n{seed},{n},asset,{cas!r},{fas!r},{cas - fas!r}\n"
+        f"{seed},{n},covariation,0.0,{cov!r},{-cov!r}\n"
+        for seed, n, cfx, cas, ffx, fas, cov in rows
+    )
+
+
 def write_discrepancy_csv(comparisons) -> str:
-    """CSV text: seed,n_steps,component,coarse,fine,diff per comparison row."""
+    """CSV text: seed,n_steps,component,coarse,fine,diff per comparison row. Each record's
+    numbers take the formatter the oracle subcommand applies to the column pass's columns."""
     if isinstance(comparisons, StudyResult):
         comparisons = comparisons.comparisons
-    return "seed,n_steps,component,coarse,fine,diff\n" + "".join(
-        f"{c.seed},{c.n_steps},{component},{coarse!r},{fine!r},{diff!r}\n"
-        for c in comparisons
-        for component, coarse, fine, diff in c.rows()
-    )
+    return _CSV_HEADER + _csv_lines((c.seed, c.n_steps, c.coarse_fx, c.coarse_asset, c.fine.fx_integral,
+                                     c.fine.asset_integral, c.fine.covariation) for c in comparisons)
+
+
+def _discrepancy_report(params: SimulationParams, n_steps: int, seeds: Iterable[int], fx_mode: FxMode):
+    """(CSV, covariation mean, stderr) of covariation_study(...), bit for bit, from its columns alone."""
+    parts, covariations = [_CSV_HEADER], [np.empty(0)]
+    for block, paths in _simulate_values(params, n_steps, seeds):
+        columns = _columns(paths["asset"], paths["fx"], fx_mode)
+        parts.append(_csv_lines(zip(block, repeat(n_steps), *(column.tolist() for column in columns[:5]))))
+        covariations.append(columns[4])
+    return "".join(parts), *_mean_stderr(np.concatenate(covariations))

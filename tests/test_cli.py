@@ -107,6 +107,30 @@ def test_validate_reports_bad_fx_row(tmp_path, market_csv, capsys):
     assert "row 3" in captured.err
 
 
+def test_loader_errors_name_their_file(tmp_path, market_csv, portfolio_text, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.csv").write_text(market_csv.replace(",hazard,", ",hazrd,"))
+    Path("bad.txt").write_text(portfolio_text.replace("coupon_frequency = 2", "coupon_frequency = 3"))
+    Path("market.csv").write_text(market_csv)
+    Path("portfolio.txt").write_text(portfolio_text)
+    market_error = "error: bad.csv: row 1: market CSV header lacks column 'hazard'\n"
+    holdings_error = "error: bad.txt: row 2: position 'ACME_BOND': coupon_frequency must be 1, 2, 4 or 12, got 3\n"
+    for args, err in [
+        (["validate", "--market", "bad.csv"], market_error),
+        (attribute_args("portfolio.txt", "bad.csv"), market_error),
+        (attribute_args("bad.txt", "market.csv"), holdings_error),
+        # validate reports every file it fails on, each on its own line
+        (["validate", "--market", "bad.csv", "--portfolio", "bad.txt"], market_error + holdings_error),
+        (["validate", "--market", "missing.csv", "--portfolio", "bad.txt"],
+         "error: no such file or directory: missing.csv\n" + holdings_error),
+        (["validate", "--market", "bad.csv", "--portfolio", "portfolio.txt"],
+         market_error + "portfolio OK: 3 positions\n"),
+    ]:
+        assert run_cli(args) == 1, args
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err), args
+
+
 def test_validate_ok(inputs, capsys):
     portfolio, market = inputs
     assert run_cli(["validate", "--market", market, "--portfolio", portfolio]) == 0
@@ -416,7 +440,7 @@ def test_validate_reports_invalid_holdings_value_without_traceback(tmp_path, por
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == (
-        "error: row 2: position 'ACME_BOND': coupon_frequency must be 1, 2, 4 or 12, got 3\n"
+        f"error: {portfolio}: row 2: position 'ACME_BOND': coupon_frequency must be 1, 2, 4 or 12, got 3\n"
     )
 
 
@@ -469,7 +493,7 @@ def test_input_no_run_can_use_fails_validate_and_attribute_alike(flag, name, tex
     attribute = ["attribute", "--portfolio", files["--portfolio"], "--market", files["--market"], *DEMO_PERIOD]
     for args in (["validate", flag, files[flag]], attribute):
         assert run_cli(args) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {files[flag]}: {message}\n"
 
 
 def test_overflowing_quantity_is_one_error_line(tmp_path, capsys):
