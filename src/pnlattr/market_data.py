@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from datetime import date
 from typing import IO, Iterable
@@ -144,9 +145,8 @@ def input_lines(source):
     `source` is a filesystem path, an open text stream, or any iterable of
     lines. A path is read as UTF-8 with or without a byte-order mark, and its
     lines end at '\\n', '\\r\\n' or '\\r'. A path that is not UTF-8 is a
-    ParseError that, like every loader error, leaves naming the file to the
-    caller. A stream or an iterable is read as given, except that one
-    byte-order mark ('\\ufeff') leading its first line is dropped.
+    ParseError naming it. A stream or an iterable is read as given, except
+    that one byte-order mark ('\\ufeff') leading its first line is dropped.
     """
     if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
         lines = iter(source)
@@ -158,7 +158,7 @@ def input_lines(source):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return io.StringIO(handle.read(), newline="")
     except UnicodeDecodeError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(f"{os.fsdecode(source)}: {exc}") from exc
 
 
 def load_market_snapshots(source) -> list[MarketSnapshot]:

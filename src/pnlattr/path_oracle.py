@@ -23,14 +23,13 @@ All simulation is seeded and reproducible bit for bit; log-space stepping
 keeps geometric paths strictly positive for any step size.
 
 Every coarse-vs-fine number comes from one column pass over a block of
-paths (`_columns`). The records are built from its columns, and the oracle
-subcommand formats its CSV straight from them without building any.
+paths (`_columns`), and the records are built from its columns.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice, repeat
+from itertools import islice
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -277,7 +276,6 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
         x[:, None, None] for x in (drift_step, diffusion, initial, jump_logs)
     )
 
-    np.empty(1 << 18)  # freeing 2 MB lifts glibc's mmap and trim thresholds: blocks reuse heap pages
     generator = None
     seed_states = _seed_states(seeds)
     while block_states := list(islice(seed_states, _BLOCK)):
@@ -355,13 +353,6 @@ class GridDecomposition(Record):
                              total=total)
 
 
-def _grid_decomposition(*sums: float) -> GridDecomposition:
-    """A GridDecomposition of sums _columns has checked, built without checking them again."""
-    record = object.__new__(GridDecomposition)
-    record.__dict__.update(zip(GridDecomposition._fields, sums))
-    return record
-
-
 def grid_product_decomposition(path_asset, path_fx) -> GridDecomposition:
     """Left-endpoint product-rule sums of two equal-length paths."""
     a = np.asarray(path_asset, dtype=float)
@@ -371,7 +362,7 @@ def grid_product_decomposition(path_asset, path_fx) -> GridDecomposition:
     if len(a) < 2:
         raise LengthMismatch("paths need at least two points")
     fine = _columns(a[None, :], chi[None, :], FxMode.AVERAGE)[2:]  # the endpoint split goes unused
-    return _grid_decomposition(*(column.item() for column in fine))
+    return GridDecomposition(*(column.item() for column in fine))
 
 
 def _columns(a: np.ndarray, chi: np.ndarray, fx_mode: FxMode) -> tuple[np.ndarray, ...]:
@@ -588,7 +579,7 @@ def compare_coarse_vs_fine(
 def _comparisons(seeds, n_steps: int, columns) -> list[CoarseFineComparison]:
     """One CoarseFineComparison per seed, from the rows of _columns."""
     coarse_fx, coarse_asset, *fine = (column.tolist() for column in columns)
-    return [CoarseFineComparison(seed, n_steps, fx, asset, _grid_decomposition(*sums))
+    return [CoarseFineComparison(seed, n_steps, fx, asset, GridDecomposition(*sums))
             for seed, fx, asset, *sums in zip(seeds, coarse_fx, coarse_asset, *fine)]
 
 
@@ -635,32 +626,15 @@ def covariation_study(
     return StudyResult(tuple(comparisons))
 
 
-_CSV_HEADER = "seed,n_steps,component,coarse,fine,diff\n"
-
-
-def _csv_lines(rows) -> str:
-    """Three CSV lines per (seed, n_steps, coarse_fx, coarse_asset, fine_fx, fine_asset, covariation) row."""
-    return "".join(
+def write_discrepancy_csv(comparisons) -> str:
+    """CSV text: seed,n_steps,component,coarse,fine,diff, three lines per comparison,
+    written by one f-string from the record's column-pass numbers."""
+    if isinstance(comparisons, StudyResult):
+        comparisons = comparisons.comparisons
+    rows = ((c.seed, c.n_steps, c.coarse_fx, c.coarse_asset, c.fine.fx_integral, c.fine.asset_integral,
+             c.fine.covariation) for c in comparisons)
+    return "seed,n_steps,component,coarse,fine,diff\n" + "".join(
         f"{seed},{n},fx,{cfx!r},{ffx!r},{cfx - ffx!r}\n{seed},{n},asset,{cas!r},{fas!r},{cas - fas!r}\n"
         f"{seed},{n},covariation,0.0,{cov!r},{-cov!r}\n"
         for seed, n, cfx, cas, ffx, fas, cov in rows
     )
-
-
-def write_discrepancy_csv(comparisons) -> str:
-    """CSV text: seed,n_steps,component,coarse,fine,diff per comparison row. Each record's
-    numbers take the formatter the oracle subcommand applies to the column pass's columns."""
-    if isinstance(comparisons, StudyResult):
-        comparisons = comparisons.comparisons
-    return _CSV_HEADER + _csv_lines((c.seed, c.n_steps, c.coarse_fx, c.coarse_asset, c.fine.fx_integral,
-                                     c.fine.asset_integral, c.fine.covariation) for c in comparisons)
-
-
-def _discrepancy_report(params: SimulationParams, n_steps: int, seeds: Iterable[int], fx_mode: FxMode):
-    """(CSV, covariation mean, stderr) of covariation_study(...), bit for bit, from its columns alone."""
-    parts, covariations = [_CSV_HEADER], [np.empty(0)]
-    for block, paths in _simulate_values(params, n_steps, seeds):
-        columns = _columns(paths["asset"], paths["fx"], fx_mode)
-        parts.append(_csv_lines(zip(block, repeat(n_steps), *(column.tolist() for column in columns[:5]))))
-        covariations.append(columns[4])
-    return "".join(parts), *_mean_stderr(np.concatenate(covariations))

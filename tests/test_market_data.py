@@ -120,6 +120,16 @@ def test_caller_opened_input_may_start_with_a_byte_order_mark(load, name, form, 
         assert load(source) == load(DEMO_DATA / name)
 
 
+@pytest.mark.parametrize("load", [load_market_snapshots, load_portfolio], ids=["market", "holdings"])
+def test_path_that_is_not_utf8_is_named_by_the_loader(load, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("[position CAF\xc9]\n".encode("latin-1"))
+    message = f"{path}: 'utf-8' codec can't decode byte 0xc9 in position 13: invalid continuation byte"
+    for source in (path, str(path)):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load(source)
+
+
 @pytest.mark.parametrize("empty", [lambda: io.StringIO(""), list], ids=["stream", "lines"])
 def test_empty_caller_opened_input_keeps_its_errors(empty):
     with pytest.raises(MissingField, match="market CSV is empty"):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pnlattr import path_oracle
 from pnlattr import (
-    CoarseFineComparison,
     FxMode,
     GbmSpec,
     GridDecomposition,
@@ -596,15 +595,6 @@ def test_mean_and_stderr_of_too_few_covariations_are_nan_without_a_warning():
             assert math.isnan(study.covariation_mean) and math.isnan(study.covariation_stderr)
         assert one.covariation_mean == one.comparisons[0].fine.covariation
         assert math.isnan(one.covariation_stderr)
-        text, mean, stderr = path_oracle._discrepancy_report(TWO_GBM, 8, [], FxMode.AVERAGE)
-        assert text == write_discrepancy_csv(()) and math.isnan(mean) and math.isnan(stderr)
-
-
-def _assert_report_equals_study(params, n_steps, seeds, fx_mode):
-    study = covariation_study(params, n_steps, seeds, fx_mode)
-    text, mean, stderr = path_oracle._discrepancy_report(params, n_steps, seeds, fx_mode)
-    assert text == write_discrepancy_csv(study)
-    assert (mean.hex(), stderr.hex()) == (study.covariation_mean.hex(), study.covariation_stderr.hex())
 
 
 CLI_PARAMS = SimulationParams(
@@ -615,34 +605,7 @@ CLI_PARAMS = SimulationParams(
 )
 
 
-@pytest.mark.parametrize("fx_mode", FxMode)
-@pytest.mark.parametrize("n_steps, seeds", [
-    (1, range(40)),
-    (8, range(path_oracle._BLOCK - 1)),
-    (8, range(path_oracle._BLOCK + 1)),
-    (4, range(path_oracle._MIN_DERIVED - 1)),  # default_rng throughout
-    (4, range(path_oracle._MIN_DERIVED)),  # derived states throughout
-    # a last state chunk just below _MIN_DERIVED seeds, and one just at it
-    (2, range(path_oracle._STATE_CHUNK + path_oracle._MIN_DERIVED - 1)),
-    (2, range(path_oracle._STATE_CHUNK + path_oracle._MIN_DERIVED)),
-    (8, range(2**32 - 20, 2**32 + 21)),
-    (8, range(2**64 - 20, 2**64 + 21)),
-], ids=["one-step", "block-1", "block+1", "min-1", "min", "chunk+min-1", "chunk+min", "word32", "word64"])
-def test_report_route_equals_study_route_on_the_seed_edges(fx_mode, n_steps, seeds):
-    for rho in (1.0, -1.0):
-        params = SimulationParams(CLI_PARAMS.processes, correlation=((1.0, rho), (rho, 1.0)), jump_intensity=3.0)
-        _assert_report_equals_study(params, n_steps, list(seeds), fx_mode)
-    _assert_report_equals_study(CLI_PARAMS, n_steps, seeds, fx_mode)
-
-
-# No shrink phase, as for test_batched_study_equals_seedwise_route
-@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
-@given(inputs=study_inputs())
-def test_report_route_equals_study_route(inputs):
-    _assert_report_equals_study(*inputs)
-
-
-def test_telescoping_failure_names_the_first_failing_row_in_both_routes(monkeypatch):
+def test_telescoping_failure_names_the_first_failing_row(monkeypatch):
     row_sums = path_oracle._exact_row_sums
 
     def planted(x):
@@ -653,8 +616,6 @@ def test_telescoping_failure_names_the_first_failing_row_in_both_routes(monkeypa
     message = "^telescoping identity violated by -1e\\+06$"  # the block's second seed, not a later one
     with pytest.raises(ValueError, match=message):
         covariation_study(CLI_PARAMS, 16, range(40))
-    with pytest.raises(ValueError, match=message):
-        path_oracle._discrepancy_report(CLI_PARAMS, 16, range(40), FxMode.AVERAGE)
     with pytest.raises(ValueError, match=message):  # the record's own check, in the same words
         GridDecomposition(1e6, 0.0, 0.0, 0.0)
 
@@ -678,24 +639,3 @@ def test_cli_simulation_error_after_the_first_block_writes_no_output(tmp_path, c
     assert not output.exists()
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: seed {first_bad}: process 'asset' path is not finite\n")
-
-
-def test_cli_oracle_builds_no_records(tmp_path, monkeypatch, capsys):
-    from pnlattr.cli import run_cli
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the oracle subcommand built a record")
-
-    for cls in (CoarseFineComparison, GridDecomposition):
-        monkeypatch.setattr(cls, "__init__", refuse)
-    monkeypatch.setattr(path_oracle, "_comparisons", refuse)
-    monkeypatch.setattr(path_oracle, "_grid_decomposition", refuse)
-    output = tmp_path / "oracle.csv"
-    assert run_cli(["oracle", "--num-seeds", "70", "--steps", "16", "--output", str(output)]) == 0
-    monkeypatch.undo()
-    params = SimulationParams((GbmSpec("asset", 100.0, volatility=0.2), GbmSpec("fx", 1.0, volatility=0.1)))
-    study = covariation_study(params, 16, range(70))
-    assert output.read_text() == write_discrepancy_csv(study)
-    assert capsys.readouterr().err == (
-        f"70 seeds, 16 steps: covariation mean {study.covariation_mean:.6g}, stderr {study.covariation_stderr:.6g}\n"
-    )
