@@ -286,36 +286,14 @@ def segment_period(scope, t, T) -> list:
 _Subperiod = namedtuple("_Subperiod", "start end snap_start snap_end chi_start chi_end "
                                       "quantity start_coupon coupon coupon_fx")
 
-#: What a run reads before its first price: the snapshot and each held currency's quote
-#: at every grid date, and each position's tuple of _Subperiods.
-_Plan = namedtuple("_Plan", "snapshots quotes subperiods")
-
-
-def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: CarryMode, named: bool) -> _Plan:
-    """Check a snapshot at every grid date, then every cashflow and
-    transaction against the grid, and lay out the run; with `named`, an
-    error is prefixed with the position it stops (the first, for a missing
-    snapshot)."""
+def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: CarryMode) -> tuple:
+    """Check a snapshot at every grid date, then lay out each position's tuple of _Subperiods."""
     if not positions:
-        return _Plan((), {}, ())
+        return ()
     mapped = snapshots if isinstance(snapshots, Mapping) else {snap.as_of: snap for snap in snapshots}
-    grid_set, start, end = set(grid), grid[0], grid[-1]
-    pos = positions[0]
-    try:
-        for u in grid:
-            if u not in mapped:
-                raise MissingSnapshot(f"no market snapshot at {u}")
-        for pos in positions:
-            for d, amount in pos.schedule.entries:
-                if start < d <= end and amount != 0.0 and d not in grid_set:
-                    raise ScheduleOutsideGrid(f"cashflow at {d} not on the attribution grid")
-            for txn in pos.transactions:
-                if start < txn.date < end and txn.quantity_change != 0.0 and txn.date not in grid_set:
-                    raise ScheduleOutsideGrid(f"transaction at {txn.date} not on the attribution grid")
-    except EngineError as exc:
-        if named:
-            _prefix(exc, f"position {pos.id}")
-        raise
+    for u in grid:
+        if u not in mapped:
+            raise MissingSnapshot(f"no market snapshot at {u}")
     snaps = tuple(mapped[u] for u in grid)
     quotes = {currency: [1.0] * len(grid) if currency == "EUR" else [_fx_rate(s.fx) for s in snaps]
               for currency in dict.fromkeys(pos.currency for pos in positions)}
@@ -328,7 +306,7 @@ def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: Carr
                        pos.quantity_at(grid[i - 1]), amount_on(grid[i - 1]) if literal else 0.0,
                        amount_on(grid[i]), chi[-1] if sophis else 0.5 * (chi[i - 1] + chi[i]))
             for i in range(1, len(grid))))
-    return _Plan(snaps, quotes, tuple(subperiods))
+    return tuple(subperiods)
 
 
 def _attribute(price, subperiods: Sequence[_Subperiod], fx_mode: FxMode):
@@ -346,14 +324,12 @@ def _attribute(price, subperiods: Sequence[_Subperiod], fx_mode: FxMode):
                 split = AttributionResult(split.fx, split.rate, split.market, split.carry + coupon_eur,
                                           split.total + coupon_eur, max(split.scale, abs(coupon_eur)))
         except EngineError as exc:
-            _prefix(exc, f"subperiod ({u_prev}, {u_cur}]")
-            raise
+            raise exc.at(f"subperiod ({u_prev}, {u_cur}]")
         results.append(split)
     try:
         return results, AttributionResult.combine(results)
     except EngineError as exc:
-        _prefix(exc, f"period ({subperiods[0].start}, {subperiods[-1].end}]")
-        raise
+        raise exc.at(f"period ({subperiods[0].start}, {subperiods[-1].end}]")
 
 
 def attribute_position(
@@ -377,13 +353,15 @@ def attribute_position(
     grid = list(grid)
     if len(grid) < 2:
         raise EmptyPeriod("attribution grid needs at least a start and an end date")
-    [subperiods] = _plan((position,), snapshots, grid, carry_mode, named=False).subperiods
+    [subperiods] = _plan((position,), snapshots, grid, carry_mode)
+    grid_set, start, end = set(grid), grid[0], grid[-1]
+    for d, amount in position.schedule.entries:
+        if start < d <= end and amount != 0.0 and d not in grid_set:
+            raise ScheduleOutsideGrid(f"cashflow at {d} not on the attribution grid")
+    for txn in position.transactions:
+        if start < txn.date < end and txn.quantity_change != 0.0 and txn.date not in grid_set:
+            raise ScheduleOutsideGrid(f"transaction at {txn.date} not on the attribution grid")
     return _attribute(_price_fn(position.pricer), subperiods, fx_mode)
-
-
-def _prefix(exc: Exception, where: str) -> None:
-    """Put `where: ` in front of an engine error's message."""
-    exc.args = (f"{where}: {exc.args[0] if exc.args else exc}",) + tuple(exc.args[1:])
 
 
 class PositionAttribution(Record):
@@ -422,26 +400,27 @@ def attribute_portfolio(
 
     EUR positions convert at 1 and all others at the market's one fx
     column, so a book may not mix two foreign currencies. Before the first
-    price, and once per run, this checks the currencies, the grid (t < T),
-    a snapshot at every grid date, then each position's schedule against
-    the grid; an error names the position, the first one for a missing
-    snapshot. Positions come back in input order; bucket and fund totals
-    are the report's job (see reporting.render_report).
+    price, and once per run, this checks the currencies, the grid (t < T)
+    and a snapshot at every grid date; an error names the position, the
+    first one for a missing snapshot. Positions come back in input order;
+    bucket and fund totals are the report's job (see reporting.render_report).
     """
     foreign = [pos for pos in portfolio.positions if pos.currency != "EUR"]
     for pos in foreign[1:]:
         if pos.currency != foreign[0].currency:
             raise MixedCurrencies(f"position {foreign[0].id} is in {foreign[0].currency} and position "
                                   f"{pos.id} in {pos.currency}; the market quotes one foreign currency")
-    grid = segment_period(portfolio, t, T)
-    plan = _plan(portfolio.positions, snapshots, grid, carry_mode, named=True)
+    grid = segment_period(portfolio, t, T)  # every cashflow and transaction date is on it
+    try:
+        plan = _plan(portfolio.positions, snapshots, grid, carry_mode)
+    except MissingSnapshot as exc:
+        raise exc.at(f"position {portfolio.positions[0].id}")
     per_position: list[PositionAttribution] = []
-    for pos, subperiods in zip(portfolio.positions, plan.subperiods):
+    for pos, subperiods in zip(portfolio.positions, plan):
         try:
             results, aggregate = _attribute(_price_fn(pos.pricer), subperiods, fx_mode)
         except EngineError as exc:
-            _prefix(exc, f"position {pos.id}")
-            raise
+            raise exc.at(f"position {pos.id}")
         per_position.append(PositionAttribution(pos.id, pos.bucket, tuple(results), aggregate,
                                                 pos.costs_in(t, T)))
     return PortfolioAttribution(period=(t, T), grid=tuple(grid), positions=tuple(per_position))

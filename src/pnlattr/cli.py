@@ -199,9 +199,7 @@ def _load(load, path: str):
     try:
         return load(path)
     except EngineError as exc:
-        if str(exc).startswith(f"{path}: "):
-            raise
-        raise EngineError(f"{path}: {exc}") from exc
+        raise exc if str(exc).startswith(f"{path}: ") else exc.at(path)
 
 
 _COMMANDS = {"attribute": _cmd_attribute, "oracle": _cmd_oracle, "validate": _cmd_validate}

@@ -2,23 +2,17 @@
 
 Everything raised on purpose derives from EngineError so callers can catch
 one base class at the boundary; the CLI maps it to exit code 1.
+
+A diagnostic says where it happened, innermost place last. The raiser
+passes the input `row` and `column` it stopped at, and each caller that
+knows more puts its own place in front with `at`. A loader error reads
+`bad.csv: row 1: market CSV header lacks column 'hazard'`, the path put in
+front by the CLI; an engine error reads `position X: subperiod (a, b]: ...`.
 """
 
 
 class EngineError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class EmptyNodes(EngineError):
-    """Curve construction received no nodes."""
-
-
-class NonMonotoneTenors(EngineError):
-    """Curve tenors must be nonnegative and strictly increasing."""
-
-
-class ParseError(EngineError):
-    """Malformed input text; carries row/column context when known."""
+    """Base class for all errors raised by this package; carries row/column context when known."""
 
     def __init__(self, message, *, row=None, column=None):
         where = []
@@ -31,6 +25,23 @@ class ParseError(EngineError):
         super().__init__(message)
         self.row = row
         self.column = column
+
+    def at(self, where: str) -> "EngineError":
+        """This error, with `where: ` put in front of its message."""
+        self.args = (f"{where}: {self}",)
+        return self
+
+
+class EmptyNodes(EngineError):
+    """Curve construction received no nodes."""
+
+
+class NonMonotoneTenors(EngineError):
+    """Curve tenors must be nonnegative and strictly increasing."""
+
+
+class ParseError(EngineError):
+    """Malformed input text."""
 
 
 class DuplicateDate(EngineError):

@@ -132,7 +132,7 @@ class MarketSnapshot:
 def _split_series(cell: str, row: int, column: str) -> list[float]:
     parts = [p for p in cell.split(";") if p.strip() != ""]
     if not parts:
-        raise MissingField(f"row {row}: column {column!r} is empty")
+        raise MissingField(f"column {column!r} is empty", row=row)
     try:
         return [float(p) for p in parts]
     except ValueError as exc:
@@ -183,7 +183,7 @@ def load_market_snapshots(source) -> list[MarketSnapshot]:
     names = [name.strip() for name in header]
     for column in MARKET_CSV_COLUMNS:
         if column not in names:
-            raise MissingField(f"row 1: market CSV header lacks column {column!r}")
+            raise MissingField(f"market CSV header lacks column {column!r}", row=1)
         if names.count(column) > 1:
             raise ParseError(f"market CSV header names column {column!r} twice", row=1)
     positions = {column: names.index(column) for column in MARKET_CSV_COLUMNS}
@@ -200,7 +200,7 @@ def load_market_snapshots(source) -> list[MarketSnapshot]:
         def cell(column: str) -> str:
             idx = positions[column]
             if idx >= len(row) or row[idx].strip() == "":
-                raise MissingField(f"row {row_no}: column {column!r} is missing")
+                raise MissingField(f"column {column!r} is missing", row=row_no)
             return row[idx].strip()
 
         try:
@@ -208,7 +208,7 @@ def load_market_snapshots(source) -> list[MarketSnapshot]:
         except ValueError as exc:
             raise ParseError(f"bad date: {exc}", row=row_no, column="date") from exc
         if as_of in snapshots:
-            raise DuplicateDate(f"row {row_no}: duplicate market date {as_of.isoformat()}")
+            raise DuplicateDate(f"duplicate market date {as_of.isoformat()}", row=row_no)
 
         def number(column: str) -> float:
             try:

@@ -81,7 +81,7 @@ def load_portfolio(source) -> Portfolio:
     seen = set()
     for position_id, header_line, fields in sections:
         if position_id in seen:
-            raise DuplicatePositionId(f"row {header_line}: duplicate position id {position_id!r}")
+            raise DuplicatePositionId(f"duplicate position id {position_id!r}", row=header_line)
         seen.add(position_id)
         positions.append(_build_position(position_id, header_line, fields))
     return Portfolio(positions=tuple(positions))
@@ -219,9 +219,7 @@ def _build_position(position_id, header_line, fields) -> Position:
         bucket = Bucket(bucket_token)
     except ValueError:
         valid = ", ".join(b.value for b in Bucket)
-        raise UnknownBucket(
-            f"row {line_no}: unknown bucket {bucket_token!r} (expected one of: {valid})"
-        ) from None
+        raise UnknownBucket(f"unknown bucket {bucket_token!r} (expected one of: {valid})", row=line_no) from None
 
     instrument_line, instrument = _require(fields, "instrument", position_id, header_line)
     instrument = instrument.lower()

@@ -131,6 +131,19 @@ def test_loader_errors_name_their_file(tmp_path, market_csv, portfolio_text, mon
         assert (captured.out, captured.err) == ("", err), args
 
 
+def test_loader_error_keeps_its_class_and_row_under_the_path(tmp_path, market_csv):
+    from pnlattr.cli import _load
+    from pnlattr.errors import MissingField
+    from pnlattr.market_data import load_market_snapshots
+
+    path = tmp_path / "bad.csv"
+    path.write_text(market_csv.replace(",hazard,", ",hazrd,"))
+    with pytest.raises(MissingField) as info:
+        _load(load_market_snapshots, str(path))
+    assert str(info.value) == f"{path}: row 1: market CSV header lacks column 'hazard'"
+    assert info.value.row == 1
+
+
 def test_validate_ok(inputs, capsys):
     portfolio, market = inputs
     assert run_cli(["validate", "--market", market, "--portfolio", portfolio]) == 0

@@ -155,6 +155,11 @@ def _position(i, holding) -> Position:
 def test_eur_and_usd_book_reconciles_to_realized_eur_pnl(book, data):
     portfolio = Portfolio(positions=tuple(_position(i, h) for i, h in enumerate(book)))
     grid = segment_period(portfolio, T0, T1)
+    # so attribute_portfolio needs no check that the schedules sit on its grid
+    assert {d for pos in portfolio.positions for d, amount in pos.schedule.entries
+            if T0 < d <= T1 and amount != 0.0} | {
+        txn.date for pos in portfolio.positions for txn in pos.transactions
+        if T0 < txn.date < T1 and txn.quantity_change != 0.0} <= set(grid)
     levels = data.draw(st.lists(
         st.tuples(st.floats(-0.01, 0.06), st.floats(0.0, 0.05), st.floats(0.7, 1.3)),
         min_size=len(grid), max_size=len(grid),
