@@ -14,16 +14,16 @@ r and factors x, and subscripting states by their observation date:
 
 Each asset-currency piece is converted at an FX weight (average of the two
 quotes, or in the start/end variant the end quote), and the FX part itself
-is the quote change earned on an asset-value weight. Parts sum to the
-total by construction, not by calibration: the residual is floating-point
-round-off and construction rejects anything worse.
+is the quote change earned on an asset-value weight. Parts sum to the total
+by construction: the residual is floating-point round-off, and construction
+rejects anything worse.
 
-Coupons break the single-period telescope because the dirty price drops by
-the coupon amount at payment. The period is therefore segmented at every
-cashflow and transaction date; each subperiod starts at the ex-coupon
-price, the coupon is frozen into carry at the FX level around its payment
-date (or at the period-end quote in the sophis variant), and subperiod
-results add componentwise.
+Coupons break the single-period telescope, so the period is segmented at
+every cashflow and transaction date, and subperiod results add up. Each is
+priced, then split: `_priced` makes its six prices (5n + 1 evaluations on
+n subperiods, each starting at the last one's end price), and the pure
+`_split` applies the conventions: an ex-coupon start, the coupon in carry at
+the FX level around its payment (literal: pre-coupon start; sophis: end quote).
 """
 
 from __future__ import annotations
@@ -126,34 +126,34 @@ def four_way_split(pricer, t, T, snap_t, snap_T, fx_mode: FxMode = FxMode.AVERAG
     attributes; they are handed to the pricer opaquely, which is what lets
     the same code run on production curve objects and on scalar toy states.
     """
-    chi_t, chi_T = _fx_rate(snap_t.fx), _fx_rate(snap_T.fx)
-    result, _ = _split(_price_fn(pricer), t, T, snap_t, snap_T, chi_t, chi_T, fx_mode)
-    return result
+    subperiod = _Subperiod(t, T, snap_t, snap_T, _fx_rate(snap_t.fx), _fx_rate(snap_T.fx), 1.0, 0.0, 0.0, 0.0)
+    return _split(subperiod, next(_priced(_price_fn(pricer), (subperiod,))), fx_mode)
 
 
-def _split(price, t, T, snap_t, snap_T, chi_t, chi_T, fx_mode: FxMode, start_old: float | None = None,
-           start_coupon: float = 0.0):
-    """four_way_split on a price function and quotes chi_t, chi_T; returns (result, end_new).
+def _priced(price, subperiods: Iterable[_Subperiod]):
+    """Yield each subperiod's six prices, pricing it only when asked. A subperiod starts at the
+    previous one's end price A_u(r_u, x_u), so n subperiods cost 5n + 1 evaluations."""
+    start_old = None
+    for t, T, snap_t, snap_T, _, _, _, _, _, _ in subperiods:
+        if not t < T:
+            raise EmptyPeriod(f"period start {t} not before end {T}")
+        r_t, x_t = snap_t.curve, snap_t.factors
+        r_T, x_T = snap_T.curve, snap_T.factors
+        end_new = _evaluate(price, "end price under end curve and end factors", T, r_T, x_T)
+        end_old_curve = _evaluate(price, "end price under start curve and end factors", T, r_t, x_T)
+        end_old_factors = _evaluate(price, "end price under end curve and start factors", T, r_T, x_t)
+        if start_old is None:
+            start_old = _evaluate(price, "start price under start curve and start factors", t, r_t, x_t)
+        start_new_curve = _evaluate(price, "start price under end curve and start factors", t, r_T, x_t)
+        start_new_factors = _evaluate(price, "start price under start curve and end factors", t, r_t, x_T)
+        yield end_new, end_old_curve, end_old_factors, start_old, start_new_curve, start_new_factors
+        start_old = end_new
 
-    A caller that already holds A_t(r_t, x_t), such as the previous
-    subperiod's end_new under the same pure price function, passes it as
-    `start_old` and saves one of the six evaluations. A non-zero
-    `start_coupon` is added to the three start-date prices, so the period
-    starts at the pre-coupon price (literal carry mode); end_new never
-    includes it.
-    """
-    if not t < T:
-        raise EmptyPeriod(f"period start {t} not before end {T}")
-    r_t, x_t = snap_t.curve, snap_t.factors
-    r_T, x_T = snap_T.curve, snap_T.factors
 
-    end_new = _evaluate(price, "end price under end curve and end factors", T, r_T, x_T)
-    end_old_curve = _evaluate(price, "end price under start curve and end factors", T, r_t, x_T)
-    end_old_factors = _evaluate(price, "end price under end curve and start factors", T, r_T, x_t)
-    if start_old is None:
-        start_old = _evaluate(price, "start price under start curve and start factors", t, r_t, x_t)
-    start_new_curve = _evaluate(price, "start price under end curve and start factors", t, r_T, x_t)
-    start_new_factors = _evaluate(price, "start price under start curve and end factors", t, r_t, x_T)
+def _split(sub: _Subperiod, prices: tuple, fx_mode: FxMode) -> AttributionResult:
+    """One subperiod's EUR result from the six prices _priced yields for it; evaluates nothing."""
+    end_new, end_old_curve, end_old_factors, start_old, start_new_curve, start_new_factors = prices
+    _, _, _, _, chi_t, chi_T, quantity, start_coupon, coupon, coupon_fx = sub
     if start_coupon != 0.0:
         start_old += start_coupon
         start_new_curve += start_coupon
@@ -173,7 +173,13 @@ def _split(price, t, T, snap_t, snap_T, chi_t, chi_T, fx_mode: FxMode, start_old
         scale=max(abs(end_new), abs(end_old_curve), abs(end_old_factors), abs(start_old),
                   abs(start_new_curve), abs(start_new_factors)) * max(chi_t, chi_T),
     )
-    return result, end_new
+    if quantity != 1.0:
+        result = result.scaled(quantity)
+    if coupon != 0.0:
+        coupon_eur = quantity * coupon * coupon_fx
+        result = AttributionResult(result.fx, result.rate, result.market, result.carry + coupon_eur,
+                                   result.total + coupon_eur, max(result.scale, abs(coupon_eur)))
+    return result
 
 
 class Bucket(str, Enum):
@@ -280,9 +286,8 @@ def segment_period(scope, t, T) -> list:
     return sorted(dates)
 
 
-#: One position's subperiod (start, end] with every input of its split but the prices. The
-#: three start prices include start_coupon, the coupon paid at start in literal mode (0.0
-#: otherwise); coupon is paid at end and converts at coupon_fx.
+#: One position's subperiod (start, end] with every input of _split but the prices. start_coupon, paid
+#: at start in literal mode (else 0.0), joins the start prices; coupon, paid at end, converts at coupon_fx.
 _Subperiod = namedtuple("_Subperiod", "start end snap_start snap_end chi_start chi_end "
                                       "quantity start_coupon coupon coupon_fx")
 
@@ -295,12 +300,16 @@ def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: Carr
         if u not in mapped:
             raise MissingSnapshot(f"no market snapshot at {u}")
     snaps = tuple(mapped[u] for u in grid)
-    quotes = {currency: [1.0] * len(grid) if currency == "EUR" else [_fx_rate(s.fx) for s in snaps]
-              for currency in dict.fromkeys(pos.currency for pos in positions)}
+    eur, foreign = [1.0] * len(grid), []  # every other currency converts at the snapshot's fx quote
+    for u, snap in zip(grid, snaps) if any(pos.currency != "EUR" for pos in positions) else ():
+        try:
+            foreign.append(_fx_rate(snap.fx))
+        except ValueError as exc:
+            raise EngineError(f"market snapshot at {u}: {exc}") from exc
     literal, sophis = carry_mode is CarryMode.LITERAL, carry_mode is CarryMode.SOPHIS
     subperiods = []
     for pos in positions:
-        chi, amount_on = quotes[pos.currency], pos.schedule.amount_on
+        chi, amount_on = eur if pos.currency == "EUR" else foreign, pos.schedule.amount_on
         subperiods.append(tuple(
             _Subperiod(grid[i - 1], grid[i], snaps[i - 1], snaps[i], chi[i - 1], chi[i],
                        pos.quantity_at(grid[i - 1]), amount_on(grid[i - 1]) if literal else 0.0,
@@ -310,22 +319,13 @@ def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: Carr
 
 
 def _attribute(price, subperiods: Sequence[_Subperiod], fx_mode: FxMode):
-    """Split one position's planned subperiods in order; returns (results, their sum)."""
-    end_new, results = None, []
-    for (u_prev, u_cur, snap_prev, snap_cur, chi_prev, chi_cur,
-         quantity, start_coupon, coupon, coupon_fx) in subperiods:
+    """Price and split one position's planned subperiods in turn; returns (results, their sum)."""
+    prices, results = _priced(price, subperiods), []
+    for sub in subperiods:
         try:
-            split, end_new = _split(price, u_prev, u_cur, snap_prev, snap_cur, chi_prev, chi_cur,
-                                    fx_mode, end_new, start_coupon)
-            if quantity != 1.0:
-                split = split.scaled(quantity)
-            if coupon != 0.0:
-                coupon_eur = quantity * coupon * coupon_fx
-                split = AttributionResult(split.fx, split.rate, split.market, split.carry + coupon_eur,
-                                          split.total + coupon_eur, max(split.scale, abs(coupon_eur)))
+            results.append(_split(sub, next(prices), fx_mode))
         except EngineError as exc:
-            raise exc.at(f"subperiod ({u_prev}, {u_cur}]")
-        results.append(split)
+            raise exc.at(f"subperiod ({sub.start}, {sub.end}]")
     try:
         return results, AttributionResult.combine(results)
     except EngineError as exc:

@@ -9,6 +9,7 @@ from pnlattr import (
     CashflowSchedule,
     DuplicatePositionId,
     EmptyPeriod,
+    EngineError,
     FxMode,
     MissingSnapshot,
     NonFiniteReport,
@@ -368,6 +369,29 @@ def test_snapshots_are_checked_once_per_run():
     result = attribute_portfolio(portfolio, snaps, 0.0, 1.0)
     assert result.grid == (0.0, 0.5, 1.0)
     assert snaps.lookups == 3
+
+
+def test_a_quote_not_above_zero_is_an_engine_error_naming_its_date_before_any_price():
+    from datetime import date
+
+    calls = []
+
+    def price(s, r, x):
+        calls.append(s)
+        return 100.0
+
+    t, T = date(2021, 12, 31), date(2022, 4, 1)
+    snaps = {t: ScalarState(0.0, 0.0, 1.1), T: ScalarState(0.0, 0.0, -1.0)}
+    usd = Position(id="usd", bucket=Bucket.OTHER, pricer=price)
+    message = r"^market snapshot at 2022-04-01: fx quote must be > 0, got -1.0$"
+    with pytest.raises(EngineError, match=message):
+        attribute_position(usd, snaps, [t, T])
+    with pytest.raises(EngineError, match=message):
+        attribute_portfolio(Portfolio(positions=(usd,)), snaps, t, T)
+    assert calls == []
+    # a EUR position converts at 1 and never reads the quote
+    eur = Position(id="eur", bucket=Bucket.CASH, pricer=price, currency="EUR")
+    assert attribute_portfolio(Portfolio(positions=(eur,)), snaps, t, T).by_id("eur").aggregate.fx == 0.0
 
 
 def test_engine_error_names_the_position_and_the_subperiod():
