@@ -56,14 +56,13 @@ print(f"\nNaive endpoint-only split (coupon drop eaten by carry):")
 print(f"  carry {naive.carry:>12,.0f} EUR   total {naive.total:>12,.0f} EUR")
 
 print("\nSegmented attribution:")
+aggregates = {}
 for mode in CarryMode:
-    subs, agg = attribute_position(position, snapshots, grid, carry_mode=mode)
+    _, agg = attribute_position(position, snapshots, grid, carry_mode=mode)
+    aggregates[mode] = agg
     print(f"  {mode.value:9s}  fx {agg.fx:>10,.0f}  rate {agg.rate:>10,.0f}  "
           f"market {agg.market:>9,.0f}  carry {agg.carry:>9,.0f}  total {agg.total:>10,.0f}")
-
-_, corrected = attribute_position(position, snapshots, grid, carry_mode=CarryMode.CORRECTED)
-_, literal = attribute_position(position, snapshots, grid, carry_mode=CarryMode.LITERAL)
-_, sophis = attribute_position(position, snapshots, grid, carry_mode=CarryMode.SOPHIS)
+corrected, literal, sophis = (aggregates[mode] for mode in (CarryMode.CORRECTED, CarryMode.LITERAL, CarryMode.SOPHIS))
 
 coupon = position.schedule.amount_on(coupon_dates[0])
 print(f"""

@@ -35,7 +35,7 @@ from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from ._record import Record
-from .conventions import CarryMode, FxMode, _fx_rate, _fx_weights, fx_split  # noqa: F401 (re-exported)
+from .conventions import CarryMode, FxMode, _fx_rate, _fx_weights
 from .errors import (
     DuplicatePositionId,
     EmptyPeriod,
@@ -121,13 +121,12 @@ def _evaluate(price, label: str, s, curve, factors) -> float:
 def four_way_split(pricer, t, T, snap_t, snap_T, fx_mode: FxMode = FxMode.AVERAGE) -> AttributionResult:
     """Decompose the EUR PnL of one asset over (t, T] into the four parts.
 
-    `pricer` is anything with price(s, curve, factors), or bare callable
-    with that signature. Snapshots only need curve, factors, and fx
-    attributes; they are handed to the pricer opaquely, which is what lets
-    the same code run on production curve objects and on scalar toy states.
+    `pricer` is anything with price(s, curve, factors), or a bare callable with that signature;
+    snapshots need curve, factors and fx attributes and go to it opaquely, so production curve
+    objects and scalar toy states both work. It is `_plan`'s one subperiod of a unit position.
     """
-    subperiod = _Subperiod(t, T, snap_t, snap_T, _fx_rate(snap_t.fx), _fx_rate(snap_T.fx), 1.0, 0.0, 0.0, 0.0)
-    return _split(subperiod, next(_priced(_price_fn(pricer), (subperiod,))), fx_mode)
+    [[sub]] = _plan((Position("", Bucket.OTHER, pricer),), {t: snap_t, T: snap_T}, [t, T], CarryMode.CORRECTED)
+    return _split(sub, next(_priced(_price_fn(pricer), (sub,))), fx_mode)
 
 
 def _priced(price, subperiods: Iterable[_Subperiod]):
@@ -135,8 +134,6 @@ def _priced(price, subperiods: Iterable[_Subperiod]):
     previous one's end price A_u(r_u, x_u), so n subperiods cost 5n + 1 evaluations."""
     start_old = None
     for t, T, snap_t, snap_T, _, _, _, _, _, _ in subperiods:
-        if not t < T:
-            raise EmptyPeriod(f"period start {t} not before end {T}")
         r_t, x_t = snap_t.curve, snap_t.factors
         r_T, x_T = snap_T.curve, snap_T.factors
         end_new = _evaluate(price, "end price under end curve and end factors", T, r_T, x_T)
@@ -292,7 +289,19 @@ _Subperiod = namedtuple("_Subperiod", "start end snap_start snap_end chi_start c
                                       "quantity start_coupon coupon coupon_fx")
 
 def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: CarryMode) -> tuple:
-    """Check a snapshot at every grid date, then lay out each position's tuple of _Subperiods."""
+    """Check a run before its first price, then lay out each position's tuple of _Subperiods. The
+    checks, in order: a grid of two dates or more that increases at every step; at most one foreign
+    currency; a snapshot at every grid date; and, unless the book is all EUR, fx quotes finite and > 0."""
+    if len(grid) < 2:
+        raise EmptyPeriod("attribution grid needs at least a start and an end date")
+    for start, end in zip(grid, grid[1:]):
+        if not start < end:
+            raise EmptyPeriod(f"period start {start} not before end {end}")
+    foreign = [pos for pos in positions if pos.currency != "EUR"]
+    for pos in foreign[1:]:
+        if pos.currency != foreign[0].currency:
+            raise MixedCurrencies(f"position {foreign[0].id} is in {foreign[0].currency} and position "
+                                  f"{pos.id} in {pos.currency}; the market quotes one foreign currency")
     if not positions:
         return ()
     mapped = snapshots if isinstance(snapshots, Mapping) else {snap.as_of: snap for snap in snapshots}
@@ -300,16 +309,16 @@ def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: Carr
         if u not in mapped:
             raise MissingSnapshot(f"no market snapshot at {u}")
     snaps = tuple(mapped[u] for u in grid)
-    eur, foreign = [1.0] * len(grid), []  # every other currency converts at the snapshot's fx quote
-    for u, snap in zip(grid, snaps) if any(pos.currency != "EUR" for pos in positions) else ():
+    eur, quotes = [1.0] * len(grid), []  # every other currency converts at the snapshot's fx quote
+    for u, snap in zip(grid, snaps) if foreign else ():
         try:
-            foreign.append(_fx_rate(snap.fx))
+            quotes.append(_fx_rate(snap.fx))
         except ValueError as exc:
             raise EngineError(f"market snapshot at {u}: {exc}") from exc
     literal, sophis = carry_mode is CarryMode.LITERAL, carry_mode is CarryMode.SOPHIS
     subperiods = []
     for pos in positions:
-        chi, amount_on = eur if pos.currency == "EUR" else foreign, pos.schedule.amount_on
+        chi, amount_on = eur if pos.currency == "EUR" else quotes, pos.schedule.amount_on
         subperiods.append(tuple(
             _Subperiod(grid[i - 1], grid[i], snaps[i - 1], snaps[i], chi[i - 1], chi[i],
                        pos.quantity_at(grid[i - 1]), amount_on(grid[i - 1]) if literal else 0.0,
@@ -345,14 +354,10 @@ def attribute_position(
     componentwise sum. In CORRECTED mode the aggregate total equals the
     realized EUR PnL including coupons converted around their payment
     dates; in LITERAL mode each subperiod starts at the pre-coupon price,
-    reproducing the shortfall that motivates the correction. Checked once,
-    before the first price: the grid (a start and an end date), a snapshot
-    at every grid date, then the position's cashflows and the transactions
-    dated strictly inside the period against the grid.
+    reproducing the shortfall that motivates the correction. `_plan` checks
+    the run, then each cashflow and rebalance inside the period must be on the grid.
     """
     grid = list(grid)
-    if len(grid) < 2:
-        raise EmptyPeriod("attribution grid needs at least a start and an end date")
     [subperiods] = _plan((position,), snapshots, grid, carry_mode)
     grid_set, start, end = set(grid), grid[0], grid[-1]
     for d, amount in position.schedule.entries:
@@ -399,17 +404,11 @@ def attribute_portfolio(
     """Attribute every position on the common transaction/coupon grid.
 
     EUR positions convert at 1 and all others at the market's one fx
-    column, so a book may not mix two foreign currencies. Before the first
-    price, and once per run, this checks the currencies, the grid (t < T)
-    and a snapshot at every grid date; an error names the position, the
-    first one for a missing snapshot. Positions come back in input order;
-    bucket and fund totals are the report's job (see reporting.render_report).
+    column. segment_period checks t < T, then `_plan` checks the run once;
+    an error names the position, the first one for a missing snapshot.
+    Positions come back in input order; bucket and fund totals are the
+    report's job (see reporting.render_report).
     """
-    foreign = [pos for pos in portfolio.positions if pos.currency != "EUR"]
-    for pos in foreign[1:]:
-        if pos.currency != foreign[0].currency:
-            raise MixedCurrencies(f"position {foreign[0].id} is in {foreign[0].currency} and position "
-                                  f"{pos.id} in {pos.currency}; the market quotes one foreign currency")
     grid = segment_period(portfolio, t, T)  # every cashflow and transaction date is on it
     try:
         plan = _plan(portfolio.positions, snapshots, grid, carry_mode)

@@ -27,8 +27,8 @@ class CarryMode(Enum):
 
 def _fx_rate(quote) -> float:
     rate = float(getattr(quote, "rate", quote))
-    if not rate > 0.0:
-        raise ValueError(f"fx quote must be > 0, got {rate}")
+    if not 0.0 < rate < float("inf"):
+        raise ValueError(f"fx quote must be finite and > 0, got {rate}")
     return rate
 
 

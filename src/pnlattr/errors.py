@@ -1,18 +1,19 @@
 """Exception types for the attribution engine.
 
-Everything raised on purpose derives from EngineError so callers can catch
-one base class at the boundary; the CLI maps it to exit code 1.
+Value constructors (FxQuote, ZeroCurve, BondSpec, GbmSpec, ...) and pure
+functions such as fx_split raise ValueError for an argument outside their
+domain. The loaders and the engine turn it into an EngineError naming a
+row or a date; the CLI maps EngineError to exit code 1.
 
-A diagnostic says where it happened, innermost place last. The raiser
+A diagnostic says where it happened, innermost place last: the raiser
 passes the input `row` and `column` it stopped at, and each caller that
-knows more puts its own place in front with `at`. A loader error reads
-`bad.csv: row 1: market CSV header lacks column 'hazard'`, the path put in
-front by the CLI; an engine error reads `position X: subperiod (a, b]: ...`.
+knows more puts its place in front with `at`, as in `bad.csv: row 1: market
+CSV header lacks column 'hazard'` or `position X: subperiod (a, b]: ...`.
 """
 
 
 class EngineError(Exception):
-    """Base class for all errors raised by this package; carries row/column context when known."""
+    """Base class for the loaders' and the engine's errors; carries row/column context when known."""
 
     def __init__(self, message, *, row=None, column=None):
         where = []
@@ -57,7 +58,7 @@ class PastMaturity(EngineError):
 
 
 class EmptyPeriod(EngineError):
-    """Attribution period (t, T] is empty because t >= T."""
+    """An attribution period or grid step (t, T] is empty because t >= T."""
 
 
 class PricerEvaluationFailed(EngineError):

@@ -383,11 +383,21 @@ def test_a_quote_not_above_zero_is_an_engine_error_naming_its_date_before_any_pr
     t, T = date(2021, 12, 31), date(2022, 4, 1)
     snaps = {t: ScalarState(0.0, 0.0, 1.1), T: ScalarState(0.0, 0.0, -1.0)}
     usd = Position(id="usd", bucket=Bucket.OTHER, pricer=price)
-    message = r"^market snapshot at 2022-04-01: fx quote must be > 0, got -1.0$"
+    message = r"^market snapshot at 2022-04-01: fx quote must be finite and > 0, got -1.0$"
     with pytest.raises(EngineError, match=message):
         attribute_position(usd, snaps, [t, T])
     with pytest.raises(EngineError, match=message):
         attribute_portfolio(Portfolio(positions=(usd,)), snaps, t, T)
+    # the two-point split plans its one subperiod the same way, and no quote may be infinite
+    for bad in (-1.0, float("inf"), float("nan")):
+        start, end = ScalarState(0.0, 0.0, 1.1), ScalarState(0.0, 0.0, bad)
+        message = rf"^market snapshot at 1.0: fx quote must be finite and > 0, got {bad}$"
+        with pytest.raises(EngineError, match=message):
+            four_way_split(price, 0.0, 1.0, start, end)
+        with pytest.raises(EngineError, match=r"^market snapshot at 1.0: "):
+            attribute_position(usd, {0.0: start, 1.0: end}, [0.0, 1.0])
+        with pytest.raises(ValueError, match=r"^fx quote must be finite and > 0"):
+            fx_split(1.0, 2.0, 1.1, bad)
     assert calls == []
     # a EUR position converts at 1 and never reads the quote
     eur = Position(id="eur", bucket=Bucket.CASH, pricer=price, currency="EUR")
@@ -463,6 +473,24 @@ def test_per_position_snapshot_override():
     result = attribute_portfolio(portfolio, usd_snaps, 0.0, 1.0)
     assert result.by_id("usd").aggregate.fx == pytest.approx(100 * -0.1, rel=1e-12)
     assert result.by_id("eur").aggregate.fx == 0.0
+
+
+def test_a_grid_that_does_not_increase_fails_before_any_price():
+    calls = []
+
+    def price(s, r, x):
+        calls.append(s)
+        return 100.0
+
+    pos = Position(id="p", bucket=Bucket.OTHER, pricer=price)
+    snaps = {u: ScalarState(0.0, 0.0, 1.0) for u in (0.0, 0.5, 1.0)}
+    with pytest.raises(EmptyPeriod, match=r"^period start 1.0 not before end 0.5$"):
+        attribute_position(pos, snaps, [0.0, 1.0, 0.5])
+    with pytest.raises(EmptyPeriod, match=r"^period start 0.5 not before end 0.5$"):
+        attribute_position(pos, snaps, [0.0, 0.5, 0.5, 1.0])
+    with pytest.raises(EmptyPeriod, match=r"^attribution grid needs at least a start and an end date$"):
+        attribute_position(pos, snaps, [0.0])
+    assert calls == []
 
 
 def test_engine_errors_print_dates_as_iso():

@@ -53,8 +53,14 @@ def test_fixture_eur_cash_has_no_fx_part(market_csv, portfolio_text):
 
 
 def test_two_foreign_currencies_are_rejected():
+    calls = []
+
+    def price(s, r, x):
+        calls.append(s)
+        return 100.0
+
     def position(pid, currency):
-        return Position(id=pid, bucket=Bucket.OTHER, pricer=lambda s, r, x: 100.0, currency=currency)
+        return Position(id=pid, bucket=Bucket.OTHER, pricer=price, currency=currency)
 
     portfolio = Portfolio(positions=(
         position("usd_bond", "USD"), position("eur_cash", "EUR"), position("gbp_gilt", "GBP"),
@@ -67,6 +73,10 @@ def test_two_foreign_currencies_are_rejected():
     for name in ("usd_bond", "USD", "gbp_gilt", "GBP"):
         assert name in message
     assert "eur_cash" not in message
+    # the currencies are checked before the snapshots
+    with pytest.raises(MixedCurrencies):
+        attribute_portfolio(portfolio, {0.0: snaps[0.0]}, 0.0, 1.0)
+    assert calls == []
 
 
 def test_one_foreign_currency_besides_eur_is_accepted():

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion and prints something."""
+"""Smoke test: every demo script runs to completion, prints something and writes nothing to stderr."""
 
 import os
 import subprocess
@@ -26,3 +26,4 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    assert result.stderr == ""
