@@ -37,6 +37,10 @@ def _standalone(text: str) -> tuple[str, float]:
     if not sep or not label:
         raise argparse.ArgumentTypeError(f"expected LABEL=EUR, got {text!r}")
     try:
+        label.encode("utf-8")  # an argv byte that is not UTF-8 decodes to a lone surrogate
+    except UnicodeEncodeError as exc:
+        raise argparse.ArgumentTypeError(f"LABEL must be UTF-8 text in {text!r}") from exc
+    try:
         value = float(amount)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad EUR amount in {text!r}") from exc

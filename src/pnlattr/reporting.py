@@ -11,7 +11,11 @@ half-even: an exact -0.0 prints as 0, but a value that rounds to zero from
 below prints as -0 or -0.0, as the seed program prints it. JSON holds the
 same rows at full precision in one object: `nav`, `positions` in bucket
 order, `buckets` (the SUBTOTAL rows), `positions_total`, `standalones` as
-`{label, total_eur[, total_bps]}`, and `total`. Output is byte-stable.
+`{label, total_eur[, total_bps]}`, and `total`. The JSON text is exactly
+what `json.dumps(tree, indent=2)` writes for that object, plus a newline,
+but it is filled into one %-template per indentation level: only a value
+that needs escaping or is not a plain float, int or None loads `json`.
+Output is byte-stable.
 """
 
 from __future__ import annotations
@@ -116,6 +120,48 @@ def _lay_out(rows: Sequence[ReportRow], standalone_lines: Sequence[tuple[str, fl
     )
 
 
+#: The value types json.dumps writes with repr; their str, which %s writes, is the same text.
+_NUMBERS = {float, int}
+
+
+def _json_value(value) -> str:
+    """value as json.dumps writes it: repr for a float or an int, null for None, quotes round a printable
+    ASCII string that needs no escape, and json's own encoder for anything else."""
+    if type(value) in _NUMBERS:
+        return repr(value)
+    if value is None:
+        return "null"
+    if type(value) is str and value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+        return f'"{value}"'
+    import json
+
+    return json.dumps(value)
+
+
+def _object(keys: Sequence[str], indent: str) -> str:
+    """A %-template of one JSON object, its values left as %s in key order, laid out as
+    json.dumps(indent=2) lays out an object whose closing brace is at indent."""
+    members = ",\n".join(f'{indent}  "{key}": %s' for key in keys)
+    return f"{{\n{members}\n{indent}}}"
+
+
+def _array(items: list[str]) -> str:
+    """A list of objects as the value of a top-level key, laid out as json.dumps(indent=2) lays it out."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+#: The report object's keys in order; each value is filled in with %.
+_JSON_REPORT = """{
+  "nav": %s,
+  "positions": %s,
+  "buckets": %s,
+  "positions_total": %s,
+  "standalones": %s,
+  "total": %s
+}
+"""
+
+
 def render_report(
     results,
     format: str = "csv",
@@ -149,24 +195,27 @@ def render_report(
             writer.writerow(record)
         return out.getvalue()
     if format == "json":
-        import json
+        item, member = _object(header, "    "), _object(header, "  ")
+        standalone = _object(("label", "total_eur", "total_bps")[:2 if nav is None else 3], "    ")
 
-        def entry(row: ReportRow) -> dict:
+        def fill(template: str, row: ReportRow) -> str:
             values = row.values()
             if nav is not None:
-                values += tuple(bps(v, nav) for v in values)
-            return dict(zip(header, (row.position, row.bucket) + values))
+                values += tuple([bps(v, nav) for v in values])
+            if not {*map(type, values)} <= _NUMBERS:
+                values = tuple(map(_json_value, values))
+            return template % (_json_value(row.position), _json_value(row.bucket), *values)
 
-        tree = {
-            "nav": nav,
-            "positions": [entry(row) for members, _ in layout.buckets for row in members],
-            "buckets": [entry(subtotal) for _, subtotal in layout.buckets],
-            "positions_total": entry(layout.positions_total),
-            "standalones": [
-                {"label": row.position, **{c: v for c, v in entry(row).items() if c.startswith("total_")}}
-                for row in layout.standalones
-            ],
-            "total": entry(layout.total),
-        }
-        return json.dumps(tree, indent=2) + "\n"
+        def fill_standalone(row: ReportRow) -> str:
+            values = (row.position, row.total_eur) + (() if nav is None else (bps(row.total_eur, nav),))
+            return standalone % tuple(map(_json_value, values))
+
+        return _JSON_REPORT % (
+            _json_value(nav),
+            _array([fill(item, row) for members, _ in layout.buckets for row in members]),
+            _array([fill(item, subtotal) for _, subtotal in layout.buckets]),
+            fill(member, layout.positions_total),
+            _array([fill_standalone(row) for row in layout.standalones]),
+            fill(member, layout.total),
+        )
     raise ValueError(f"unknown report format {format!r} (expected 'csv' or 'json')")

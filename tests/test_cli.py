@@ -423,6 +423,17 @@ loaded()
         "pnlattr,pnlattr._record,pnlattr.cli,pnlattr.conventions,pnlattr.errors,pnlattr.path_oracle "
         "False False",
     ]
+    # a JSON report whose ids and labels need no escaping is written without the json module
+    result = _python("""
+import sys
+from pnlattr.cli import run_cli
+print(run_cli(["attribute", *sys.argv[2:], "--from", "2021-12-31", "--to", "2022-04-01", "--nav", "50000000",
+               "--standalone", "FEES=-62500", "--format", "json", "--output", sys.argv[1]]),
+      "json" in sys.modules)
+""", str(tmp_path / "report.json"), *DEMO_ARGS)
+    assert result.stdout.split() == ["0", "False"], result.stderr
+    golden = Path(__file__).parent / "data" / "demo_report_golden.json"
+    assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
 
 def test_import_pnlattr_cli_loads_no_numpy_or_json_and_two_dataclasses():
@@ -638,6 +649,21 @@ def test_entry_point_writes_what_run_cli_writes(args, code, golden, monkeypatch,
     assert captured.err.count("error:") == (code != 0)
     if golden:
         assert result.stdout == (Path(__file__).parent / "data" / golden).read_bytes()
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_entry_point_standalone_label_that_is_not_utf8_is_usage_error(tmp_path, format, monkeypatch, capsys):
+    # the argv byte 0xFF decodes to the lone surrogate U+DCFF, which a UTF-8 report cannot hold
+    report = tmp_path / f"report.{format}"
+    args = [*DEMO_REPORT, "--format", format, "--output", str(report), "--standalone"]
+    result = _cli(*args, b"\xff=5")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli([*args, "\udcff=5"]) == 2
+    captured = capsys.readouterr()
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.decode() == captured.err
+    assert captured.err.endswith("error: argument --standalone: LABEL must be UTF-8 text in '\\udcff=5'\n")
+    assert result.stdout == b"" and not report.exists()
 
 
 def test_entry_point_report_larger_than_a_pipe_buffer_is_complete(tmp_path):

@@ -6,6 +6,9 @@ domain: one foreign currency, which it converts every position at; bonds
 after the period end and cash accounts opened at or before its start; and
 rebalances on any date, to 0 as well, listed out of date order with sizes
 that are not dyadic, so their sum depends on the order they are added in.
+Position ids and the standalone label hold quotes, backslashes, commas and
+non-ASCII text, which both report formats must quote or escape as the seed
+program does.
 """
 
 import contextlib
@@ -94,13 +97,20 @@ def _position(draw, position_id: str, currency: str, t: date, T: date) -> str:
     return "\n".join(lines + draw(_transactions(sign, first, last, t, T))) + "\n"
 
 
+#: Position ids and standalone labels: what a report escapes or quotes, in a
+#: CSV field or a JSON string, and no whitespace, '#', ']' or '=', so the holdings
+#: file and the LABEL=EUR argument read them back whole.
+_TEXT = st.text(st.sampled_from(['P', '7', '"', '\\', ',', '\x7f', '\u00dc', '\U0001f600']), min_size=1, max_size=5)
+
+
 @st.composite
 def books(draw):
     """(holdings text, market CSV text, t, T, extra CLI arguments), inside the seed program's domain."""
     t = _day(draw, date(2021, 6, 30), date(2022, 12, 31))
     T = t + timedelta(days=draw(st.integers(1, 200)))
     currency = draw(st.sampled_from(["USD", "GBP", "JPY"]))
-    holdings = "\n".join(draw(_position(f"P{k}", currency, t, T)) for k in range(draw(st.integers(1, 4))))
+    ids = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    holdings = "\n".join(draw(_position(position_id, currency, t, T)) for position_id in ids)
     # a snapshot on every grid date, as the seed program lays the grid out, and on a few more
     portfolio = seed_portfolio_io.load_portfolio(io.StringIO(holdings))
     dates = set(seed_attribution.segment_period(portfolio, t, T))
@@ -110,7 +120,8 @@ def books(draw):
         rates = ";".join(repr(draw(_number(-0.01, 0.06))) for _ in TENORS.split(";"))
         rows.append(f"{day},{draw(_number(0.3, 2.0))!r},{draw(_number(0.0, 0.08))!r},"
                     f"{draw(_number(0.0, 0.8))!r},{draw(_number(-0.01, 0.01))!r},{TENORS},{rates}")
-    extra = draw(st.sampled_from([(), ("--nav", "50000000"), ("--nav", "1e7", "--standalone", "FEES=-62500.5")]))
+    label = draw(_TEXT)
+    extra = draw(st.sampled_from([(), ("--nav", "50000000"), ("--nav", "1e7", "--standalone", f"{label}=-62500.5")]))
     return holdings, "\n".join(rows) + "\n", t, T, extra
 
 

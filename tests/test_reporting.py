@@ -5,12 +5,13 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnlattr import (Bucket, EmptyResults, ReportRow, attribute_portfolio, bps, load_market_snapshots,
                      load_portfolio, render_report)
-from pnlattr.reporting import CSV_COLUMNS
+from pnlattr.reporting import _BPS_COLUMNS, CSV_COLUMNS, _lay_out
 
 # the frozen seed program, read only: the report must print what it printed
 REPO = Path(__file__).resolve().parents[1]
@@ -184,3 +185,51 @@ def test_attribution_report_prints_what_the_seed_program_printed():
         for nav in (None, 50_000_000.0):
             assert (render_report(attribution, format, nav=nav, standalone_lines=standalones)
                     == seed_reporting.render_report(seed, format, nav=nav, standalone_lines=standalones))
+
+
+def tree_json(rows, nav=None, standalone_lines=()):
+    """The reference JSON report: the layout as a dict tree, written by json.dumps(indent=2)."""
+    layout = _lay_out(rows, [(str(label), float(amount)) for label, amount in standalone_lines])
+    header = CSV_COLUMNS if nav is None else CSV_COLUMNS + _BPS_COLUMNS
+
+    def entry(row):
+        values = row.values()
+        if nav is not None:
+            values += tuple(bps(v, nav) for v in values)
+        return dict(zip(header, (row.position, row.bucket) + values))
+
+    tree = {
+        "nav": nav,
+        "positions": [entry(row) for members, _ in layout.buckets for row in members],
+        "buckets": [entry(subtotal) for _, subtotal in layout.buckets],
+        "positions_total": entry(layout.positions_total),
+        "standalones": [
+            {"label": row.position, **{c: v for c, v in entry(row).items() if c.startswith("total_")}}
+            for row in layout.standalones
+        ],
+        "total": entry(layout.total),
+    }
+    return json.dumps(tree, indent=2) + "\n"
+
+
+# what json escapes or converts, beside what it writes as it is
+escaped_text = st.text(st.sampled_from(['"', "\\", "\x01", "\x7f", "\u00e9", "\U0001f600", "\udcff", "a", " "]),
+                       min_size=1, max_size=6)
+json_values = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, True, False]),
+    st.integers(-10**6, 10**6),
+    st.builds(np.float64, st.floats(-1e9, 1e9)),
+    st.floats(-1e9, 1e9),
+)
+json_rows = st.lists(
+    st.builds(ReportRow, escaped_text, st.sampled_from([b.value for b in Bucket]) | escaped_text,
+              json_values, json_values, json_values, json_values, json_values, json_values),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_rows, st.none() | st.integers(1, 10**9) | st.floats(1e3, 1e10),
+       st.lists(st.tuples(escaped_text, json_values), max_size=2))
+def test_json_report_is_what_json_dumps_writes(rows, nav, standalones):
+    assert render_report(rows, "json", nav=nav, standalone_lines=standalones) == tree_json(rows, nav, standalones)
