@@ -96,10 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_output(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
+    """The report as UTF-8, on stdout as in an --output file, whatever stdout's own encoding."""
+    if output is not None:
         Path(output).write_text(text, encoding="utf-8")
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # text already written to the stream goes out first
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:  # a text-only stream, such as an io.StringIO, holds the text itself
+        sys.stdout.write(text)
 
 
 def _cmd_attribute(args) -> int:

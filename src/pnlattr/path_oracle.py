@@ -23,7 +23,9 @@ All simulation is seeded and reproducible bit for bit; log-space stepping
 keeps geometric paths strictly positive for any step size.
 
 Every coarse-vs-fine number comes from one column pass over a block of
-paths (`_columns`), and the records are built from its columns.
+paths (`_columns`). A study keeps its columns as they are (`StudyResult`),
+so a run of many seeds builds no per-seed record; the one-path functions
+build their records from the same columns.
 """
 
 from __future__ import annotations
@@ -68,7 +70,11 @@ class GbmSpec(Record):
 
 
 class SimulationParams(Record):
-    """Process set plus horizon, correlation, and common-jump intensity."""
+    """Process set plus horizon, correlation, and common-jump intensity.
+
+    The correlation is checked and factored once, here: `_factor` holds the
+    factor's rows as tuples of floats, or None without a correlation.
+    """
 
     _fields = ("processes", "horizon", "correlation", "jump_intensity")
 
@@ -81,8 +87,10 @@ class SimulationParams(Record):
             raise ValueError("horizon must be > 0")
         if jump_intensity < 0.0:
             raise ValueError("jump_intensity must be >= 0")
+        factor = _correlation_factor(correlation, len(processes))
         self.__dict__.update(processes=processes, horizon=horizon, correlation=correlation,
-                             jump_intensity=jump_intensity)
+                             jump_intensity=jump_intensity,
+                             _factor=None if factor is None else tuple(map(tuple, factor.tolist())))
 
 
 class PathSet(Record):
@@ -234,13 +242,13 @@ def _seed_states(seeds: Iterable) -> Iterable:
 def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int]):
     """Yield (seed block, paths) for blocks of at most _BLOCK seeds, where
     paths maps each process's name to its (len(block), n_steps + 1) values.
-    n_steps, the correlation, the per-step drift and diffusion and the jump
-    intensity are checked, and the correlation factored, once before the
-    first seed is taken. Each seed draws from its own PCG64 stream in a
-    fixed order (normals, then jump counts), so a seed's values do not
-    depend on the other seeds of its block. Each block's values must be
-    finite and its fx path, if any, > 0; a SimulationError names the first
-    seed that breaks this.
+    n_steps, the per-step drift and diffusion and the jump intensity are
+    checked once before the first seed is taken; SimulationParams has
+    checked and factored the correlation. Each seed draws from its own
+    PCG64 stream in a fixed order (normals, then jump counts), so a seed's
+    values do not depend on the other seeds of its block. Each block's
+    values must be finite and its fx path, if any, > 0; a SimulationError
+    names the first seed that breaks this.
 
     The stream is default_rng(seed)'s. In chunks of at least _MIN_DERIVED
     seeds, the state default_rng's PCG64 would start from is derived for a
@@ -252,7 +260,7 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     specs = params.processes
-    factor = _correlation_factor(params.correlation, len(specs))
+    factor = None if params._factor is None else np.array(params._factor)
     dt = params.horizon / n_steps
     drift = np.array([s.drift for s in specs])
     vol = np.array([s.volatility for s in specs])
@@ -369,7 +377,8 @@ def _columns(a: np.ndarray, chi: np.ndarray, fx_mode: FxMode) -> tuple[np.ndarra
     """The column pass: (coarse_fx, coarse_asset, fine_fx, fine_asset, covariation, total)
     float64 arrays, one entry per row of (rows, points) asset and fx paths. The sums are
     _exact_row_sums's, math.fsum of each row of terms, so batching does not change them.
-    The split is fx_split's, without its fx > 0 check.
+    Every row passes GridDecomposition's telescoping check, in the same operations, or the
+    first failing row raises its ValueError. The split is fx_split's, without its fx > 0 check.
     """
     at, chit = a.T, chi.T  # (points, rows): the terms are laid out step-major for _exact_row_sums
     da = at[1:] - at[:-1]
@@ -378,10 +387,16 @@ def _columns(a: np.ndarray, chi: np.ndarray, fx_mode: FxMode) -> tuple[np.ndarra
     np.multiply(at[:-1], dchi, out=terms[:, :, 0])
     np.multiply(chit[:-1], da, out=terms[:, :, 1])
     np.multiply(da, dchi, out=terms[:, :, 2])
-    fine_fx, fine_asset, covariation = np.array(_exact_row_sums(terms.reshape(len(da), -1).T)).reshape(-1, 3).T
+    sums = np.array(_exact_row_sums(terms.reshape(len(da), -1).T)).reshape(-1, 3).T
+    fine_fx, fine_asset, covariation = sums
     a0, a1, chi0, chi1 = a[:, 0], a[:, -1], chi[:, 0], chi[:, -1]
     total = a1 * chi1 - a0 * chi0
     with np.errstate(all="ignore"):  # as the float arithmetic of fx_split, which never warns
+        scale = np.maximum(1.0, np.abs(sums).max(axis=0))
+        gap = total - (fine_fx + fine_asset + covariation)
+        failed = np.abs(gap) > 1e-9 * scale
+        if failed.any():
+            raise ValueError(f"telescoping identity violated by {gap[failed.argmax()].item():g}")
         value_weight, quote_weight = _fx_weights(a0, a1, chi0, chi1, fx_mode)
         return value_weight * (chi1 - chi0), quote_weight * (a1 - a0), fine_fx, fine_asset, covariation, total
 
@@ -405,18 +420,26 @@ def _two_sum(a, b):
 def _exact_row_sums(x: np.ndarray) -> list[float]:
     """[math.fsum(row) for row in x] for a 2-D float array, bit for bit.
 
-    Proof sketch, for a row of n values, u = 2**-53:
-    - A pairwise TwoSum tree over the columns gives the row's float sum s
-      and its n - 1 rounding errors e_i. Values below 2**1000 in magnitude
-      keep every partial sum finite until n passes 2**23, and an overflow
-      turns r into inf or nan, which fails the test below. Otherwise each
-      TwoSum is exact and the row sums to s + sum(e) exactly.
-    - t = fl(sum(e)), in whatever order it is added, is off by at most
-      gamma_{n-1} * sum(|e|), and fl(sum(|e|)) >= (1 - u)**(n-2) * sum(|e|).
-      So delta = fl(fl(sum(|e|)) * 4n * u + 2**-1022) bounds |sum(e) - t|
+    One extraction pass (Rump, Ogita and Oishi 2008, ExtractVector) splits
+    each row into parts that sum exactly and a small remainder. Proof
+    sketch, for a row of n < 2**26 values of largest magnitude m < 2**1000,
+    u = 2**-53:
+    - sigma = 2**(e + k), where m < 2**e (frexp's exponent) and k is the
+      least with 2**k >= n + 2, so every |x| < sigma / 4.
+    - fl(x + sigma) lies in [sigma / 2, 2 * sigma], so q = fl(x + sigma) -
+      sigma is exact (Sterbenz) and a multiple of g = max(u * sigma,
+      2**-1074). p = x - q is the rounding error of x + sigma, a float, so
+      it is exact too: x = q + p, |q| <= m + g and |p| <= g.
+    - Each partial sum of the q is a multiple of g below n * (m + g) <=
+      2**53 * g in magnitude, and so a float: tau1 = sum(q) is exact in
+      any order.
+    - tau2 = fl(sum(p)), in whatever order it is added, is off by at most
+      gamma_{n-1} * sum(|p|), and fl(sum(|p|)) >= (1 - u)**(n-1) * sum(|p|).
+      So delta = fl(fl(sum(|p|)) * 4n * u + 2**-1022) bounds |sum(p) - tau2|
       with room to spare; the last term covers a product that underflows.
-    - TwoSum(s, t) = (r, r_err) exactly, so the row's exact sum lies within
-      delta of r + r_err.
+    - TwoSum(tau1, tau2) = (r, r_err) exactly, so the row's exact sum lies
+      within delta of r + r_err. A sigma that overflows makes r nan, which
+      fails the test below.
     - math.fsum returns the correctly rounded sum. That is r when
       fl(r_err + delta) < up and fl(r_err - delta) > -down, where up and down
       are half the gaps from r to its float neighbours. Both half-gaps are
@@ -428,32 +451,28 @@ def _exact_row_sums(x: np.ndarray) -> list[float]:
     [2**-900, 2**1000), so that a zero takes fsum's sign and no gap
     underflows or is infinite. fsum's own errors, such as inf + -inf, are
     therefore raised as before, in row order. Arrays with fewer than
-    _ARRAY_ROWS rows go to math.fsum whole. The tree halves x.T, so each of
-    its steps reads contiguous memory when x is Fortran-ordered.
+    _ARRAY_ROWS rows, or rows of 2**26 values or more, go to math.fsum
+    whole. The pass reduces along axis 0 of x.T, which reads contiguous
+    memory when x is Fortran-ordered.
     """
     rows, n = x.shape
-    if rows < _ARRAY_ROWS:
+    if rows < _ARRAY_ROWS or n >= 2**26:
         return [math.fsum(memoryview(row)) for row in x]
+    xt = x.T
     with np.errstate(all="ignore"):
-        s, t, abs_e = x.T, np.zeros(rows), np.zeros(rows)  # sum(e) and sum(|e|), level by level
-        while len(s) > 1:
-            half = len(s) // 2
-            pair, error = _two_sum(s[:half], s[half : 2 * half])
-            t += error.sum(axis=0)
-            abs_e += np.abs(error, out=error).sum(axis=0)
-            s = np.concatenate((pair, s[-1:])) if len(s) % 2 else pair
-        delta = abs_e * (4 * n * 2.0**-53) + _TINY
-        r, r_err = _two_sum(s[0], t)
+        q = np.abs(xt)  # one buffer holds |x|, then q, then p and |p|
+        m = q.max(axis=0)
+        sigma = np.ldexp(1.0, np.frexp(m)[1] + (n + 1).bit_length())
+        np.add(xt, sigma, out=q)
+        q -= sigma
+        tau1 = q.sum(axis=0)
+        p = np.subtract(xt, q, out=q)
+        r, r_err = _two_sum(tau1, p.sum(axis=0))
+        delta = np.abs(p, out=p).sum(axis=0) * (4 * n * 2.0**-53) + _TINY
         up = (np.nextafter(r, np.inf) - r) * 0.5
         down = (r - np.nextafter(r, -np.inf)) * 0.5
         size = np.abs(r)
-        certified = (
-            (r_err + delta < up)
-            & (r_err - delta > -down)
-            & (np.maximum(x.max(axis=1), -x.min(axis=1)) < _BIG)
-            & (size >= _SMALL)
-            & (size < _BIG)
-        )
+        certified = (r_err + delta < up) & (r_err - delta > -down) & (m < _BIG) & (size >= _SMALL) & (size < _BIG)
     sums = r.tolist()
     for i in np.flatnonzero(~certified).tolist():
         sums[i] = math.fsum(memoryview(x[i]))
@@ -567,14 +586,8 @@ def compare_coarse_vs_fine(
     into its fx and asset parts.
     """
     columns = _columns(paths.paths["asset"][None, :], paths.paths["fx"][None, :], fx_mode)
-    return _comparisons((paths.seed,), paths.n_steps, columns)[0]
-
-
-def _comparisons(seeds, n_steps: int, columns) -> list[CoarseFineComparison]:
-    """One CoarseFineComparison per seed, from the rows of _columns."""
-    coarse_fx, coarse_asset, *fine = (column.tolist() for column in columns)
-    return [CoarseFineComparison(seed, n_steps, fx, asset, GridDecomposition(*sums))
-            for seed, fx, asset, *sums in zip(seeds, coarse_fx, coarse_asset, *fine)]
+    coarse_fx, coarse_asset, *fine = (column.item() for column in columns)
+    return CoarseFineComparison(paths.seed, paths.n_steps, coarse_fx, coarse_asset, GridDecomposition(*fine))
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -583,16 +596,41 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return (float(values.mean()) if n else math.nan), (float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan)
 
 
+_STUDY_COLUMNS = ("seeds", "n_steps", "coarse_fx", "coarse_asset", "fine_fx", "fine_asset", "covariation", "total")
+
+
 class StudyResult(Record):
-    """Coarse-vs-fine comparisons over many seeds plus covariation stats."""
+    """Coarse-vs-fine comparisons over many seeds plus covariation stats.
+
+    The study is held as columns: tuples seeds, n_steps, coarse_fx,
+    coarse_asset, fine_fx, fine_asset, covariation and total, one entry per
+    comparison in order. `comparisons` builds the records from them on each
+    read, and ==, hash and repr compare and show those records.
+    """
 
     _fields = ("comparisons",)
 
-    def __init__(self, comparisons: tuple[CoarseFineComparison, ...]):
-        self.__dict__.update(comparisons=comparisons)
+    def __init__(self, comparisons: Iterable[CoarseFineComparison]):
+        rows = [(c.seed, c.n_steps, c.coarse_fx, c.coarse_asset, c.fine.fx_integral, c.fine.asset_integral,
+                 c.fine.covariation, c.fine.total) for c in comparisons]
+        self.__dict__.update(zip(_STUDY_COLUMNS, tuple(zip(*rows)) or ((),) * len(_STUDY_COLUMNS)))
+
+    @classmethod
+    def _from_columns(cls, columns) -> StudyResult:
+        study = cls.__new__(cls)
+        study.__dict__.update(zip(_STUDY_COLUMNS, map(tuple, columns)))
+        return study
+
+    @property
+    def comparisons(self) -> tuple[CoarseFineComparison, ...]:
+        return tuple(CoarseFineComparison(seed, n, cfx, cas, GridDecomposition(*fine))
+                     for seed, n, cfx, cas, *fine in zip(*map(self.__dict__.__getitem__, _STUDY_COLUMNS)))
+
+    def _values(self) -> tuple:
+        return (self.comparisons,)
 
     def covariations(self) -> np.ndarray:
-        return np.array([c.fine.covariation for c in self.comparisons])
+        return np.array(self.covariation)
 
     @property
     def covariation_mean(self) -> float:
@@ -612,21 +650,24 @@ def covariation_study(
     """Run compare_coarse_vs_fine over many seeds in the given order.
 
     Equal bit for bit to compare_coarse_vs_fine(simulate_paths(...)) per seed, but a
-    block of seeds is simulated per array pass and its records built from one column pass.
+    block of seeds is simulated per array pass, and the study keeps the column pass's
+    columns without building a record per seed.
     """
-    comparisons = []
+    study_seeds, columns = [], [[] for _ in _STUDY_COLUMNS[2:]]
     for block, paths in _simulate_values(params, n_steps, seeds):
-        comparisons += _comparisons(block, n_steps, _columns(paths["asset"], paths["fx"], fx_mode))
-    return StudyResult(tuple(comparisons))
+        study_seeds += block
+        for column, values in zip(columns, _columns(paths["asset"], paths["fx"], fx_mode)):
+            column += values.tolist()
+    return StudyResult._from_columns((study_seeds, (n_steps,) * len(study_seeds), *columns))
 
 
 def write_discrepancy_csv(comparisons) -> str:
     """CSV text: seed,n_steps,component,coarse,fine,diff, three lines per comparison,
-    written by one f-string from the record's column-pass numbers."""
-    if isinstance(comparisons, StudyResult):
-        comparisons = comparisons.comparisons
-    rows = ((c.seed, c.n_steps, c.coarse_fx, c.coarse_asset, c.fine.fx_integral, c.fine.asset_integral,
-             c.fine.covariation) for c in comparisons)
+    written by one f-string from the study's columns. Comparisons that are not a
+    StudyResult are made one first."""
+    study = comparisons if isinstance(comparisons, StudyResult) else StudyResult(comparisons)
+    rows = zip(study.seeds, study.n_steps, study.coarse_fx, study.coarse_asset, study.fine_fx, study.fine_asset,
+               study.covariation)
     return "seed,n_steps,component,coarse,fine,diff\n" + "".join(
         f"{seed},{n},fx,{cfx!r},{ffx!r},{cfx - ffx!r}\n{seed},{n},asset,{cas!r},{fas!r},{cas - fas!r}\n"
         f"{seed},{n},covariation,0.0,{cov!r},{-cov!r}\n"

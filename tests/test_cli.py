@@ -676,6 +676,19 @@ def test_entry_point_report_larger_than_a_pipe_buffer_is_complete(tmp_path):
     assert piped.stdout == out.read_bytes()
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_entry_point_report_on_stdout_is_utf8_whatever_its_encoding(tmp_path, encoding):
+    # the CSV report writes a label as it is; stdout gets the bytes --output writes
+    args = [*DEMO_REPORT, "--standalone", "\u00dc\u20ac=5"]
+    out = tmp_path / "report.csv"
+    env = {**_cli_env(), "PYTHONIOENCODING": encoding}
+    piped = subprocess.run(_cli_argv(*args), env=env, capture_output=True, timeout=120)
+    written = subprocess.run(_cli_argv(*args, "--output", str(out)), env=env, capture_output=True, timeout=120)
+    assert piped.returncode == written.returncode == 0, piped.stderr
+    assert piped.stdout == out.read_bytes()
+    assert "\u00dc\u20ac,STANDALONE,".encode("utf-8") in piped.stdout
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("args", [

@@ -1,6 +1,8 @@
+import copy
 import csv
 import io
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from pnlattr import path_oracle
 from pnlattr import (
+    CoarseFineComparison,
     FxMode,
     GbmSpec,
     GridDecomposition,
@@ -363,14 +366,17 @@ def test_batched_study_equals_seedwise_route(inputs):
         for j, spec in enumerate(params.processes):
             assert np.array_equal(paths.paths[spec.name], reference[:, j])
         seedwise.append(compare_coarse_vs_fine(paths, fx_mode))
-    expected = write_discrepancy_csv(StudyResult(tuple(seedwise)))
+    expected_study = StudyResult(tuple(seedwise))
+    expected = write_discrepancy_csv(expected_study)
     # 20-seed state chunks: chunk edges fall inside 32-seed blocks, and a
     # last chunk of fewer than _MIN_DERIVED seeds goes to default_rng
     assert 0 < 20 % path_oracle._MIN_DERIVED < path_oracle._MIN_DERIVED
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(path_oracle, "_STATE_CHUNK", 20)
         assert write_discrepancy_csv(covariation_study(params, n_steps, seeds, fx_mode)) == expected
-    assert write_discrepancy_csv(covariation_study(params, n_steps, seeds, fx_mode)) == expected
+    study = covariation_study(params, n_steps, seeds, fx_mode)
+    assert study == expected_study and hash(study) == hash(expected_study) and repr(study) == repr(expected_study)
+    assert write_discrepancy_csv(study) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -400,6 +406,27 @@ def test_seeds_outside_the_derivation_take_default_rngs_stream_or_error():
     assert str(got.value) == str(want.value)
 
 
+def test_study_is_held_as_columns_and_builds_records_only_when_asked(monkeypatch):
+    built = []
+    for cls in (CoarseFineComparison, GridDecomposition):
+        def counted(self, *args, _init=cls.__init__):
+            built.append(type(self))
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    study = covariation_study(CLI_PARAMS, 16, range(40))
+    text = write_discrepancy_csv(study)
+    assert math.isfinite(study.covariation_mean) and study.covariation_stderr > 0.0
+    assert built == []
+    assert study.seeds == tuple(range(40)) and study.n_steps == (16,) * 40
+    comparisons = study.comparisons
+    assert built == [GridDecomposition, CoarseFineComparison] * 40
+    assert [c.fine.covariation for c in comparisons] == list(study.covariation) == study.covariations().tolist()
+    for twin in (copy.copy(study), copy.deepcopy(study), pickle.loads(pickle.dumps(study))):
+        assert twin == study and hash(twin) == hash(study) and repr(twin) == repr(study)
+        assert vars(twin) == vars(study) and write_discrepancy_csv(twin) == text
+
+
 def test_study_of_no_seeds_is_empty():
     assert covariation_study(TWO_GBM, n_steps=8, seeds=[]).comparisons == ()
 
@@ -416,19 +443,6 @@ def test_study_without_fx_path_raises_key_error():
 
 
 def test_study_checks_and_factors_the_correlation_once(monkeypatch):
-    taken = []
-
-    def seeds():
-        for seed in range(70):
-            taken.append(seed)
-            yield seed
-
-    bad = SimulationParams(processes=TWO_GBM.processes,
-                           correlation=np.array([[1.0, 1.5], [1.5, 1.0]]))
-    with pytest.raises(InvalidCorrelation):
-        covariation_study(bad, n_steps=8, seeds=seeds())
-    assert taken == []
-
     calls = []
     factor = path_oracle._correlation_factor
 
@@ -437,10 +451,15 @@ def test_study_checks_and_factors_the_correlation_once(monkeypatch):
         return factor(*args)
 
     monkeypatch.setattr(path_oracle, "_correlation_factor", counting_factor)
-    good = SimulationParams(processes=TWO_GBM.processes,
-                            correlation=np.array([[1.0, 0.5], [0.5, 1.0]]))
-    assert len(covariation_study(good, n_steps=8, seeds=seeds()).comparisons) == 70
-    assert len(calls) == 1
+    with pytest.raises(InvalidCorrelation, match=r"^correlation entries must lie in \[-1, 1\]$"):
+        SimulationParams(processes=TWO_GBM.processes, correlation=np.array([[1.0, 1.5], [1.5, 1.0]]))
+    good = SimulationParams(processes=TWO_GBM.processes, correlation=np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert len(calls) == 2
+    assert good._factor == tuple(map(tuple, factor(good.correlation, 2).tolist()))
+    assert len(covariation_study(good, n_steps=8, seeds=range(70)).seeds) == 70
+    for seed in range(3):
+        simulate_paths(good, n_steps=8, seed=seed)
+    assert len(calls) == 2
 
 
 def test_study_rejects_fx_path_that_reaches_zero():
@@ -483,15 +502,29 @@ def _hex(values):
     return [v.hex() for v in values]
 
 
+def _outcome(row_sums, x):
+    """The row sums as hex, or the class and text of the error raised."""
+    try:
+        return _hex(row_sums(x))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# widths n about n + 2 = 2**j, where the extraction's sigma = 2**(e + k) steps up
+EDGE_WIDTHS = [1, 2, 6, 14, 30, 62, 126, 254, 255, 256, 257]
+SPOILERS = [[math.inf], [-math.inf], [math.nan], [math.inf, -math.inf], [2.0**1023, 2.0**1023, -2.0**1023]]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     rows=st.integers(16, 100),
-    width=st.integers(1, 300),
+    width=st.sampled_from(EDGE_WIDTHS) | st.integers(1, 300),
     spread=st.integers(0, 300),
     special=st.floats(0.0, 0.5),
     seed=st.integers(0, 2**32 - 1),
+    spoiled=st.integers(0, 3),
 )
-def test_exact_row_sums_equal_fsum(rows, width, spread, special, seed):
+def test_exact_row_sums_equal_fsum(rows, width, spread, special, seed, spoiled):
     rng = np.random.default_rng(seed)
     centre = rng.integers(-300 + spread // 2, 301 - spread // 2, (rows, 1))
     offset = rng.integers(-(spread // 2), spread // 2 + 1, (rows, width))
@@ -504,7 +537,28 @@ def test_exact_row_sums_equal_fsum(rows, width, spread, special, seed):
     # every third row is followed by its negated reverse, so it cancels exactly
     half = width // 2
     x[::3, width - half:] = -x[::3, :half][:, ::-1]
-    assert _hex(path_oracle._exact_row_sums(x)) == _hex(_fsum_rows(x))
+    # rows whose largest magnitude is exactly a power of two
+    for i in range(1, rows, 5):
+        top = math.ldexp(1.0, math.frexp(np.abs(x[i]).max())[1])
+        x[i, rng.integers(width)] = top if rng.random() < 0.5 else -top
+    # half-ulp ties and near-ties: a, a half ulp of a, and pairs that cancel
+    for i in range(2, rows, 5):
+        if width >= 2:
+            a = rng.standard_normal() * 2.0 ** rng.integers(-800, 800)
+            x[i, 0] = a
+            x[i, 1] = math.ulp(a) / 2 * rng.choice([1.0, -1.0, 1.0 + 2.0**-30, -1.0 + 2.0**-30])
+            pairs = (width - 2) // 2
+            x[i, 2 : 2 + pairs] = x[i - 1, :pairs]
+            x[i, 2 + pairs : 2 + 2 * pairs] = -x[i - 1, :pairs][::-1]
+            x[i, 2 + 2 * pairs :] = 0.0
+    x[4::7] = -0.0
+    # non-finite and overflowing rows: fsum's first error, in row order, comes through
+    for i in rng.choice(rows, spoiled, replace=False):
+        spoiler = SPOILERS[rng.integers(len(SPOILERS))][:width]
+        x[i, : len(spoiler)] = spoiler
+    if seed % 2:
+        x = np.asfortranarray(x)  # as _columns lays the terms out
+    assert _outcome(path_oracle._exact_row_sums, x) == _outcome(_fsum_rows, x)
 
 
 def _counting_fsum(monkeypatch):

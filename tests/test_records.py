@@ -25,6 +25,7 @@ from pnlattr import (
     FxQuote,
     GbmSpec,
     GridDecomposition,
+    InvalidCorrelation,
     ItoDecomposition,
     LengthMismatch,
     MarketFactors,
@@ -135,13 +136,15 @@ CASES = [
          bad=[({"initial": 0.0}, ValueError, "fx: geometric processes need initial > 0"),
               ({"volatility": -0.1}, ValueError, "fx: volatility must be >= 0"),
               ({"jump_size": -1.0}, ValueError, "fx: jump_size must be > -1")]),
-    Case(SimulationParams, {"processes": [FX_GBM], "horizon": 2.0, "correlation": None, "jump_intensity": 0.5},
+    Case(SimulationParams, {"processes": [FX_GBM], "horizon": 2.0, "correlation": ((1.0,),), "jump_intensity": 0.5},
          defaults={"horizon": 1.0, "correlation": None, "jump_intensity": 0.0},
          repr="SimulationParams(processes=(GbmSpec(name='fx', initial=1.1, drift=0.0, volatility=0.0, "
-              "jump_size=0.0),), horizon=2.0, correlation=None, jump_intensity=0.5)",
+              "jump_size=0.0),), horizon=2.0, correlation=((1.0,),), jump_intensity=0.5)",
          bad=[({"processes": []}, ValueError, "need at least one process"),
               ({"horizon": 0.0}, ValueError, "horizon must be > 0"),
-              ({"jump_intensity": -1.0}, ValueError, "jump_intensity must be >= 0")]),
+              ({"jump_intensity": -1.0}, ValueError, "jump_intensity must be >= 0"),
+              ({"correlation": ((1.0, 0.5), (0.5, 1.0))}, InvalidCorrelation, r"correlation must be 1x1, got \(2, 2\)")],
+         derived={"_factor": ((1.0,),)}),
     Case(PathSet, {"grid": [0.0, 0.5, 1.0], "paths": {"fx": [1.0, 1.1, 1.2]}, "seed": 7},
          repr="PathSet(grid=array([0. , 0.5, 1. ]), paths={'fx': array([1. , 1.1, 1.2])}, seed=7)",
          bad=[({"grid": [0.0]}, LengthMismatch, "grid must be one-dimensional with at least two points"),
