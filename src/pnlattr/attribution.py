@@ -35,7 +35,7 @@ from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from ._record import Record
-from .conventions import CarryMode, FxMode, _fx_rate, _fx_weights
+from .conventions import CarryMode, FxMode, _fx_rate, _fx_weights, _price_fn
 from .errors import (
     DuplicatePositionId,
     EmptyPeriod,
@@ -50,15 +50,6 @@ from .pricers import CashflowSchedule
 
 #: Additivity tolerance, relative to max(1, |total|, scale).
 ADDITIVITY_TOL = 1e-9
-
-
-def _price_fn(pricer):
-    price = getattr(pricer, "price", None)
-    if callable(price):
-        return price
-    if callable(pricer):
-        return pricer
-    raise TypeError(f"pricer {pricer!r} is neither callable nor has a price method")
 
 
 class AttributionResult(Record):
@@ -86,10 +77,6 @@ class AttributionResult(Record):
     @property
     def residual(self) -> float:
         return self.total - (self.fx + self.rate + self.market + self.carry)
-
-    def scaled(self, factor: float) -> "AttributionResult":
-        return AttributionResult(factor * self.fx, factor * self.rate, factor * self.market,
-                                 factor * self.carry, factor * self.total, abs(factor) * self.scale)
 
     @classmethod
     def combine(cls, results: Iterable["AttributionResult"]) -> "AttributionResult":
@@ -148,9 +135,12 @@ def _priced(price, subperiods: Iterable[_Subperiod]):
 
 
 def _split(sub: _Subperiod, prices: tuple, fx_mode: FxMode) -> AttributionResult:
-    """One subperiod's EUR result from the six prices _priced yields for it; evaluates nothing."""
+    """One subperiod's EUR result from the six prices _priced yields for it; evaluates nothing.
+    Each part is the unit split times the quantity q; a coupon, at q * coupon * coupon_fx, joins
+    carry and total. The one record holds the final values, so its checks see what the run
+    reports. The zero guards keep a -0.0 price or part, which adding 0.0 would make 0.0."""
     end_new, end_old_curve, end_old_factors, start_old, start_new_curve, start_new_factors = prices
-    _, _, _, _, chi_t, chi_T, quantity, start_coupon, coupon, coupon_fx = sub
+    _, _, _, _, chi_t, chi_T, q, start_coupon, coupon, coupon_fx = sub
     if start_coupon != 0.0:
         start_old += start_coupon
         start_new_curve += start_coupon
@@ -161,22 +151,17 @@ def _split(sub: _Subperiod, prices: tuple, fx_mode: FxMode) -> AttributionResult
     carry_move = 0.5 * ((end_old_factors - start_new_factors) + (end_old_curve - start_new_curve))
 
     value_weight, weight = _fx_weights(start_old, end_new, chi_t, chi_T, fx_mode)
-    result = AttributionResult(
-        fx=value_weight * (chi_T - chi_t),
-        rate=weight * rate_move,
-        market=weight * market_move,
-        carry=weight * carry_move,
-        total=end_new * chi_T - start_old * chi_t,
-        scale=max(abs(end_new), abs(end_old_curve), abs(end_old_factors), abs(start_old),
-                  abs(start_new_curve), abs(start_new_factors)) * max(chi_t, chi_T),
-    )
-    if quantity != 1.0:
-        result = result.scaled(quantity)
+    carry = q * (weight * carry_move)
+    total = q * (end_new * chi_T - start_old * chi_t)
+    scale = abs(q) * (max(abs(end_new), abs(end_old_curve), abs(end_old_factors), abs(start_old),
+                          abs(start_new_curve), abs(start_new_factors)) * max(chi_t, chi_T))
     if coupon != 0.0:
-        coupon_eur = quantity * coupon * coupon_fx
-        result = AttributionResult(result.fx, result.rate, result.market, result.carry + coupon_eur,
-                                   result.total + coupon_eur, max(result.scale, abs(coupon_eur)))
-    return result
+        coupon_eur = q * coupon * coupon_fx
+        carry += coupon_eur
+        total += coupon_eur
+        scale = max(scale, abs(coupon_eur))
+    return AttributionResult(q * (value_weight * (chi_T - chi_t)), q * (weight * rate_move),
+                             q * (weight * market_move), carry, total, scale)
 
 
 class Bucket(str, Enum):

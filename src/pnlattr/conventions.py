@@ -1,4 +1,4 @@
-"""The FX and carry conventions both engines share.
+"""The FX and carry conventions, and the pricer-call rule, both engines share.
 
 `attribution` splits a position's PnL under them, and `path_oracle` splits
 simulated path endpoints the same way. This module imports only `enum`, so
@@ -52,3 +52,12 @@ def _fx_weights(a_start, a_end, cs, ce, mode: FxMode):
     if mode is FxMode.START_END:
         return a_start, ce
     raise ValueError(f"unknown fx mode {mode!r}")
+
+
+def _price_fn(pricer):
+    price = getattr(pricer, "price", None)
+    if callable(price):
+        return price
+    if callable(pricer):
+        return pricer
+    raise TypeError(f"pricer {pricer!r} is neither callable nor has a price method")

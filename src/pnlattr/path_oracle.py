@@ -37,8 +37,8 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from ._record import Record
-from .conventions import FxMode, _fx_weights
-from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative, SimulationError
+from .conventions import FxMode, _fx_weights, _price_fn
+from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative, PricerEvaluationFailed, SimulationError
 
 #: Relative finite-difference step for the Taylor-ladder partials.
 DERIVATIVE_STEP = 1e-5
@@ -72,8 +72,9 @@ class GbmSpec(Record):
 class SimulationParams(Record):
     """Process set plus horizon, correlation, and common-jump intensity.
 
-    The correlation is checked and factored once, here: `_factor` holds the
-    factor's rows as tuples of floats, or None without a correlation.
+    The correlation is checked and factored once, here. `correlation` keeps
+    the checked matrix and `_factor` the factor, each as rows of float tuples
+    (or None without a correlation), so the record compares and hashes.
     """
 
     _fields = ("processes", "horizon", "correlation", "jump_intensity")
@@ -88,9 +89,8 @@ class SimulationParams(Record):
         if jump_intensity < 0.0:
             raise ValueError("jump_intensity must be >= 0")
         factor = _correlation_factor(correlation, len(processes))
-        self.__dict__.update(processes=processes, horizon=horizon, correlation=correlation,
-                             jump_intensity=jump_intensity,
-                             _factor=None if factor is None else tuple(map(tuple, factor.tolist())))
+        self.__dict__.update(processes=processes, horizon=horizon, correlation=_rows(correlation),
+                             jump_intensity=jump_intensity, _factor=_rows(factor))
 
 
 class PathSet(Record):
@@ -122,6 +122,10 @@ class PathSet(Record):
     @property
     def n_steps(self) -> int:
         return len(self.grid) - 1
+
+
+def _rows(matrix):
+    return None if matrix is None else tuple(map(tuple, np.asarray(matrix, dtype=float).tolist()))
 
 
 def _correlation_factor(correlation, size: int):
@@ -504,8 +508,6 @@ def grid_ito_decomposition(pricer, path_r, path_x, grid) -> ItoDecomposition:
     partial times the squared increment. All partials are central
     differences at the left grid point with step DERIVATIVE_STEP * max(1, |v|).
     """
-    from .attribution import _price_fn
-
     price = _price_fn(pricer)
     r = np.asarray(path_r, dtype=float)
     x = np.asarray(path_x, dtype=float)
@@ -538,12 +540,14 @@ def grid_ito_decomposition(pricer, path_r, path_x, grid) -> ItoDecomposition:
         rate_terms.append(d_r * dr + 0.5 * d2_r * dr * dr)
         market_terms.append(d_x * dx + 0.5 * d2_x * dx * dx)
 
-    total = price(float(u[-1]), float(r[-1]), float(x[-1])) - price(float(u[0]), float(r[0]), float(x[0]))
+    end = float(price(float(u[-1]), float(r[-1]), float(x[-1])))  # the one price no derivative check sees
+    if not math.isfinite(end):
+        raise PricerEvaluationFailed(f"non-finite price {end!r} at grid index {len(u) - 1} (time {float(u[-1])})")
     return ItoDecomposition(
         carry=math.fsum(carry_terms),
         rate=math.fsum(rate_terms),
         market=math.fsum(market_terms),
-        total=float(total),
+        total=float(end - price(float(u[0]), float(r[0]), float(x[0]))),
     )
 
 

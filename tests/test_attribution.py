@@ -524,8 +524,13 @@ def test_position_rejects_non_finite_transactions(quantity_change, cost, message
 
 
 def test_parts_that_overflow_are_a_non_finite_report_naming_the_subperiod_or_period():
-    with pytest.raises(NonFiniteReport, match="attribution parts must be finite"):
-        AttributionResult(1.0, 0.0, 0.0, 0.0, 1.0).scaled(float("inf"))
+    # a finite holding times a finite unit part overflows; the message quotes the held parts
+    held = Position(id="P", bucket=Bucket.OTHER, pricer=lambda s, r, x: 100.0 + 10.0 * s,
+                    transactions=(Transaction(0.0, 1e308, 0.0),))
+    with pytest.raises(NonFiniteReport) as info:
+        attribute_position(held, {u: ScalarState(0.0, 0.0, 1.0) for u in (0.0, 1.0)}, [0.0, 1.0])
+    assert str(info.value) == ("subperiod (0.0, 1.0]: attribution parts must be finite, "
+                               "got (0.0, 0.0, 0.0, inf, inf)")
     huge = AttributionResult(fx=1e308, rate=0.0, market=0.0, carry=0.0, total=1e308)
     with pytest.raises(NonFiniteReport, match="attribution parts overflow when summed"):
         AttributionResult.combine([huge, huge])

@@ -423,6 +423,17 @@ loaded()
         "pnlattr,pnlattr._record,pnlattr.cli,pnlattr.conventions,pnlattr.errors,pnlattr.path_oracle "
         "False False",
     ]
+    # the Itô ladder shares the pricer-call rule through conventions, not the attribute engine
+    result = _python("""
+import sys
+from pnlattr.path_oracle import grid_ito_decomposition
+grid_ito_decomposition(lambda s, r, x: 100.0 + s + r + x, [0.01, 0.02], [0.0, 0.1], [0.0, 1.0])
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "pnlattr")),
+      "dataclasses" in sys.modules, "csv" in sys.modules)
+""")
+    assert result.stdout.splitlines() == [
+        "pnlattr,pnlattr._record,pnlattr.conventions,pnlattr.errors,pnlattr.path_oracle False False",
+    ], result.stderr
     # a JSON report whose ids and labels need no escaping is written without the json module
     result = _python("""
 import sys

@@ -3,8 +3,10 @@
 A subperiod's start price A_u(r_u, x_u) is the previous subperiod's end
 price, so every carry mode makes 5n + 1 evaluations on an n-subperiod grid.
 Literal mode adds the coupon paid at u to its three start prices, whether
-reused or freshly evaluated. Every subperiod result must stay bit for bit
-as four_way_split gives it on a pricer wrapped to return the pre-coupon price.
+reused or freshly evaluated. Every subperiod result must stay bit for bit,
+the sign of a zero included, as four_way_split gives it on a pricer wrapped
+to return the pre-coupon price, then held and paid its coupon in two more
+steps; the engine builds one record per subperiod and one for their sum.
 """
 
 import math
@@ -61,44 +63,69 @@ def reference_subperiods(position, snaps, grid, fx_mode, carry_mode):
             def price(s, r, x, base=price, start=u_prev, amount=start_coupon):
                 return base(s, r, x) + amount if s == start else base(s, r, x)
         split = four_way_split(price, u_prev, u_cur, snaps[u_prev], snaps[u_cur], fx_mode)
-        quantity = position.quantity_at(u_prev)
-        if quantity != 1.0:
-            split = split.scaled(quantity)
+        q = position.quantity_at(u_prev)
+        if q != 1.0:
+            split = AttributionResult(q * split.fx, q * split.rate, q * split.market, q * split.carry,
+                                      q * split.total, abs(q) * split.scale)
         coupon = position.schedule.amount_on(u_cur)
         if coupon != 0.0:
             weight = chi_end if carry_mode is CarryMode.SOPHIS else 0.5 * (
                 fx_rate(snaps[u_prev]) + fx_rate(snaps[u_cur]))
-            coupon_eur = quantity * coupon * weight
-            split = AttributionResult(split.fx, split.rate, split.market,
-                                      split.carry + coupon_eur, split.total + coupon_eur)
+            coupon_eur = q * coupon * weight
+            split = AttributionResult(split.fx, split.rate, split.market, split.carry + coupon_eur,
+                                      split.total + coupon_eur, max(split.scale, abs(coupon_eur)))
         out.append(split)
     return out
+
+
+def signed_zero_price(s, r, x):
+    # 0.0 or -0.0, by state: the parts are zeros whose signs only exact arithmetic keeps
+    return math.copysign(0.0, math.sin(7.0 * s + 30.0 * r - 11.0 * x))
 
 
 GRID = [0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 1.0]
 SNAPS = {u: ScalarState(0.01 + 0.03 * u * u, 0.02 + 0.01 * math.sin(7 * u), 1.1 - 0.2 * u)
          for u in GRID}
 
+#: (notional sign, transactions): quantities that change mid-grid, listed out of date order, in
+#: dyadic steps (test_out_of_order_quantity_changes_add_in_file_order checks the order); a holding
+#: closed to exactly 0 across the coupon at 0.25 and reopened at 0.5; and 1.0 or -1.0 throughout
+HOLDINGS = {
+    "rebalanced": (1, (Transaction(0.5, -0.75, 0.0), Transaction(-1.0, 0.5, 0.0),
+                       Transaction(0.125, 1.25, 0.0))),
+    "closed-across-coupon": (1, (Transaction(0.125, -1.0, 0.0), Transaction(0.5, 0.75, 0.0))),
+    "long": (1, ()),
+    "short": (-1, ()),
+}
 
+
+@pytest.mark.parametrize("price", [toy_price, signed_zero_price], ids=["toy", "signed-zero"])
+@pytest.mark.parametrize("holding", list(HOLDINGS))
 @pytest.mark.parametrize("carry_mode", list(CarryMode))
 @pytest.mark.parametrize("fx_mode", list(FxMode))
-def test_evaluation_count_and_bit_identical_subperiods(carry_mode, fx_mode):
+def test_evaluation_count_and_bit_identical_subperiods(fx_mode, carry_mode, holding, price, monkeypatch):
     n = len(GRID) - 1
-    # coupons on the first grid date, on interior grid dates and at the end;
-    # quantities change mid-grid, listed out of date order, in dyadic steps
-    # (test_out_of_order_quantity_changes_add_in_file_order checks the order)
+    # coupons on the first grid date, on interior grid dates and at the end
     schedule = CashflowSchedule(((0.0, 1.5), (0.25, 2.5), (0.625, 1.75), (1.0, 2.5)))
-    transactions = (Transaction(0.5, -0.75, 0.0), Transaction(-1.0, 0.5, 0.0),
-                    Transaction(0.125, 1.25, 0.0))
-    pricer = CountingPricer(toy_price)
-    position = Position(id="p", bucket=Bucket.OTHER, pricer=pricer, schedule=schedule,
-                        transactions=transactions)
+    sign, transactions = HOLDINGS[holding]
+    pricer = CountingPricer(price)
+    position = Position(id="p", bucket=Bucket.OTHER, pricer=pricer, notional_sign=sign,
+                        schedule=schedule, transactions=transactions)
+    built = []
+    init = AttributionResult.__init__
 
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AttributionResult, "__init__", counting_init)
     subperiods, aggregate = attribute_position(position, SNAPS, GRID, fx_mode, carry_mode)
 
     assert pricer.calls == 5 * n + 1
+    assert len(built) == n + 1  # one record per subperiod, one for their sum
     expected = reference_subperiods(position, SNAPS, GRID, fx_mode, carry_mode)
     assert subperiods == expected
+    assert repr(subperiods) == repr(expected)  # == takes -0.0 for 0.0; repr does not
     assert aggregate == AttributionResult.combine(expected)
 
 
@@ -114,7 +141,8 @@ def test_out_of_order_quantity_changes_add_in_file_order(carry_mode):
 
     subperiods, _ = attribute_position(position, SNAPS, GRID, FxMode.AVERAGE, carry_mode)
 
-    assert subperiods == reference_subperiods(position, SNAPS, GRID, FxMode.AVERAGE, carry_mode)
+    expected = reference_subperiods(position, SNAPS, GRID, FxMode.AVERAGE, carry_mode)
+    assert subperiods == expected and repr(subperiods) == repr(expected)
 
 
 @pytest.mark.parametrize("carry_mode", list(CarryMode))
@@ -137,4 +165,5 @@ def test_bond_across_a_coupon_date_matches_four_way_split(carry_mode):
 
     n = len(grid) - 1
     assert pricer.calls == 5 * n + 1
-    assert subperiods == reference_subperiods(position, snaps, grid, FxMode.AVERAGE, carry_mode)
+    expected = reference_subperiods(position, snaps, grid, FxMode.AVERAGE, carry_mode)
+    assert subperiods == expected and repr(subperiods) == repr(expected)

@@ -20,6 +20,7 @@ from pnlattr import (
     LengthMismatch,
     NonFiniteDerivative,
     PathSet,
+    PricerEvaluationFailed,
     SimulationError,
     SimulationParams,
     StudyResult,
@@ -256,6 +257,15 @@ def test_ito_nonfinite_derivative():
     grid = [0.0, 1.0]
     with pytest.raises(NonFiniteDerivative):
         grid_ito_decomposition(pricer, [0.02, 0.02], [0.0, 0.0], grid)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_ito_nonfinite_end_price(bad):
+    # the last grid point's price enters only the total, so no derivative check sees it
+    def pricer(s, r, x):
+        return bad if s == 1.0 else 100.0 + s + r + x
+    with pytest.raises(PricerEvaluationFailed, match=rf"^non-finite price {bad!r} at grid index 1 \(time 1.0\)$"):
+        grid_ito_decomposition(pricer, [0.01, 0.02], [0.0, 0.1], [0.0, 1.0])
 
 
 def test_coarse_and_fine_agree_on_the_total():

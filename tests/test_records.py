@@ -218,3 +218,20 @@ def test_record_behaviour(case):
     assert copy.copy(record) == record
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert_same(twin, record)
+
+
+def test_simulation_params_keep_the_checked_correlation_as_float_rows():
+    # an ndarray correlation, as library callers pass it, is kept as rows of float tuples
+    processes = (FX_GBM, GbmSpec("asset", 100.0))
+    record = SimulationParams(processes, correlation=np.array([[1, 0.5], [0.5, 1]]))
+    twin = SimulationParams(processes, correlation=np.array([[1, 0.5], [0.5, 1]]))
+    assert record.correlation == ((1.0, 0.5), (0.5, 1.0))
+    assert all(type(value) is float for row in record.correlation for value in row)
+    assert_same(twin, record)
+    assert_same(SimulationParams(processes, correlation=[[1, 0.5], [0.5, 1]]), record)
+    for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert_same(copied, record)
+    assert repr(record) == (
+        "SimulationParams(processes=(GbmSpec(name='fx', initial=1.1, drift=0.0, volatility=0.0, jump_size=0.0), "
+        "GbmSpec(name='asset', initial=100.0, drift=0.0, volatility=0.0, jump_size=0.0)), horizon=1.0, "
+        "correlation=((1.0, 0.5), (0.5, 1.0)), jump_intensity=0.0)")
