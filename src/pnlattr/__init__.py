@@ -27,7 +27,7 @@ _EXPORTS = {
     "pricers": """BondPricer BondSpec CashflowSchedule CashPricer CashSpec CdsPricer CdsSpec Pricer
         ProtectionSide bond_cashflows price_bond price_cash price_cds""",
     "reporting": "ReportRow bps build_report_rows render_report",
-    "path_oracle": """CoarseFineComparison GbmSpec GridDecomposition ItoDecomposition PathSet
+    "path_oracle": """GbmSpec GridDecomposition ItoDecomposition PathSet
         SimulationParams StudyResult compare_coarse_vs_fine covariation_study grid_ito_decomposition
         grid_product_decomposition simulate_paths write_discrepancy_csv""",
 }

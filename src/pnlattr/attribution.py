@@ -120,9 +120,7 @@ def _priced(price, subperiods: Iterable[_Subperiod]):
     """Yield each subperiod's six prices, pricing it only when asked. A subperiod starts at the
     previous one's end price A_u(r_u, x_u), so n subperiods cost 5n + 1 evaluations."""
     start_old = None
-    for t, T, snap_t, snap_T, _, _, _, _, _, _ in subperiods:
-        r_t, x_t = snap_t.curve, snap_t.factors
-        r_T, x_T = snap_T.curve, snap_T.factors
+    for t, T, r_t, x_t, r_T, x_T, _, _, _, _, _, _ in subperiods:
         end_new = _evaluate(price, "end price under end curve and end factors", T, r_T, x_T)
         end_old_curve = _evaluate(price, "end price under start curve and end factors", T, r_t, x_T)
         end_old_factors = _evaluate(price, "end price under end curve and start factors", T, r_T, x_t)
@@ -140,7 +138,7 @@ def _split(sub: _Subperiod, prices: tuple, fx_mode: FxMode) -> AttributionResult
     carry and total. The one record holds the final values, so its checks see what the run
     reports. The zero guards keep a -0.0 price or part, which adding 0.0 would make 0.0."""
     end_new, end_old_curve, end_old_factors, start_old, start_new_curve, start_new_factors = prices
-    _, _, _, _, chi_t, chi_T, q, start_coupon, coupon, coupon_fx = sub
+    _, _, _, _, _, _, chi_t, chi_T, q, start_coupon, coupon, coupon_fx = sub
     if start_coupon != 0.0:
         start_old += start_coupon
         start_new_curve += start_coupon
@@ -268,15 +266,17 @@ def segment_period(scope, t, T) -> list:
     return sorted(dates)
 
 
-#: One position's subperiod (start, end] with every input of _split but the prices. start_coupon, paid
-#: at start in literal mode (else 0.0), joins the start prices; coupon, paid at end, converts at coupon_fx.
-_Subperiod = namedtuple("_Subperiod", "start end snap_start snap_end chi_start chi_end "
-                                      "quantity start_coupon coupon coupon_fx")
+#: One position's subperiod (start, end]: the curve and factors _priced prices it under at each end, and
+#: every other input of _split. start_coupon, paid at start in literal mode (else 0.0), joins the start
+#: prices; coupon, paid at end, converts at coupon_fx.
+_Subperiod = namedtuple("_Subperiod", "start end curve_start factors_start curve_end factors_end "
+                                      "chi_start chi_end quantity start_coupon coupon coupon_fx")
 
 def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: CarryMode) -> tuple:
     """Check a run before its first price, then lay out each position's tuple of _Subperiods. The
     checks, in order: a grid of two dates or more that increases at every step; at most one foreign
-    currency; a snapshot at every grid date; and, unless the book is all EUR, fx quotes finite and > 0."""
+    currency; a snapshot at every grid date; and, unless the book is all EUR, fx quotes finite and > 0.
+    This is the one reader of a snapshot: every leg's curve, factors and quote are resolved here."""
     if len(grid) < 2:
         raise EmptyPeriod("attribution grid needs at least a start and an end date")
     for start, end in zip(grid, grid[1:]):
@@ -294,6 +294,7 @@ def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: Carr
         if u not in mapped:
             raise MissingSnapshot(f"no market snapshot at {u}")
     snaps = tuple(mapped[u] for u in grid)
+    curves, factors = [snap.curve for snap in snaps], [snap.factors for snap in snaps]
     eur, quotes = [1.0] * len(grid), []  # every other currency converts at the snapshot's fx quote
     for u, snap in zip(grid, snaps) if foreign else ():
         try:
@@ -305,9 +306,10 @@ def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: Carr
     for pos in positions:
         chi, amount_on = eur if pos.currency == "EUR" else quotes, pos.schedule.amount_on
         subperiods.append(tuple(
-            _Subperiod(grid[i - 1], grid[i], snaps[i - 1], snaps[i], chi[i - 1], chi[i],
-                       pos.quantity_at(grid[i - 1]), amount_on(grid[i - 1]) if literal else 0.0,
-                       amount_on(grid[i]), chi[-1] if sophis else 0.5 * (chi[i - 1] + chi[i]))
+            _Subperiod(grid[i - 1], grid[i], curves[i - 1], factors[i - 1], curves[i], factors[i],
+                       chi[i - 1], chi[i], pos.quantity_at(grid[i - 1]),
+                       amount_on(grid[i - 1]) if literal else 0.0, amount_on(grid[i]),
+                       chi[-1] if sophis else 0.5 * (chi[i - 1] + chi[i]))
             for i in range(1, len(grid))))
     return tuple(subperiods)
 

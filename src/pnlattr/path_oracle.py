@@ -23,15 +23,16 @@ All simulation is seeded and reproducible bit for bit; log-space stepping
 keeps geometric paths strictly positive for any step size.
 
 Every coarse-vs-fine number comes from one column pass over a block of
-paths (`_columns`). A study keeps its columns as they are (`StudyResult`),
-so a run of many seeds builds no per-seed record; the one-path functions
-build their records from the same columns.
+paths (`_columns`), and `StudyResult` is the one record that holds them,
+one tuple per column. `compare_coarse_vs_fine` gives the one-row study of
+a path; `StudyResult(studies)` joins studies in order, so the one-row
+studies of some seeds equal `covariation_study` over the same seeds.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -524,6 +525,8 @@ def grid_ito_decomposition(pricer, path_r, path_x, grid) -> ItoDecomposition:
         hr = DERIVATIVE_STEP * max(1.0, abs(ri))
         hx = DERIVATIVE_STEP * max(1.0, abs(xi))
         f0 = price(s, ri, xi)
+        if i == 1:
+            start = f0  # the total's start price: n steps cost 7n + 1 prices
         d_s = (price(s + hs, ri, xi) - price(s - hs, ri, xi)) / (2.0 * hs)
         f_ru, f_rd = price(s, ri + hr, xi), price(s, ri - hr, xi)
         f_xu, f_xd = price(s, ri, xi + hx), price(s, ri, xi - hx)
@@ -547,51 +550,8 @@ def grid_ito_decomposition(pricer, path_r, path_x, grid) -> ItoDecomposition:
         carry=math.fsum(carry_terms),
         rate=math.fsum(rate_terms),
         market=math.fsum(market_terms),
-        total=float(end - price(float(u[0]), float(r[0]), float(x[0]))),
+        total=float(end - start),
     )
-
-
-class CoarseFineComparison(Record):
-    """Endpoint-only split next to the fine-grid decomposition of one path."""
-
-    _fields = ("seed", "n_steps", "coarse_fx", "coarse_asset", "fine")
-
-    def __init__(self, seed: int, n_steps: int, coarse_fx: float, coarse_asset: float, fine: GridDecomposition):
-        self.__dict__.update(seed=seed, n_steps=n_steps, coarse_fx=coarse_fx, coarse_asset=coarse_asset, fine=fine)
-
-    @property
-    def total(self) -> float:
-        return self.fine.total
-
-    @property
-    def fx_diff(self) -> float:
-        return self.coarse_fx - self.fine.fx_integral
-
-    @property
-    def asset_diff(self) -> float:
-        return self.coarse_asset - self.fine.asset_integral
-
-    def rows(self):
-        """(component, coarse, fine, diff) triples for reporting."""
-        yield ("fx", self.coarse_fx, self.fine.fx_integral, self.fx_diff)
-        yield ("asset", self.coarse_asset, self.fine.asset_integral, self.asset_diff)
-        yield ("covariation", 0.0, self.fine.covariation, -self.fine.covariation)
-
-
-def compare_coarse_vs_fine(
-    paths: PathSet,
-    fx_mode: FxMode = FxMode.AVERAGE,
-) -> CoarseFineComparison:
-    """Two-point split from the "asset" and "fx" path endpoints against the
-    product-rule sums.
-
-    Both sides reproduce the same endpoint total; only the split differs,
-    and the covariation sum is exactly what the two-point scheme smears
-    into its fx and asset parts.
-    """
-    columns = _columns(paths.paths["asset"][None, :], paths.paths["fx"][None, :], fx_mode)
-    coarse_fx, coarse_asset, *fine = (column.item() for column in columns)
-    return CoarseFineComparison(paths.seed, paths.n_steps, coarse_fx, coarse_asset, GridDecomposition(*fine))
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -604,34 +564,26 @@ _STUDY_COLUMNS = ("seeds", "n_steps", "coarse_fx", "coarse_asset", "fine_fx", "f
 
 
 class StudyResult(Record):
-    """Coarse-vs-fine comparisons over many seeds plus covariation stats.
+    """Coarse-vs-fine comparisons of paths, one row per path, plus covariation stats.
 
     The study is held as columns: tuples seeds, n_steps, coarse_fx,
     coarse_asset, fine_fx, fine_asset, covariation and total, one entry per
-    comparison in order. `comparisons` builds the records from them on each
-    read, and ==, hash and repr compare and show those records.
+    path in order, and ==, hash and repr compare and show them.
+    StudyResult(studies) joins the columns of the given studies in order.
     """
 
-    _fields = ("comparisons",)
+    _fields = _STUDY_COLUMNS
 
-    def __init__(self, comparisons: Iterable[CoarseFineComparison]):
-        rows = [(c.seed, c.n_steps, c.coarse_fx, c.coarse_asset, c.fine.fx_integral, c.fine.asset_integral,
-                 c.fine.covariation, c.fine.total) for c in comparisons]
-        self.__dict__.update(zip(_STUDY_COLUMNS, tuple(zip(*rows)) or ((),) * len(_STUDY_COLUMNS)))
+    def __init__(self, studies: Iterable[StudyResult] = ()):
+        studies = tuple(studies)
+        self.__dict__.update((name, tuple(chain.from_iterable(getattr(study, name) for study in studies)))
+                             for name in _STUDY_COLUMNS)
 
     @classmethod
     def _from_columns(cls, columns) -> StudyResult:
         study = cls.__new__(cls)
         study.__dict__.update(zip(_STUDY_COLUMNS, map(tuple, columns)))
         return study
-
-    @property
-    def comparisons(self) -> tuple[CoarseFineComparison, ...]:
-        return tuple(CoarseFineComparison(seed, n, cfx, cas, GridDecomposition(*fine))
-                     for seed, n, cfx, cas, *fine in zip(*map(self.__dict__.__getitem__, _STUDY_COLUMNS)))
-
-    def _values(self) -> tuple:
-        return (self.comparisons,)
 
     def covariations(self) -> np.ndarray:
         return np.array(self.covariation)
@@ -645,6 +597,18 @@ class StudyResult(Record):
         return _mean_stderr(self.covariations())[1]
 
 
+def compare_coarse_vs_fine(paths: PathSet, fx_mode: FxMode = FxMode.AVERAGE) -> StudyResult:
+    """One-row study: the two-point split from the "asset" and "fx" path endpoints
+    against the product-rule sums.
+
+    Both sides reproduce the same endpoint total; only the split differs,
+    and the covariation sum is exactly what the two-point scheme smears
+    into its fx and asset parts.
+    """
+    columns = _columns(paths.paths["asset"][None, :], paths.paths["fx"][None, :], fx_mode)
+    return StudyResult._from_columns(((paths.seed,), (paths.n_steps,), *(c.tolist() for c in columns)))
+
+
 def covariation_study(
     params: SimulationParams,
     n_steps: int,
@@ -653,9 +617,9 @@ def covariation_study(
 ) -> StudyResult:
     """Run compare_coarse_vs_fine over many seeds in the given order.
 
-    Equal bit for bit to compare_coarse_vs_fine(simulate_paths(...)) per seed, but a
-    block of seeds is simulated per array pass, and the study keeps the column pass's
-    columns without building a record per seed.
+    Equal bit for bit to StudyResult(compare_coarse_vs_fine(simulate_paths(params,
+    n_steps, seed), fx_mode) for seed in seeds), but a block of seeds is simulated
+    per array pass, and the study keeps the column pass's columns as they are.
     """
     study_seeds, columns = [], [[] for _ in _STUDY_COLUMNS[2:]]
     for block, paths in _simulate_values(params, n_steps, seeds):
@@ -665,11 +629,9 @@ def covariation_study(
     return StudyResult._from_columns((study_seeds, (n_steps,) * len(study_seeds), *columns))
 
 
-def write_discrepancy_csv(comparisons) -> str:
-    """CSV text: seed,n_steps,component,coarse,fine,diff, three lines per comparison,
-    written by one f-string from the study's columns. Comparisons that are not a
-    StudyResult are made one first."""
-    study = comparisons if isinstance(comparisons, StudyResult) else StudyResult(comparisons)
+def write_discrepancy_csv(study: StudyResult) -> str:
+    """CSV text: seed,n_steps,component,coarse,fine,diff, three lines per path,
+    written by one f-string from the study's columns."""
     rows = zip(study.seeds, study.n_steps, study.coarse_fx, study.coarse_asset, study.fine_fx, study.fine_asset,
                study.covariation)
     return "seed,n_steps,component,coarse,fine,diff\n" + "".join(

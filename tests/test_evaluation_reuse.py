@@ -14,6 +14,7 @@ from datetime import date
 
 import pytest
 
+from pnlattr import attribution
 from pnlattr import (
     AttributionResult,
     BondPricer,
@@ -127,6 +128,33 @@ def test_evaluation_count_and_bit_identical_subperiods(fx_mode, carry_mode, hold
     assert subperiods == expected
     assert repr(subperiods) == repr(expected)  # == takes -0.0 for 0.0; repr does not
     assert aggregate == AttributionResult.combine(expected)
+
+
+@pytest.mark.parametrize("carry_mode", list(CarryMode))
+@pytest.mark.parametrize("fx_mode", list(FxMode))
+def test_a_plan_holds_every_legs_market_state(fx_mode, carry_mode):
+    # _plan is the one reader of a snapshot: once a book is planned, overwriting its snapshots
+    # changes neither the prices nor the splits of the plan
+    schedule = CashflowSchedule(((0.0, 1.5), (0.25, 2.5), (1.0, 2.5)))
+    positions = (
+        Position("rebalanced", Bucket.OTHER, CountingPricer(toy_price), schedule=schedule,
+                 transactions=HOLDINGS["rebalanced"][1]),
+        Position("short", Bucket.HEDGE, CountingPricer(toy_price), notional_sign=-1),
+        Position("eur", Bucket.CASH, CountingPricer(toy_price), schedule=schedule, currency="EUR"),
+    )
+    expected = [attribute_position(pos, SNAPS, GRID, fx_mode, carry_mode) for pos in positions]
+    snaps = {u: ScalarState(snap.curve, snap.factors, snap.fx, u) for u, snap in SNAPS.items()}
+    plan = attribution._plan(positions, snaps, GRID, carry_mode)
+    for snap in snaps.values():
+        for name in ("curve", "factors", "fx", "as_of"):
+            object.__setattr__(snap, name, math.nan)
+    calls = [pos.pricer.calls for pos in positions]
+
+    got = [attribution._attribute(pos.pricer.price, subperiods, fx_mode) for pos, subperiods in zip(positions, plan)]
+
+    assert got == expected and repr(got) == repr(expected)
+    n = len(GRID) - 1
+    assert [pos.pricer.calls - before for pos, before in zip(positions, calls)] == [5 * n + 1] * len(positions)
 
 
 @pytest.mark.parametrize("carry_mode", list(CarryMode))

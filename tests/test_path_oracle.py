@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from pnlattr import path_oracle
 from pnlattr import (
-    CoarseFineComparison,
     FxMode,
     GbmSpec,
     GridDecomposition,
@@ -251,6 +250,23 @@ def test_ito_residual_shrinks_with_refinement():
     assert run(1024) < run(16)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 32])
+def test_ito_ladder_prices_7n_plus_1_times(n):
+    # seven prices per step, and the total reuses the first step's start price
+    calls = []
+
+    def pricer(s, r, x):
+        calls.append((s, r, x))
+        return 100.0 + 3.0 * s - 40.0 * r + 15.0 * x + 60.0 * r * x
+
+    grid = np.linspace(0.0, 1.0, n + 1)
+    path_r, path_x = np.linspace(0.01, 0.03, n + 1), np.linspace(0.05, 0.02, n + 1)
+    dec = grid_ito_decomposition(pricer, path_r, path_x, grid)
+    assert len(calls) == 7 * n + 1
+    assert calls.count((0.0, 0.01, 0.05)) == 1
+    assert dec.total == pricer(1.0, 0.03, 0.02) - pricer(0.0, 0.01, 0.05)
+
+
 def test_ito_nonfinite_derivative():
     def pricer(s, r, x):
         return float("nan") if r < 0.02 else r  # nan just below 0.02
@@ -273,10 +289,10 @@ def test_coarse_and_fine_agree_on_the_total():
         paths = simulate_paths(TWO_GBM, n_steps=64, seed=seed)
         for mode in FxMode:
             cmp = compare_coarse_vs_fine(paths, mode)
-            coarse_total = cmp.coarse_fx + cmp.coarse_asset
-            fine_total = cmp.fine.fx_integral + cmp.fine.asset_integral + cmp.fine.covariation
+            coarse_total = cmp.coarse_fx[0] + cmp.coarse_asset[0]
+            fine_total = cmp.fine_fx[0] + cmp.fine_asset[0] + cmp.covariation[0]
             assert coarse_total == pytest.approx(fine_total, rel=1e-12)
-            assert coarse_total == pytest.approx(cmp.total, rel=1e-12)
+            assert coarse_total == pytest.approx(cmp.total[0], rel=1e-12)
 
 
 def test_zero_vol_study_has_no_discrepancy():
@@ -285,15 +301,15 @@ def test_zero_vol_study_has_no_discrepancy():
         GbmSpec("fx", initial=1.1),
     ))
     cmp = compare_coarse_vs_fine(simulate_paths(params, 16, seed=0))
-    assert cmp.fx_diff == 0.0
-    assert cmp.asset_diff == 0.0
-    assert cmp.fine.covariation == 0.0
+    assert cmp.coarse_fx == cmp.fine_fx
+    assert cmp.coarse_asset == cmp.fine_asset
+    assert cmp.covariation == (0.0,)
 
 
 def test_study_and_csv_report():
     study = covariation_study(TWO_GBM, n_steps=16, seeds=range(12))
     assert isinstance(study, StudyResult)
-    assert len(study.comparisons) == 12
+    assert study.seeds == tuple(range(12))
     assert math.isfinite(study.covariation_mean)
     assert study.covariation_stderr > 0.0
     text = write_discrepancy_csv(study)
@@ -403,8 +419,8 @@ def test_seeds_outside_the_derivation_take_default_rngs_stream_or_error():
     params = SimulationParams(processes=TWO_GBM.processes, jump_intensity=2.0)
     seeds = list(range(20)) + outside[:3]
     study = covariation_study(params, 16, seeds)
-    expected = [compare_coarse_vs_fine(simulate_paths(params, 16, seed)) for seed in seeds]
-    assert write_discrepancy_csv(study) == write_discrepancy_csv(expected)
+    expected = StudyResult(compare_coarse_vs_fine(simulate_paths(params, 16, seed)) for seed in seeds)
+    assert study == expected and write_discrepancy_csv(study) == write_discrepancy_csv(expected)
     for seed in outside[:3]:
         paths = simulate_paths(params, 16, seed).paths
         reference = _seedwise_values(params, 16, seed)
@@ -416,29 +432,36 @@ def test_seeds_outside_the_derivation_take_default_rngs_stream_or_error():
     assert str(got.value) == str(want.value)
 
 
-def test_study_is_held_as_columns_and_builds_records_only_when_asked(monkeypatch):
+def test_study_is_one_record_of_columns_that_one_row_studies_join_into(monkeypatch):
     built = []
-    for cls in (CoarseFineComparison, GridDecomposition):
-        def counted(self, *args, _init=cls.__init__):
-            built.append(type(self))
-            _init(self, *args)
+    init = GridDecomposition.__init__
 
-        monkeypatch.setattr(cls, "__init__", counted)
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GridDecomposition, "__init__", counted)
     study = covariation_study(CLI_PARAMS, 16, range(40))
     text = write_discrepancy_csv(study)
     assert math.isfinite(study.covariation_mean) and study.covariation_stderr > 0.0
-    assert built == []
     assert study.seeds == tuple(range(40)) and study.n_steps == (16,) * 40
-    comparisons = study.comparisons
-    assert built == [GridDecomposition, CoarseFineComparison] * 40
-    assert [c.fine.covariation for c in comparisons] == list(study.covariation) == study.covariations().tolist()
+    assert list(study.covariation) == study.covariations().tolist()
+    rows = [compare_coarse_vs_fine(simulate_paths(CLI_PARAMS, 16, seed)) for seed in range(40)]
+    assert built == []
+    assert all(type(value) is float for row in rows for column in row._values()[2:] for value in column)
+    for joined in (StudyResult(rows), StudyResult(iter(rows)), StudyResult((StudyResult(rows[:7]), StudyResult(),
+                                                                              StudyResult(rows[7:])))):
+        assert joined == study and hash(joined) == hash(study) and repr(joined) == repr(study)
+        assert vars(joined) == vars(study) and write_discrepancy_csv(joined) == text
     for twin in (copy.copy(study), copy.deepcopy(study), pickle.loads(pickle.dumps(study))):
         assert twin == study and hash(twin) == hash(study) and repr(twin) == repr(study)
         assert vars(twin) == vars(study) and write_discrepancy_csv(twin) == text
 
 
 def test_study_of_no_seeds_is_empty():
-    assert covariation_study(TWO_GBM, n_steps=8, seeds=[]).comparisons == ()
+    empty = covariation_study(TWO_GBM, n_steps=8, seeds=[])
+    assert empty == StudyResult() and empty.seeds == empty.total == ()
+    assert write_discrepancy_csv(empty) == "seed,n_steps,component,coarse,fine,diff\n"
 
 
 def test_study_without_fx_path_raises_key_error():
@@ -622,33 +645,35 @@ def test_exact_row_sums_certify_nearly_every_oracle_row(monkeypatch):
     )
     calls = _counting_fsum(monkeypatch)
     study = covariation_study(params, n_steps=256, seeds=range(200))
-    assert len(study.comparisons) == 200
+    assert len(study.seeds) == 200
     assert len(calls) <= 0.01 * 3 * 200
 
 
-def _csv_reference(comparisons):
+def _csv_reference(study):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["seed", "n_steps", "component", "coarse", "fine", "diff"])
-    for c in comparisons:
-        for component, coarse, fine, diff in c.rows():
-            writer.writerow([c.seed, c.n_steps, component, repr(coarse), repr(fine), repr(diff)])
+    for seed, n, cfx, cas, ffx, fas, cov in zip(study.seeds, study.n_steps, study.coarse_fx, study.coarse_asset,
+                                                study.fine_fx, study.fine_asset, study.covariation):
+        for component, coarse, fine, diff in (("fx", cfx, ffx, cfx - ffx), ("asset", cas, fas, cas - fas),
+                                              ("covariation", 0.0, cov, -cov)):
+            writer.writerow([seed, n, component, repr(coarse), repr(fine), repr(diff)])
     return out.getvalue()
 
 
 def test_discrepancy_csv_equals_csv_writer_output():
     # an asset path that overflowed, as callers may build them
     with np.errstate(all="ignore"):
-        overflowed = [
+        overflowed = StudyResult(
             compare_coarse_vs_fine(PathSet(grid=[0.0, 1.0], seed=seed,
                                            paths={"asset": [100.0, math.inf], "fx": [1.0, fx_end]}))
             for seed, fx_end in enumerate((1e-265, 0.5, 2.0))
-        ]
+        )
     text = write_discrepancy_csv(overflowed)
     assert "inf" in text and "nan" in text
     assert text == _csv_reference(overflowed)
     plain = covariation_study(TWO_GBM, n_steps=8, seeds=range(40))
-    assert write_discrepancy_csv(plain) == _csv_reference(plain.comparisons)
+    assert write_discrepancy_csv(plain) == _csv_reference(plain)
 
 
 def test_mean_and_stderr_of_too_few_covariations_are_nan_without_a_warning():
@@ -657,7 +682,7 @@ def test_mean_and_stderr_of_too_few_covariations_are_nan_without_a_warning():
         warnings.simplefilter("error")
         for study in (StudyResult(()), covariation_study(TWO_GBM, n_steps=8, seeds=[])):
             assert math.isnan(study.covariation_mean) and math.isnan(study.covariation_stderr)
-        assert one.covariation_mean == one.comparisons[0].fine.covariation
+        assert one.covariation_mean == one.covariation[0]
         assert math.isnan(one.covariation_stderr)
 
 

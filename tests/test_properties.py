@@ -1,5 +1,6 @@
 """Property suites for the algebraic identities the engine is built on."""
 
+import math
 from datetime import date
 
 import pytest
@@ -7,12 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnlattr import (
+    Bucket,
     FxMode,
+    Position,
     ZeroCurve,
+    attribute_position,
     four_way_split,
     fx_split,
+    grid_ito_decomposition,
     grid_product_decomposition,
 )
+from pnlattr.path_oracle import DERIVATIVE_STEP
 
 from conftest import ScalarState
 
@@ -120,3 +126,43 @@ def test_average_and_start_end_modes_share_totals(theta, beta, gamma, cross,
     avg = four_way_split(price, 0.0, 1.0, snap_t, snap_T, FxMode.AVERAGE)
     se = four_way_split(price, 0.0, 1.0, snap_t, snap_T, FxMode.START_END)
     assert avg.total == pytest.approx(se.total, rel=1e-12, abs=1e-9)
+
+
+unit_coeffs = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=st.tuples(unit_coeffs, unit_coeffs), g=st.tuples(unit_coeffs, unit_coeffs), h=st.tuples(unit_coeffs, unit_coeffs),
+    kappa=unit_coeffs, lam=unit_coeffs,
+    steps=st.lists(st.tuples(st.floats(0.005, 0.08), states, states), min_size=1, max_size=12),
+    r0=states, x0=states,
+)
+def test_symmetric_average_cross_terms_are_exact(f, g, h, kappa, lam, steps, r0, x0):
+    # a = f(s) + g(r) + h(x) + kappa r x + lam s r with quadratic f, g, h: the ladder's second-order
+    # Taylor steps are exact on g and h, so what the engine's symmetric average adds to them is its
+    # share of the cross terms, (1/2) kappa dr dx and (1/2) lam ds dr per subperiod, and nothing else
+    def price(s, r, x):
+        return (1.0 + f[0] * s + f[1] * s * s + g[0] * r + g[1] * r * r + h[0] * x + h[1] * x * x
+                + kappa * r * x + lam * s * r)
+
+    grid, path_r, path_x = [0.0], [r0], [x0]
+    for ds, r, x in steps:
+        grid.append(grid[-1] + ds)
+        path_r.append(r)
+        path_x.append(x)
+    snaps = {u: ScalarState(curve=r, factors=x, fx=1.0) for u, r, x in zip(grid, path_r, path_x)}
+    _, engine = attribute_position(Position("toy", Bucket.OTHER, price), snaps, grid)
+    ladder = grid_ito_decomposition(price, path_r, path_x, grid)
+
+    moves = [(s1 - s0, r1 - r0, x1 - x0) for s0, s1, r0, r1, x0, x1
+             in zip(grid, grid[1:], path_r, path_r[1:], path_x, path_x[1:])]
+    rate_cross = math.fsum(0.5 * kappa * dr * dx + 0.5 * lam * ds * dr for ds, dr, dx in moves)
+    market_cross = math.fsum(0.5 * kappa * dr * dx for _, dr, dx in moves)
+    # round-off: about u |a| / step per first difference and u |a| / step**2 per second difference,
+    # each times its state move; on these inputs |a| < 6 and every state's step is DERIVATIVE_STEP
+    u, size, step = 2.0**-53, 6.0, DERIVATIVE_STEP
+    tol = 8 * u * size * math.fsum(1.0 + (abs(dr) + abs(dx)) / step + (dr * dr + dx * dx) / step**2
+                                   for _, dr, dx in moves)
+    assert abs((engine.rate - ladder.rate) - rate_cross) <= tol
+    assert abs((engine.market - ladder.market) - market_cross) <= tol

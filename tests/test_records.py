@@ -19,7 +19,6 @@ from pnlattr import (
     CashSpec,
     CdsPricer,
     CdsSpec,
-    CoarseFineComparison,
     DuplicatePositionId,
     EmptyNodes,
     FxQuote,
@@ -42,6 +41,7 @@ from pnlattr import (
     SimulationParams,
     StudyResult,
     ZeroCurve,
+    compare_coarse_vs_fine,
 )
 
 D1, D2 = date(2022, 6, 15), date(2022, 12, 15)
@@ -49,8 +49,8 @@ BOND = BondSpec(100.0, date(2021, 8, 31), date(2023, 2, 28), 0.05)
 CDS = CdsSpec(1e6, date(2026, 12, 20), 0.01)
 CASH = CashSpec(1e6, 0.01, date(2022, 1, 1))
 RESULT = AttributionResult(1.0, 2.0, 0.5, -0.5, 3.0)
-GRID = GridDecomposition(1.0, 2.0, 0.5, 3.5)
 FX_GBM = GbmSpec("fx", 1.1)
+ONE_ROW = compare_coarse_vs_fine(PathSet([0.0, 1.0], {"asset": [1.0, 2.0], "fx": [1.0, 1.5]}, seed=3))
 
 #: args: every constructor argument by name, in order; defaults: the ones that
 #: may be left out and their values; bad: (argument overrides, error, message)
@@ -156,12 +156,9 @@ CASES = [
          bad=[({"total": 4.0}, ValueError, "telescoping identity violated by 0.5")]),
     Case(ItoDecomposition, {"carry": 1.0, "rate": 2.0, "market": 0.5, "total": 3.25},
          repr="ItoDecomposition(carry=1.0, rate=2.0, market=0.5, total=3.25)"),
-    Case(CoarseFineComparison, {"seed": 3, "n_steps": 8, "coarse_fx": 1.25, "coarse_asset": 2.25, "fine": GRID},
-         repr="CoarseFineComparison(seed=3, n_steps=8, coarse_fx=1.25, coarse_asset=2.25, "
-              "fine=GridDecomposition(fx_integral=1.0, asset_integral=2.0, covariation=0.5, total=3.5))"),
-    Case(StudyResult, {"comparisons": (CoarseFineComparison(3, 8, 1.25, 2.25, GRID),)},
-         repr="StudyResult(comparisons=(CoarseFineComparison(seed=3, n_steps=8, coarse_fx=1.25, coarse_asset=2.25, "
-              "fine=GridDecomposition(fx_integral=1.0, asset_integral=2.0, covariation=0.5, total=3.5)),))"),
+    Case(StudyResult, {"studies": (ONE_ROW, StudyResult(), ONE_ROW)},
+         repr="StudyResult(seeds=(3, 3), n_steps=(1, 1), coarse_fx=(0.75, 0.75), coarse_asset=(1.25, 1.25), "
+              "fine_fx=(0.5, 0.5), fine_asset=(1.0, 1.0), covariation=(0.5, 0.5), total=(2.0, 2.0))"),
 ]
 
 
@@ -210,7 +207,7 @@ def test_record_behaviour(case):
     # another class holding the same values is never equal
     other = type(cls.__name__, (cls,), {})(**args)
     assert record != other and other != record
-    assert record != tuple(getattr(record, name) for name in args)
+    assert record != tuple(getattr(record, name) for name in cls._fields)
 
     if cls is PathSet:
         with pytest.raises(TypeError, match="unhashable"):
