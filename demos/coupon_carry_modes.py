@@ -5,7 +5,7 @@ single endpoint-to-endpoint split books that drop as lost carry and the
 received cash never shows up. Segmenting the period at the coupon date and
 crediting the coupon into carry at the FX level around the payment fixes
 the books exactly; this script shows the repair and the two alternative
-conventions next to it.
+conventions next to it, all three split from one pricing pass.
 
 Run:  python demos/coupon_carry_modes.py
 """
@@ -17,8 +17,10 @@ from pnlattr import (
     BondSpec,
     Bucket,
     CarryMode,
+    FxMode,
+    Portfolio,
     Position,
-    attribute_position,
+    attribute_every_mode,
     bond_cashflows,
     four_way_split,
     load_market_snapshots,
@@ -56,10 +58,9 @@ print(f"\nNaive endpoint-only split (coupon drop eaten by carry):")
 print(f"  carry {naive.carry:>12,.0f} EUR   total {naive.total:>12,.0f} EUR")
 
 print("\nSegmented attribution:")
-aggregates = {}
-for mode in CarryMode:
-    _, agg = attribute_position(position, snapshots, grid, carry_mode=mode)
-    aggregates[mode] = agg
+views = attribute_every_mode(Portfolio((position,)), snapshots, t, T)
+aggregates = {mode: views[FxMode.AVERAGE, mode].by_id("BOND").aggregate for mode in CarryMode}
+for mode, agg in aggregates.items():
     print(f"  {mode.value:9s}  fx {agg.fx:>10,.0f}  rate {agg.rate:>10,.0f}  "
           f"market {agg.market:>9,.0f}  carry {agg.carry:>9,.0f}  total {agg.total:>10,.0f}")
 corrected, literal, sophis = (aggregates[mode] for mode in (CarryMode.CORRECTED, CarryMode.LITERAL, CarryMode.SOPHIS))

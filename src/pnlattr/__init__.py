@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "conventions": "CarryMode FxMode fx_split",
     "attribution": """AttributionResult Bucket Portfolio PortfolioAttribution Position PositionAttribution
-        Transaction attribute_portfolio attribute_position four_way_split segment_period""",
+        Transaction attribute_every_mode attribute_portfolio attribute_position four_way_split segment_period""",
     "errors": """DuplicateDate DuplicatePositionId EmptyNodes EmptyPeriod EmptyResults EngineError
         InvalidCorrelation LengthMismatch MissingField MissingSnapshot MixedCurrencies NonFiniteDerivative
         NonFiniteReport NonMonotoneTenors ParseError PastMaturity PricerEvaluationFailed ScheduleOutsideGrid

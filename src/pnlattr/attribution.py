@@ -19,11 +19,12 @@ by construction: the residual is floating-point round-off, and construction
 rejects anything worse.
 
 Coupons break the single-period telescope, so the period is segmented at
-every cashflow and transaction date, and subperiod results add up. Each is
-priced, then split: `_priced` makes its six prices (5n + 1 evaluations on
-n subperiods, each starting at the last one's end price), and the pure
-`_split` applies the conventions: an ex-coupon start, the coupon in carry at
-the FX level around its payment (literal: pre-coupon start; sophis: end quote).
+every cashflow and transaction date, and subperiod results add up. The plan
+is mode-free: `_priced` makes each subperiod's six prices once (5n + 1
+evaluations on n subperiods, each starting at the last one's end price),
+and the pure `_split` applies both conventions in every mode asked for: an
+ex-coupon start, the coupon in carry at the FX level around its payment
+(literal: pre-coupon start; sophis: end quote), and the FX mode's weights.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ def four_way_split(pricer, t, T, snap_t, snap_T, fx_mode: FxMode = FxMode.AVERAG
     snapshots need curve, factors and fx attributes and go to it opaquely, so production curve
     objects and scalar toy states both work. It is `_plan`'s one subperiod of a unit position.
     """
-    [[sub]] = _plan((Position("", Bucket.OTHER, pricer),), {t: snap_t, T: snap_T}, [t, T], CarryMode.CORRECTED)
-    return _split(sub, next(_priced(_price_fn(pricer), (sub,))), fx_mode)
+    [[sub]] = _plan((Position("", Bucket.OTHER, pricer),), {t: snap_t, T: snap_T}, [t, T])
+    return _split(sub, next(_priced(_price_fn(pricer), (sub,))), fx_mode, CarryMode.CORRECTED)
 
 
 def _priced(price, subperiods: Iterable[_Subperiod]):
@@ -132,14 +133,15 @@ def _priced(price, subperiods: Iterable[_Subperiod]):
         start_old = end_new
 
 
-def _split(sub: _Subperiod, prices: tuple, fx_mode: FxMode) -> AttributionResult:
-    """One subperiod's EUR result from the six prices _priced yields for it; evaluates nothing.
-    Each part is the unit split times the quantity q; a coupon, at q * coupon * coupon_fx, joins
-    carry and total. The one record holds the final values, so its checks see what the run
-    reports. The zero guards keep a -0.0 price or part, which adding 0.0 would make 0.0."""
+def _split(sub: _Subperiod, prices: tuple, fx_mode: FxMode, carry_mode: CarryMode) -> AttributionResult:
+    """One subperiod's EUR result in one mode from its six prices; evaluates nothing, and is the one
+    reader of either mode. Each part is the unit split times the quantity q. Literal mode adds the start
+    coupon to the three start prices; the end coupon, at q * coupon * the average quote around it (sophis:
+    chi_last), joins carry and total. The one record holds the final values, so its checks see what the
+    run reports. The zero guards keep a -0.0 price or part, which adding 0.0 would make 0.0."""
     end_new, end_old_curve, end_old_factors, start_old, start_new_curve, start_new_factors = prices
-    _, _, _, _, _, _, chi_t, chi_T, q, start_coupon, coupon, coupon_fx = sub
-    if start_coupon != 0.0:
+    _, _, _, _, _, _, chi_t, chi_T, q, start_coupon, coupon, chi_last = sub
+    if start_coupon != 0.0 and carry_mode is CarryMode.LITERAL:
         start_old += start_coupon
         start_new_curve += start_coupon
         start_new_factors += start_coupon
@@ -154,7 +156,7 @@ def _split(sub: _Subperiod, prices: tuple, fx_mode: FxMode) -> AttributionResult
     scale = abs(q) * (max(abs(end_new), abs(end_old_curve), abs(end_old_factors), abs(start_old),
                           abs(start_new_curve), abs(start_new_factors)) * max(chi_t, chi_T))
     if coupon != 0.0:
-        coupon_eur = q * coupon * coupon_fx
+        coupon_eur = q * coupon * (chi_last if carry_mode is CarryMode.SOPHIS else 0.5 * (chi_t + chi_T))
         carry += coupon_eur
         total += coupon_eur
         scale = max(scale, abs(coupon_eur))
@@ -266,13 +268,13 @@ def segment_period(scope, t, T) -> list:
     return sorted(dates)
 
 
-#: One position's subperiod (start, end]: the curve and factors _priced prices it under at each end, and
-#: every other input of _split. start_coupon, paid at start in literal mode (else 0.0), joins the start
-#: prices; coupon, paid at end, converts at coupon_fx.
+#: One position's subperiod (start, end], the same in every mode: the curve and factors _priced prices
+#: it under at each end, and every other input of _split: the quotes at both ends, the coupons paid at
+#: start and at end, and chi_last, the quote at the period's end.
 _Subperiod = namedtuple("_Subperiod", "start end curve_start factors_start curve_end factors_end "
-                                      "chi_start chi_end quantity start_coupon coupon coupon_fx")
+                                      "chi_start chi_end quantity start_coupon coupon chi_last")
 
-def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: CarryMode) -> tuple:
+def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
     """Check a run before its first price, then lay out each position's tuple of _Subperiods. The
     checks, in order: a grid of two dates or more that increases at every step; at most one foreign
     currency; a snapshot at every grid date; and, unless the book is all EUR, fx quotes finite and > 0.
@@ -301,29 +303,30 @@ def _plan(positions: Sequence[Position], snapshots, grid: list, carry_mode: Carr
             quotes.append(_fx_rate(snap.fx))
         except ValueError as exc:
             raise EngineError(f"market snapshot at {u}: {exc}") from exc
-    literal, sophis = carry_mode is CarryMode.LITERAL, carry_mode is CarryMode.SOPHIS
     subperiods = []
     for pos in positions:
         chi, amount_on = eur if pos.currency == "EUR" else quotes, pos.schedule.amount_on
         subperiods.append(tuple(
             _Subperiod(grid[i - 1], grid[i], curves[i - 1], factors[i - 1], curves[i], factors[i],
-                       chi[i - 1], chi[i], pos.quantity_at(grid[i - 1]),
-                       amount_on(grid[i - 1]) if literal else 0.0, amount_on(grid[i]),
-                       chi[-1] if sophis else 0.5 * (chi[i - 1] + chi[i]))
+                       chi[i - 1], chi[i], pos.quantity_at(grid[i - 1]), amount_on(grid[i - 1]),
+                       amount_on(grid[i]), chi[-1])
             for i in range(1, len(grid))))
     return tuple(subperiods)
 
 
-def _attribute(price, subperiods: Sequence[_Subperiod], fx_mode: FxMode):
-    """Price and split one position's planned subperiods in turn; returns (results, their sum)."""
-    prices, results = _priced(price, subperiods), []
+def _attribute(price, subperiods: Sequence[_Subperiod], modes: Sequence[tuple[FxMode, CarryMode]]) -> list:
+    """Price one position's planned subperiods in turn, each once, and split each in every
+    (fx_mode, carry_mode) of modes; returns each mode's (results, their sum), in mode order."""
+    prices, trails = _priced(price, subperiods), [[] for _ in modes]
     for sub in subperiods:
         try:
-            results.append(_split(sub, next(prices), fx_mode))
+            six = next(prices)
+            for results, (fx_mode, carry_mode) in zip(trails, modes):
+                results.append(_split(sub, six, fx_mode, carry_mode))
         except EngineError as exc:
             raise exc.at(f"subperiod ({sub.start}, {sub.end}]")
     try:
-        return results, AttributionResult.combine(results)
+        return [(results, AttributionResult.combine(results)) for results in trails]
     except EngineError as exc:
         raise exc.at(f"period ({subperiods[0].start}, {subperiods[-1].end}]")
 
@@ -345,7 +348,7 @@ def attribute_position(
     the run, then each cashflow and rebalance inside the period must be on the grid.
     """
     grid = list(grid)
-    [subperiods] = _plan((position,), snapshots, grid, carry_mode)
+    [subperiods] = _plan((position,), snapshots, grid)
     grid_set, start, end = set(grid), grid[0], grid[-1]
     for d, amount in position.schedule.entries:
         if start < d <= end and amount != 0.0 and d not in grid_set:
@@ -353,7 +356,7 @@ def attribute_position(
     for txn in position.transactions:
         if start < txn.date < end and txn.quantity_change != 0.0 and txn.date not in grid_set:
             raise ScheduleOutsideGrid(f"transaction at {txn.date} not on the attribution grid")
-    return _attribute(_price_fn(position.pricer), subperiods, fx_mode)
+    return _attribute(_price_fn(position.pricer), subperiods, ((fx_mode, carry_mode),))[0]
 
 
 class PositionAttribution(Record):
@@ -396,17 +399,31 @@ def attribute_portfolio(
     Positions come back in input order; bucket and fund totals are the
     report's job (see reporting.render_report).
     """
+    [view] = _attribute_views(portfolio, snapshots, t, T, ((fx_mode, carry_mode),))
+    return view
+
+
+def attribute_every_mode(portfolio: Portfolio, snapshots, t, T) -> dict[tuple[FxMode, CarryMode], PortfolioAttribution]:
+    """attribute_portfolio's result in each of the six modes, keyed by (FxMode, CarryMode), from
+    one pricing pass: the modes differ only after pricing, so all six make one mode's pricer calls."""
+    modes = [(fx_mode, carry_mode) for fx_mode in FxMode for carry_mode in CarryMode]
+    return dict(zip(modes, _attribute_views(portfolio, snapshots, t, T, modes)))
+
+
+def _attribute_views(portfolio: Portfolio, snapshots, t, T, modes) -> list:
+    """attribute_portfolio's result in each mode of modes, in order, from one plan priced once."""
     grid = segment_period(portfolio, t, T)  # every cashflow and transaction date is on it
     try:
-        plan = _plan(portfolio.positions, snapshots, grid, carry_mode)
+        plan = _plan(portfolio.positions, snapshots, grid)
     except MissingSnapshot as exc:
         raise exc.at(f"position {portfolio.positions[0].id}")
-    per_position: list[PositionAttribution] = []
+    views: list[list[PositionAttribution]] = [[] for _ in modes]
     for pos, subperiods in zip(portfolio.positions, plan):
         try:
-            results, aggregate = _attribute(_price_fn(pos.pricer), subperiods, fx_mode)
+            results = _attribute(_price_fn(pos.pricer), subperiods, modes)
         except EngineError as exc:
             raise exc.at(f"position {pos.id}")
-        per_position.append(PositionAttribution(pos.id, pos.bucket, tuple(results), aggregate,
-                                                pos.costs_in(t, T)))
-    return PortfolioAttribution(period=(t, T), grid=tuple(grid), positions=tuple(per_position))
+        costs = pos.costs_in(t, T)
+        for view, (trail, aggregate) in zip(views, results):
+            view.append(PositionAttribution(pos.id, pos.bucket, tuple(trail), aggregate, costs))
+    return [PortfolioAttribution(period=(t, T), grid=tuple(grid), positions=tuple(view)) for view in views]

@@ -402,7 +402,7 @@ import pnlattr
 bound = set(globals()) - before - {"before", "pnlattr"}
 print(len(bound), bound == set(pnlattr.__all__), "numpy" in sys.modules, "simulate_paths" in bound)
 """)
-    assert result.stdout.split() == ["58", "True", "False", "False"], result.stderr
+    assert result.stdout.split() == ["59", "True", "False", "False"], result.stderr
 
 
 def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path):

@@ -130,27 +130,28 @@ def test_evaluation_count_and_bit_identical_subperiods(fx_mode, carry_mode, hold
     assert aggregate == AttributionResult.combine(expected)
 
 
-@pytest.mark.parametrize("carry_mode", list(CarryMode))
-@pytest.mark.parametrize("fx_mode", list(FxMode))
-def test_a_plan_holds_every_legs_market_state(fx_mode, carry_mode):
-    # _plan is the one reader of a snapshot: once a book is planned, overwriting its snapshots
-    # changes neither the prices nor the splits of the plan
+@pytest.mark.parametrize("price", [toy_price, signed_zero_price], ids=["toy", "signed-zero"])
+def test_a_plan_holds_every_legs_market_state(price):
+    # _plan is the one reader of a snapshot, and its plan is the same in every mode: once a book is
+    # planned, overwriting its snapshots changes neither the prices nor the splits of the plan, which
+    # is priced once and split in all six modes
     schedule = CashflowSchedule(((0.0, 1.5), (0.25, 2.5), (1.0, 2.5)))
     positions = (
-        Position("rebalanced", Bucket.OTHER, CountingPricer(toy_price), schedule=schedule,
+        Position("rebalanced", Bucket.OTHER, CountingPricer(price), schedule=schedule,
                  transactions=HOLDINGS["rebalanced"][1]),
-        Position("short", Bucket.HEDGE, CountingPricer(toy_price), notional_sign=-1),
-        Position("eur", Bucket.CASH, CountingPricer(toy_price), schedule=schedule, currency="EUR"),
+        Position("short", Bucket.HEDGE, CountingPricer(price), notional_sign=-1),
+        Position("eur", Bucket.CASH, CountingPricer(price), schedule=schedule, currency="EUR"),
     )
-    expected = [attribute_position(pos, SNAPS, GRID, fx_mode, carry_mode) for pos in positions]
+    modes = [(fx_mode, carry_mode) for fx_mode in FxMode for carry_mode in CarryMode]
+    expected = [[attribute_position(pos, SNAPS, GRID, *mode) for mode in modes] for pos in positions]
     snaps = {u: ScalarState(snap.curve, snap.factors, snap.fx, u) for u, snap in SNAPS.items()}
-    plan = attribution._plan(positions, snaps, GRID, carry_mode)
+    plan = attribution._plan(positions, snaps, GRID)
     for snap in snaps.values():
         for name in ("curve", "factors", "fx", "as_of"):
             object.__setattr__(snap, name, math.nan)
     calls = [pos.pricer.calls for pos in positions]
 
-    got = [attribution._attribute(pos.pricer.price, subperiods, fx_mode) for pos, subperiods in zip(positions, plan)]
+    got = [attribution._attribute(pos.pricer.price, subperiods, modes) for pos, subperiods in zip(positions, plan)]
 
     assert got == expected and repr(got) == repr(expected)
     n = len(GRID) - 1

@@ -1,4 +1,5 @@
-"""Random books against the frozen seed program, and the pricing every mode shares.
+"""Random books against the frozen seed program, the pricing every mode shares, and the
+relations between the modes, read off the six views of one pricing pass.
 
 The strategy draws a holdings text and a market CSV inside the seed program's
 domain: one foreign currency, which it converts every position at; bonds
@@ -14,15 +15,17 @@ program does.
 import contextlib
 import dataclasses
 import io
+import math
 import sys
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
 
+import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from pnlattr import (Bucket, CarryMode, FxMode, Portfolio, attribute_portfolio, load_market_snapshots,
-                     load_portfolio)
+from pnlattr import (Bucket, CarryMode, FxMode, Portfolio, attribute_every_mode,
+                     attribute_portfolio, load_market_snapshots, load_portfolio)
 from pnlattr.cli import run_cli
 
 # the frozen seed program, read only: every report must print what it printed
@@ -178,7 +181,17 @@ class _Recording:
 
 
 def _bits(result):
-    return tuple(float(value).hex() for value in (result.fx, result.rate, result.market, result.carry, result.total))
+    return tuple(float(value).hex() for value in (result.fx, result.rate, result.market, result.carry, result.total,
+                                                  result.scale))
+
+
+def _trail_bits(attribution):
+    return [[_bits(r) for r in (*pos.subperiods, pos.aggregate)] for pos in attribution.positions]
+
+
+def _recorded(portfolio, calls: list):
+    return Portfolio(tuple(dataclasses.replace(pos, pricer=_Recording(pos.pricer, calls))
+                           for pos in portfolio.positions))
 
 
 @settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -186,26 +199,121 @@ def _bits(result):
 @example(book=DEMO_BOOK)
 @example(book=OUT_OF_ORDER_BOOK)
 def test_every_mode_makes_the_same_pricer_calls(book):
-    """The six carry x FX modes differ only after pricing: the same calls, in
-    the same order, with the same arguments and values. Sophis fx, rate and
-    market are corrected's bit for bit, and both FX modes give the same totals."""
+    """attribute_every_mode prices once for all six carry x FX modes: the calls of one
+    attribute_portfolio run, in the same order, with the same arguments and values. Each view
+    is a separate run of its mode bit for bit. Sophis fx, rate and market are corrected's bit
+    for bit, and both FX modes give the same totals."""
     holdings, market, t, T, _ = book
     portfolio = load_portfolio(io.StringIO(holdings))
     snapshots = load_market_snapshots(io.StringIO(market))
-    calls, results = {}, {}
-    for carry in CarryMode:
-        for fx in FxMode:
-            recorded = calls[carry, fx] = []
-            wrapped = Portfolio(tuple(dataclasses.replace(pos, pricer=_Recording(pos.pricer, recorded))
-                                      for pos in portfolio.positions))
-            attribution = attribute_portfolio(wrapped, snapshots, t, T, fx, carry)
-            results[carry, fx] = [[_bits(r) for r in (*pos.subperiods, pos.aggregate)]
-                                  for pos in attribution.positions]
-    first = calls[CarryMode.CORRECTED, FxMode.AVERAGE]
-    assert first and all(recorded == first for recorded in calls.values())
+    one_mode, every_mode = [], []
+    attribute_portfolio(_recorded(portfolio, one_mode), snapshots, t, T)
+    views = attribute_every_mode(_recorded(portfolio, every_mode), snapshots, t, T)
+    assert one_mode and every_mode == one_mode
+    assert list(views) == [(fx, carry) for fx in FxMode for carry in CarryMode]
+    results = {}
+    for (fx, carry), view in views.items():
+        run = attribute_portfolio(portfolio, snapshots, t, T, fx, carry)
+        assert view == run and repr(view) == repr(run), (fx, carry)
+        results[carry, fx] = _trail_bits(view)
+        assert results[carry, fx] == _trail_bits(run), (fx, carry)
     for fx in FxMode:
         for corrected, sophis in zip(results[CarryMode.CORRECTED, fx], results[CarryMode.SOPHIS, fx]):
             assert [bits[:3] for bits in sophis] == [bits[:3] for bits in corrected]
     for carry in CarryMode:
         for average, start_end in zip(results[carry, FxMode.AVERAGE], results[carry, FxMode.START_END]):
             assert [bits[4] for bits in start_end] == [bits[4] for bits in average]
+
+
+# The mode relations, read off the six views of one price table. Each holds up to the round-off
+# of the EUR values it is computed from: ROUNDOFF times the records' scale, summed over the
+# subperiods for a position's sum.
+ROUNDOFF = 16 * sys.float_info.epsilon
+
+
+def _views(book):
+    holdings, market, t, T, _ = book
+    portfolio = load_portfolio(io.StringIO(holdings))
+    snapshots = {snap.as_of: snap for snap in load_market_snapshots(io.StringIO(market))}
+    return portfolio, snapshots, attribute_every_mode(portfolio, snapshots, t, T)
+
+
+def _near(got, want, scale):
+    return abs(got - want) <= ROUNDOFF * scale
+
+
+def _legs(portfolio, snapshots, view):
+    """Per position: its attribution in view, its (q, c(u_prev), c(u), chi(u_prev), chi(u)) on each
+    subperiod (u_prev, u], and chi_T."""
+    grid = view.grid
+    for pos, attributed in zip(portfolio.positions, view.positions):
+        chi = [1.0 if pos.currency == "EUR" else snapshots[u].fx.rate for u in grid]
+        coupons = [pos.schedule.amount_on(u) for u in grid]
+        legs = [(pos.quantity_at(grid[i - 1]), coupons[i - 1], coupons[i], chi[i - 1], chi[i])
+                for i in range(1, len(grid))]
+        yield attributed, legs, chi[-1]
+
+
+@settings(max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(book=books())
+@example(book=DEMO_BOOK)
+@example(book=OUT_OF_ORDER_BOOK)
+@example(book=HEDGED_BASIS_BOOK)
+def test_literal_total_is_corrected_less_the_start_coupons(book):
+    # literal total = corrected total - sum_i q_i c(u_{i-1}) chi(u_{i-1}), subperiod by subperiod
+    portfolio, snapshots, views = _views(book)
+    for fx in FxMode:
+        corrected, literal = views[fx, CarryMode.CORRECTED], views[fx, CarryMode.LITERAL]
+        for (cor, legs, _), lit in zip(_legs(portfolio, snapshots, corrected), literal.positions):
+            start_coupons = [q * c_start * chi_start for q, c_start, _, chi_start, _ in legs]
+            for c, l, start_coupon in zip(cor.subperiods, lit.subperiods, start_coupons):
+                assert _near(l.total, c.total - start_coupon, max(c.scale, l.scale)), (fx, c, l, start_coupon)
+            scale = math.fsum(max(c.scale, l.scale) for c, l in zip(cor.subperiods, lit.subperiods))
+            assert _near(lit.aggregate.total, cor.aggregate.total - math.fsum(start_coupons), scale), fx
+
+
+@settings(max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(book=books())
+@example(book=DEMO_BOOK)
+@example(book=OUT_OF_ORDER_BOOK)
+@example(book=HEDGED_BASIS_BOOK)
+def test_sophis_moves_only_the_coupon_to_the_end_quote(book):
+    # sophis fx, rate and market are corrected's bit for bit; carry (and the total) differ by
+    # sum_i q_i c(u_i) (chi_T - (chi(u_{i-1}) + chi(u_i)) / 2)
+    portfolio, snapshots, views = _views(book)
+    for fx in FxMode:
+        corrected, sophis = views[fx, CarryMode.CORRECTED], views[fx, CarryMode.SOPHIS]
+        for (cor, legs, chi_T), soph in zip(_legs(portfolio, snapshots, corrected), sophis.positions):
+            shifts = [q * c_end * (chi_T - 0.5 * (chi_start + chi_end)) for q, _, c_end, chi_start, chi_end in legs]
+            scales = [max(c.scale, s.scale) for c, s in zip(cor.subperiods, soph.subperiods)]
+            for c, s, shift, scale in zip((*cor.subperiods, cor.aggregate), (*soph.subperiods, soph.aggregate),
+                                          (*shifts, math.fsum(shifts)), (*scales, math.fsum(scales))):
+                assert _bits(s)[:3] == _bits(c)[:3]
+                assert _near(s.carry, c.carry + shift, scale) and _near(s.total, c.total + shift, scale), (fx, c, s)
+
+
+def _hold(market: str, columns: tuple) -> str:
+    """market with the given columns set to their first row's values on every row."""
+    header, *rows = market.splitlines()
+    names, first = header.split(","), rows[0].split(",")
+    held = [",".join(kept if name in columns else cell for name, cell, kept in zip(names, row.split(","), first))
+            for row in rows]
+    return "\n".join([header, *held]) + "\n"
+
+
+@pytest.mark.parametrize("columns, part", [(("curve_tenors", "curve_rates"), "rate"),
+                                           (("hazard", "recovery", "basis"), "market"), (("fx",), "fx")],
+                         ids=["curve", "factors", "quote"])
+@settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(book=books())
+@example(book=DEMO_BOOK)
+@example(book=OUT_OF_ORDER_BOOK)
+@example(book=HEDGED_BASIS_BOOK)
+def test_a_state_that_does_not_move_earns_exactly_nothing(columns, part, book):
+    # a curve that does not change gives rate == 0.0 exactly in every mode, subperiods and sums
+    # alike; the same holds for the factors and market, and for the quote and fx
+    holdings, market, t, T, extra = book
+    _, _, views = _views((holdings, _hold(market, columns), t, T, extra))
+    for mode, view in views.items():
+        for pos in view.positions:
+            assert all(getattr(r, part) == 0.0 for r in (*pos.subperiods, pos.aggregate)), (mode, pos)
