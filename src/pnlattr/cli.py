@@ -26,8 +26,10 @@ from .errors import EmptyPeriod, EngineError, ParseError
 
 
 def _iso_date(text: str) -> date:
+    from .dates import parse_date
+
     try:
-        return date.fromisoformat(text)
+        return parse_date(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected ISO date (YYYY-MM-DD), got {text!r}") from exc
 
@@ -134,8 +136,6 @@ def _cmd_attribute(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    import numpy as np
-
     from .path_oracle import GbmSpec, SimulationParams, covariation_study, write_discrepancy_csv
 
     if args.seed < 0:
@@ -163,7 +163,6 @@ def _cmd_oracle(args) -> int:
         correlation=correlation,
         jump_intensity=args.jump_intensity,
     )
-    np.empty(1 << 18)  # freeing 2 MB lifts glibc's mmap and trim thresholds: the study's blocks reuse heap pages
     study = covariation_study(
         params,
         args.steps,

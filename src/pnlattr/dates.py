@@ -3,10 +3,20 @@
 All year fractions in the package use ACT/365F; no business-day calendars.
 """
 
+import re
 from datetime import date
 
 DAYS_PER_YEAR = 365.0
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
+
+def parse_date(text: str) -> date:
+    """A YYYY-MM-DD date, the one form date.fromisoformat reads on every Python
+    version; any other form raises the ValueError Python 3.10 raises for it."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
 
 
 def year_fraction(start: date, end: date) -> float:

@@ -20,6 +20,7 @@ from datetime import date
 from typing import IO, Iterable
 
 from ._record import Record
+from .dates import parse_date
 from .errors import (
     DuplicateDate,
     EmptyNodes,
@@ -204,7 +205,7 @@ def load_market_snapshots(source) -> list[MarketSnapshot]:
             return row[idx].strip()
 
         try:
-            as_of = date.fromisoformat(cell("date"))
+            as_of = parse_date(cell("date"))
         except ValueError as exc:
             raise ParseError(f"bad date: {exc}", row=row_no, column="date") from exc
         if as_of in snapshots:

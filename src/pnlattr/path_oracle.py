@@ -44,10 +44,11 @@ from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative, Pri
 #: Relative finite-difference step for the Taylor-ladder partials.
 DERIVATIVE_STEP = 1e-5
 
-# Seeds simulated and decomposed per array pass in covariation_study. Small
-# enough that a block's temporaries stay a few hundred kB at a few hundred
-# steps; larger blocks bought no speed and raised peak memory.
-_BLOCK = 32
+# Seeds per batch in covariation_study: one state derivation, simulation pass
+# and column pass per block. On 2,500 seeds x 256 steps, 128 seeds and more
+# raised peak memory, and 32-seed blocks took 9.2 ms to derive the states,
+# against 5.7 ms in 256-seed runs.
+_BLOCK = 64
 
 # Largest Poisson mean numpy's generator accepts (its own POISSON_LAM_MAX).
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
@@ -61,6 +62,7 @@ class GbmSpec(Record):
 
     def __init__(self, name: str, initial: float, drift: float = 0.0, volatility: float = 0.0,
                  jump_size: float = 0.0):
+        _require_finite(f"{name}: ", initial=initial, drift=drift, volatility=volatility, jump_size=jump_size)
         if not initial > 0.0:
             raise ValueError(f"{name}: geometric processes need initial > 0")
         if volatility < 0.0:
@@ -85,6 +87,7 @@ class SimulationParams(Record):
         processes = tuple(processes)
         if not processes:
             raise ValueError("need at least one process")
+        _require_finite("", horizon=horizon, jump_intensity=jump_intensity)
         if not horizon > 0.0:
             raise ValueError("horizon must be > 0")
         if jump_intensity < 0.0:
@@ -125,6 +128,12 @@ class PathSet(Record):
         return len(self.grid) - 1
 
 
+def _require_finite(prefix: str, **values) -> None:
+    for field, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{prefix}{field} must be finite, got {value!r}")
+
+
 def _rows(matrix):
     return None if matrix is None else tuple(map(tuple, np.asarray(matrix, dtype=float).tolist()))
 
@@ -135,6 +144,8 @@ def _correlation_factor(correlation, size: int):
     corr = np.asarray(correlation, dtype=float)
     if corr.shape != (size, size):
         raise InvalidCorrelation(f"correlation must be {size}x{size}, got {corr.shape}")
+    if not np.isfinite(corr).all():
+        raise InvalidCorrelation("correlation entries must be finite")
     if not np.allclose(corr, corr.T, atol=1e-12):
         raise InvalidCorrelation("correlation matrix must be symmetric")
     if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
@@ -180,13 +191,9 @@ _SHIFT = np.uint32(16)
 # PCG64's 128-bit LCG multiplier (pcg64.h, PCG_DEFAULT_MULTIPLIER_128).
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
-# Seeds whose PCG64 states are derived in one array pass. Deriving and
-# setting the states of 256 seeds took about 1 ms, 4 us a seed against
-# 13 us for default_rng, and the pass's arrays are a few kB.
-_STATE_CHUNK = 256
-# Chunks with fewer seeds go to default_rng seed by seed: for one seed the
-# pass took about 110 us, against 16 us for default_rng, and the two broke
-# even near 8-10 seeds.
+# Blocks of fewer seeds go to default_rng seed by seed. Deriving and setting
+# the states took about 4 us a seed against 13 us for default_rng over 256
+# seeds, but 110 us against 16 us for one seed; they broke even near 8-10.
 _MIN_DERIVED = 12
 
 
@@ -236,14 +243,6 @@ def _pcg64_states(seeds: list) -> list:
     return states
 
 
-def _seed_states(seeds: Iterable) -> Iterable:
-    """Yield (seed, PCG64 state dict or None), taking _STATE_CHUNK seeds at a time."""
-    seeds = iter(seeds)
-    while chunk := list(islice(seeds, _STATE_CHUNK)):
-        states = _pcg64_states(chunk) if len(chunk) >= _MIN_DERIVED else [None] * len(chunk)
-        yield from zip(chunk, states)
-
-
 def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int]):
     """Yield (seed block, paths) for blocks of at most _BLOCK seeds, where
     paths maps each process's name to its (len(block), n_steps + 1) values.
@@ -255,9 +254,9 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
     values must be finite and its fx path, if any, > 0; a SimulationError
     names the first seed that breaks this.
 
-    The stream is default_rng(seed)'s. In chunks of at least _MIN_DERIVED
+    The stream is default_rng(seed)'s. In blocks of at least _MIN_DERIVED
     seeds, the state default_rng's PCG64 would start from is derived for a
-    whole chunk at once by _pcg64_states, which follows numpy's seeding
+    whole block at once by _pcg64_states, which follows numpy's seeding
     step for step, and set on one reused generator. A PCG64 stream is
     fixed by its state and nothing else, so the draws are the same. Other
     seeds, and those that derivation does not cover, go to default_rng.
@@ -290,9 +289,9 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
     )
 
     generator = None
-    seed_states = _seed_states(seeds)
-    while block_states := list(islice(seed_states, _BLOCK)):
-        block = [seed for seed, _ in block_states]
+    seeds = iter(seeds)
+    while block := list(islice(seeds, _BLOCK)):
+        states = _pcg64_states(block) if len(block) >= _MIN_DERIVED else [None] * len(block)
         try:
             normals = np.empty((len(block), n_steps, len(specs)))
             counts = np.empty((len(block), n_steps), dtype=np.int64) if jumps else None
@@ -301,7 +300,7 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
             raise SimulationError(
                 f"n_steps {n_steps}: cannot allocate a block of {len(block)} x {n_steps} x {len(specs)} values"
             ) from None
-        for i, (seed, state) in enumerate(block_states):
+        for i, (seed, state) in enumerate(zip(block, states)):
             if state is None:
                 rng = np.random.default_rng(seed)
             else:
@@ -621,6 +620,9 @@ def covariation_study(
     n_steps, seed), fx_mode) for seed in seeds), but a block of seeds is simulated
     per array pass, and the study keeps the column pass's columns as they are.
     """
+    # freeing 2 MB lifts glibc's mmap and trim thresholds above a block's
+    # temporaries, so every block reuses the heap pages of the one before
+    np.empty(1 << 18)
     study_seeds, columns = [], [[] for _ in _STUDY_COLUMNS[2:]]
     for block, paths in _simulate_values(params, n_steps, seeds):
         study_seeds += block

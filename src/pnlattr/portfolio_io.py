@@ -39,10 +39,10 @@ non-finite or negative cost, name their own line.
 from __future__ import annotations
 
 import re
-from datetime import date
 from typing import Any, Callable, NamedTuple
 
 from .attribution import Bucket, Portfolio, Position, checked_transaction, currency_code
+from .dates import parse_date
 from .errors import DuplicatePositionId, ParseError, UnknownBucket
 from .market_data import input_lines
 from .pricers import (
@@ -59,7 +59,7 @@ from .pricers import (
 
 _SECTION = re.compile(r"^\[position\s+(?P<id>\S+)\]$")
 _TRAILING_COMMENT = re.compile(r"\s+#.*")
-_DATE = date.fromisoformat
+_DATE = parse_date
 _KINDS = {float: "number", _DATE: "date", int: "integer"}  # what a parse failure calls the value
 # keys that may repeat: the layout of their value and a parser per part
 _REPEATABLE = {

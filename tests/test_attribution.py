@@ -523,6 +523,20 @@ def test_position_rejects_non_finite_transactions(quantity_change, cost, message
                  transactions=(Transaction(0.5, quantity_change, cost),))
 
 
+@pytest.mark.parametrize("sign", [2, 0, -2])
+def test_position_notional_sign_is_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match=f"^notional_sign must be \\+1 or -1, got {sign}$"):
+        Position(id="p", bucket=Bucket.OTHER, pricer=linear_pricer(), notional_sign=sign)
+
+
+def test_by_id_of_an_unknown_position_is_a_key_error_naming_it():
+    snaps = {0.0: ScalarState(0.01, 0.0, 1.0), 1.0: ScalarState(0.02, 0.0, 1.0)}
+    result = attribute_portfolio(make_portfolio(), snaps, 0.0, 1.0)
+    with pytest.raises(KeyError) as info:
+        result.by_id("nowhere")
+    assert info.value.args == ("nowhere",)
+
+
 def test_parts_that_overflow_are_a_non_finite_report_naming_the_subperiod_or_period():
     # a finite holding times a finite unit part overflows; the message quotes the held parts
     held = Position(id="P", bucket=Bucket.OTHER, pricer=lambda s, r, x: 100.0 + 10.0 * s,

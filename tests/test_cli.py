@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,24 @@ def test_bad_date_is_usage_error(inputs, capsys):
                     "--from", "2021-31-12", "--to", "2022-04-01"])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, text", [("--from", "2021-W52-5"), ("--to", "20220401"), ("--to", "2022-091")])
+def test_date_flags_take_yyyy_mm_dd_only(inputs, flag, text, capsys):
+    portfolio, market = inputs
+    dates = {"--from": "2021-12-31", "--to": "2022-04-01", flag: text}
+    code = run_cli(["attribute", "--portfolio", portfolio, "--market", market, *chain.from_iterable(dates.items())])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: expected ISO date (YYYY-MM-DD), got {text!r}\n")
+
+
+def test_validate_rejects_a_market_date_outside_yyyy_mm_dd(tmp_path, market_csv, capsys):
+    market = tmp_path / "market.csv"
+    market.write_text(market_csv.replace("2021-12-31", "20211231"))
+    assert run_cli(["validate", "--market", str(market)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {market}: row 2, column 'date': bad date: Invalid isoformat string: '20211231'\n")
 
 
 def test_from_after_to_is_validation_error(inputs, capsys):

@@ -174,7 +174,7 @@ def test_eur_and_usd_book_reconciles_to_realized_eur_pnl(book, data):
         st.tuples(st.floats(-0.01, 0.06), st.floats(0.0, 0.05), st.floats(0.7, 1.3)),
         min_size=len(grid), max_size=len(grid),
     ))
-    _assert_reconciles(portfolio, grid, levels)
+    _assert_reconciles(portfolio, _flat_snapshots(grid, levels), T0, T1)
 
 
 def test_coupon_cancelling_the_price_drop_reconciles():
@@ -192,13 +192,20 @@ def test_coupon_cancelling_the_price_drop_reconciles():
     grid = segment_period(portfolio, T0, T1)
     fx = (1.0, 1.0, 1.0, 0.71875, 0.71875, 1.0, 1.0, 1.0, 1.0)
     assert len(grid) == len(fx)
-    _assert_reconciles(portfolio, grid, [(0.0, 0.0, x) for x in fx])
+    _assert_reconciles(portfolio, _flat_snapshots(grid, [(0.0, 0.0, x) for x in fx]), T0, T1)
 
 
-def _assert_reconciles(portfolio, grid, levels):
-    snaps = {u: flat_snapshot(u, rate, hazard=hazard, recovery=0.4, fx=fx)
-             for u, (rate, hazard, fx) in zip(grid, levels)}
-    result = attribute_portfolio(portfolio, snaps, T0, T1, carry_mode=CarryMode.CORRECTED)
+def _flat_snapshots(grid, levels):
+    return {u: flat_snapshot(u, rate, hazard=hazard, recovery=0.4, fx=fx)
+            for u, (rate, hazard, fx) in zip(grid, levels)}
+
+
+def _assert_reconciles(portfolio, snaps, t, T):
+    """Corrected mode's parts add up, position by position, to its realized EUR PnL over
+    (t, T]: held value changes plus coupons at their subperiod's average quote. EUR
+    positions convert at 1.0 and earn fx == 0.0 exactly."""
+    result = attribute_portfolio(portfolio, snaps, t, T, carry_mode=CarryMode.CORRECTED)
+    grid = result.grid
 
     for pos, attributed in zip(portfolio.positions, result.positions):
         def chi(u):

@@ -27,11 +27,11 @@ from pnlattr import (
     Transaction,
     attribute_position,
     bond_cashflows,
-    four_way_split,
     segment_period,
 )
 
 from conftest import ScalarState, flat_snapshot
+from test_random_books import reference_subperiods
 
 
 class CountingPricer:
@@ -47,36 +47,6 @@ class CountingPricer:
 def toy_price(s, r, x):
     # nonlinear in all three arguments, so no two grid evaluations coincide
     return 100.0 * math.exp(-r * (3.0 - s)) * (1.0 - x * s) + 0.25 * s * s
-
-
-def fx_rate(snap):
-    return getattr(snap.fx, "rate", snap.fx)
-
-
-def reference_subperiods(position, snaps, grid, fx_mode, carry_mode):
-    """The subperiod loop written with the public four_way_split."""
-    out = []
-    chi_end = fx_rate(snaps[grid[-1]])
-    for u_prev, u_cur in zip(grid, grid[1:]):
-        price = position.pricer.price
-        start_coupon = position.schedule.amount_on(u_prev)
-        if carry_mode is CarryMode.LITERAL and start_coupon != 0.0:
-            def price(s, r, x, base=price, start=u_prev, amount=start_coupon):
-                return base(s, r, x) + amount if s == start else base(s, r, x)
-        split = four_way_split(price, u_prev, u_cur, snaps[u_prev], snaps[u_cur], fx_mode)
-        q = position.quantity_at(u_prev)
-        if q != 1.0:
-            split = AttributionResult(q * split.fx, q * split.rate, q * split.market, q * split.carry,
-                                      q * split.total, abs(q) * split.scale)
-        coupon = position.schedule.amount_on(u_cur)
-        if coupon != 0.0:
-            weight = chi_end if carry_mode is CarryMode.SOPHIS else 0.5 * (
-                fx_rate(snaps[u_prev]) + fx_rate(snaps[u_cur]))
-            coupon_eur = q * coupon * weight
-            split = AttributionResult(split.fx, split.rate, split.market, split.carry + coupon_eur,
-                                      split.total + coupon_eur, max(split.scale, abs(coupon_eur)))
-        out.append(split)
-    return out
 
 
 def signed_zero_price(s, r, x):

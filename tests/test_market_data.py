@@ -191,6 +191,28 @@ def test_header_errors_name_row_1():
         load_market_snapshots(["date,fx,fx,hazard,recovery,basis,curve_tenors,curve_rates", row])
 
 
+def test_series_of_separators_only_is_an_empty_column():
+    header = "date,fx,hazard,recovery,basis,curve_tenors,curve_rates"
+    with pytest.raises(MissingField, match=r"^row 2: column 'curve_rates' is empty$"):
+        load_market_snapshots([header, "2022-01-01,1.1,0.02,0.4,0,1, ; ;"])
+
+
+def test_blank_rows_are_skipped_and_still_counted():
+    header = "date,fx,hazard,recovery,basis,curve_tenors,curve_rates"
+    first, second = "2022-01-01,1.1,0.02,0.4,0,1,0.01", "2022-01-02,1.2,0.02,0.4,0,1,0.01"
+    assert load_market_snapshots([header, "", first, " , ,", second]) == load_market_snapshots([header, first, second])
+    with pytest.raises(ParseError, match=r"^row 4, column 'hazard': "):
+        load_market_snapshots([header, "", " ,", second.replace("0.02", "x")])
+
+
+@pytest.mark.parametrize("text", ["20220101", "2022-W01-6", "2022-001", "2022-01-01T00:00", "2022-1-1", "２０２２-01-01"])
+def test_market_dates_are_yyyy_mm_dd_only(text):
+    header = "date,fx,hazard,recovery,basis,curve_tenors,curve_rates"
+    message = re.escape(f"row 2, column 'date': bad date: Invalid isoformat string: {text!r}")
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_market_snapshots([header, f"{text},1.1,0.02,0.4,0,1,0.01"])
+
+
 def test_empty_cells_beyond_the_header_are_ignored():
     header = "date,fx,hazard,recovery,basis,curve_tenors,curve_rates"
     row = "2022-01-01,1.1,0.02,0.4,0,0.5;1,0.005;0.007"

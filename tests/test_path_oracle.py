@@ -80,6 +80,34 @@ def test_bad_inputs_rejected():
         GbmSpec("asset", initial=100.0, jump_size=-1.0)
 
 
+@pytest.mark.parametrize("field", ["initial", "drift", "volatility", "jump_size"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_gbm_spec_rejects_a_non_finite_number_naming_it(field, value):
+    with pytest.raises(ValueError, match=f"^asset: {field} must be finite, got {value!r}$"):
+        GbmSpec("asset", **{"initial": 100.0, field: value})
+
+
+@pytest.mark.parametrize("field", ["horizon", "jump_intensity"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_simulation_params_reject_a_non_finite_number_naming_it(field, value):
+    # a nan jump_intensity used to simulate without jumps, as if it were 0
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        SimulationParams(TWO_GBM.processes, **{field: value})
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[1.0, math.nan], [math.nan, 1.0]], "correlation entries must be finite"),
+    ([[1.0, math.inf], [0.5, 1.0]], "correlation entries must be finite"),  # checked before symmetry
+    ([[0.9, 0.2], [0.2, 1.0]], "correlation diagonal must be 1"),
+    ([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]],
+     r"correlation matrix not positive semidefinite \(min eigenvalue -0\.\d+\)"),
+], ids=["nan", "inf-asymmetric", "diagonal", "not-psd"])
+def test_bad_correlation_names_its_fault(matrix, message):
+    processes = tuple(GbmSpec(f"p{i}", initial=1.0) for i in range(len(matrix)))
+    with pytest.raises(InvalidCorrelation, match=f"^{message}$"):
+        SimulationParams(processes, correlation=matrix)
+
+
 def test_perfect_correlation_is_valid():
     params = SimulationParams(processes=TWO_GBM.processes,
                               correlation=np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -275,6 +303,15 @@ def test_ito_nonfinite_derivative():
         grid_ito_decomposition(pricer, [0.02, 0.02], [0.0, 0.0], grid)
 
 
+def test_ito_paths_must_match_the_grid_and_have_two_points():
+    def pricer(s, r, x):
+        return 100.0 + s + r + x
+    with pytest.raises(LengthMismatch, match="^lengths differ: grid 3, r 2, x 3$"):
+        grid_ito_decomposition(pricer, [0.01, 0.02], [0.0, 0.1, 0.2], [0.0, 0.5, 1.0])
+    with pytest.raises(LengthMismatch, match="^grid needs at least two points$"):
+        grid_ito_decomposition(pricer, [0.01], [0.0], [0.0])
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_ito_nonfinite_end_price(bad):
     # the last grid point's price enters only the total, so no derivative check sees it
@@ -379,8 +416,8 @@ def study_inputs(draw):
 # shrinking a failure took minutes; the first failing example is reported.
 @settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(inputs=study_inputs())
-# 41 seeds across the 64-bit seed word edge: two 32-seed blocks, and with
-# 20-seed state chunks a last chunk of one seed
+# 41 seeds across the 64-bit seed word edge: one block, and with 20-seed
+# blocks two full blocks and a last block of one seed
 @example(inputs=(SimulationParams(TWO_GBM.processes, jump_intensity=2.0), 8, list(range(2**64 - 20, 2**64 + 21)),
                  FxMode.AVERAGE))
 def test_batched_study_equals_seedwise_route(inputs):
@@ -394,11 +431,11 @@ def test_batched_study_equals_seedwise_route(inputs):
         seedwise.append(compare_coarse_vs_fine(paths, fx_mode))
     expected_study = StudyResult(tuple(seedwise))
     expected = write_discrepancy_csv(expected_study)
-    # 20-seed state chunks: chunk edges fall inside 32-seed blocks, and a
-    # last chunk of fewer than _MIN_DERIVED seeds goes to default_rng
-    assert 0 < 20 % path_oracle._MIN_DERIVED < path_oracle._MIN_DERIVED
+    # 20-seed blocks: up to 70 seeds cross up to three block edges, and a
+    # last block of fewer than _MIN_DERIVED seeds goes to default_rng
+    assert path_oracle._MIN_DERIVED < 20
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(path_oracle, "_STATE_CHUNK", 20)
+        patch.setattr(path_oracle, "_BLOCK", 20)
         assert write_discrepancy_csv(covariation_study(params, n_steps, seeds, fx_mode)) == expected
     study = covariation_study(params, n_steps, seeds, fx_mode)
     assert study == expected_study and hash(study) == hash(expected_study) and repr(study) == repr(expected_study)

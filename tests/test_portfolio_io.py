@@ -314,6 +314,13 @@ HOLDINGS_DIAGNOSTICS = [
      ParseError, "row 1: position 'ONE': cashflow amounts must be finite and >= 0, got inf at 2021-07-15"),
     ("stray-key-before-life", B + "transaction = 2030-01-01 0 10\ncolor = blue\n", ParseError,
      "row 9: unknown key 'color' for instrument 'bond'"),
+    # ISO forms that Python 3.11's date.fromisoformat reads and 3.10's does not
+    ("bond-basic-form-issue", _swap(B, "issue", "20210115"), ParseError, "row 5: bad date for 'issue': '20210115'"),
+    ("cds-week-form-maturity", _swap(C, "maturity", "2026-W03-4"), ParseError,
+     "row 5: bad date for 'maturity': '2026-W03-4'"),
+    ("transaction-basic-form", B + "transaction = 20220101 0 10\n", ParseError,
+     "row 8: bad date for 'transaction': '20220101'"),
+    ("cashflow-ordinal-form", B + "cashflow = 2022-001 5\n", ParseError, "row 8: bad date for 'cashflow': '2022-001'"),
 ]
 
 

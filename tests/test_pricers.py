@@ -152,6 +152,12 @@ def test_cds_expired_and_antisymmetry():
     assert vb != 0.0
 
 
+def test_cds_past_maturity_rejected():
+    spec = CdsSpec(notional=1e6, maturity=date(2021, 12, 31), contractual_spread=0.01)
+    with pytest.raises(PastMaturity, match="^valuation 2022-01-01 after maturity 2021-12-31$"):
+        price_cds(spec, S, flat_curve(0.02), MarketFactors(0.04, 0.4))
+
+
 def test_cds_protection_leg_against_closed_form():
     # trapezoid on the quarterly grid vs the exact flat-curve integral
     lam, z, recovery = 0.05, 0.02, 0.4

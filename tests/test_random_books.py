@@ -9,7 +9,9 @@ rebalances on any date, to 0 as well, listed out of date order with sizes
 that are not dyadic, so their sum depends on the order they are added in.
 Position ids and the standalone label hold quotes, backslashes, commas and
 non-ASCII text, which both report formats must quote or escape as the seed
-program does.
+program does. `books(eur=True)` steps outside that domain: a position may
+also be in EUR, which converts at 1.0 where the seed program converts it at
+the quote.
 """
 
 import contextlib
@@ -24,9 +26,12 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from pnlattr import (Bucket, CarryMode, FxMode, Portfolio, attribute_every_mode,
-                     attribute_portfolio, load_market_snapshots, load_portfolio)
+from pnlattr import (AttributionResult, Bucket, CarryMode, FxMode, Portfolio, attribute_every_mode,
+                     attribute_portfolio, four_way_split, load_market_snapshots, load_portfolio)
 from pnlattr.cli import run_cli
+
+from conftest import ScalarState
+from test_currency import _assert_reconciles
 
 # the frozen seed program, read only: every report must print what it printed
 REPO = Path(__file__).resolve().parents[1]
@@ -107,13 +112,15 @@ _TEXT = st.text(st.sampled_from(['P', '7', '"', '\\', ',', '\x7f', '\u00dc', '\U
 
 
 @st.composite
-def books(draw):
-    """(holdings text, market CSV text, t, T, extra CLI arguments), inside the seed program's domain."""
+def books(draw, eur=False):
+    """(holdings text, market CSV text, t, T, extra CLI arguments), inside the seed program's domain
+    unless eur is true, when each position is in EUR or the book's one foreign currency."""
     t = _day(draw, date(2021, 6, 30), date(2022, 12, 31))
     T = t + timedelta(days=draw(st.integers(1, 200)))
     currency = draw(st.sampled_from(["USD", "GBP", "JPY"]))
+    currencies = st.sampled_from([currency, "EUR"] if eur else [currency])
     ids = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
-    holdings = "\n".join(draw(_position(position_id, currency, t, T)) for position_id in ids)
+    holdings = "\n".join(draw(_position(position_id, draw(currencies), t, T)) for position_id in ids)
     # a snapshot on every grid date, as the seed program lays the grid out, and on a few more
     portfolio = seed_portfolio_io.load_portfolio(io.StringIO(holdings))
     dates = set(seed_attribution.segment_period(portfolio, t, T))
@@ -126,6 +133,53 @@ def books(draw):
     label = draw(_TEXT)
     extra = draw(st.sampled_from([(), ("--nav", "50000000"), ("--nav", "1e7", "--standalone", f"{label}=-62500.5")]))
     return holdings, "\n".join(rows) + "\n", t, T, extra
+
+
+def _fx_rate(snap):
+    return getattr(snap.fx, "rate", snap.fx)
+
+
+def reference_subperiods(position, snaps, grid, fx_mode, carry_mode):
+    """The subperiod loop written with the public four_way_split; a EUR position converts at 1.0."""
+    if position.currency == "EUR":
+        snaps = {u: ScalarState(snaps[u].curve, snaps[u].factors, 1.0) for u in grid}
+    out = []
+    chi_end = _fx_rate(snaps[grid[-1]])
+    for u_prev, u_cur in zip(grid, grid[1:]):
+        price = position.pricer.price
+        start_coupon = position.schedule.amount_on(u_prev)
+        if carry_mode is CarryMode.LITERAL and start_coupon != 0.0:
+            def price(s, r, x, base=price, start=u_prev, amount=start_coupon):
+                return base(s, r, x) + amount if s == start else base(s, r, x)
+        split = four_way_split(price, u_prev, u_cur, snaps[u_prev], snaps[u_cur], fx_mode)
+        q = position.quantity_at(u_prev)
+        if q != 1.0:
+            split = AttributionResult(q * split.fx, q * split.rate, q * split.market, q * split.carry,
+                                      q * split.total, abs(q) * split.scale)
+        coupon = position.schedule.amount_on(u_cur)
+        if coupon != 0.0:
+            weight = chi_end if carry_mode is CarryMode.SOPHIS else 0.5 * (
+                _fx_rate(snaps[u_prev]) + _fx_rate(snaps[u_cur]))
+            coupon_eur = q * coupon * weight
+            split = AttributionResult(split.fx, split.rate, split.market, split.carry + coupon_eur,
+                                      split.total + coupon_eur, max(split.scale, abs(coupon_eur)))
+        out.append(split)
+    return out
+
+
+def _with_eur(book, *position_ids):
+    """book with the named positions moved to EUR."""
+    holdings, *rest = book
+    for position_id in position_ids:
+        head, section = holdings.split(f"[position {position_id}]\n")
+        holdings = f"{head}[position {position_id}]\n" + section.replace("currency = USD", "currency = EUR", 1)
+    return holdings, *rest
+
+
+#: The demo books, each with a position or two in EUR
+EUR_DEMO_BOOK = _with_eur(DEMO_BOOK, "NBB_CDS")
+EUR_OUT_OF_ORDER_BOOK = _with_eur(OUT_OF_ORDER_BOOK, "NBB_BOND")
+EUR_HEDGED_BASIS_BOOK = _with_eur(HEDGED_BASIS_BOOK, "NBB_BOND", "RATE_HEDGE")
 
 
 MODES = [(carry.value, fx.value, fmt) for carry in CarryMode for fx in FxMode for fmt in ("csv", "json")]
@@ -317,3 +371,46 @@ def test_a_state_that_does_not_move_earns_exactly_nothing(columns, part, book):
     for mode, view in views.items():
         for pos in view.positions:
             assert all(getattr(r, part) == 0.0 for r in (*pos.subperiods, pos.aggregate)), (mode, pos)
+
+
+# Beyond the seed program's domain: positions in EUR as well as in the foreign currency.
+@settings(max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(book=books(eur=True))
+@example(book=DEMO_BOOK)
+@example(book=OUT_OF_ORDER_BOOK)
+@example(book=HEDGED_BASIS_BOOK)
+@example(book=EUR_DEMO_BOOK)
+@example(book=EUR_OUT_OF_ORDER_BOOK)
+@example(book=EUR_HEDGED_BASIS_BOOK)
+def test_corrected_parts_sum_to_realized_eur_pnl(book):
+    holdings, market, t, T, _ = book
+    portfolio = load_portfolio(io.StringIO(holdings))
+    snapshots = {snap.as_of: snap for snap in load_market_snapshots(io.StringIO(market))}
+    _assert_reconciles(portfolio, snapshots, t, T)
+
+
+@settings(max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(book=books(eur=True))
+@example(book=EUR_DEMO_BOOK)
+@example(book=EUR_OUT_OF_ORDER_BOOK)
+@example(book=EUR_HEDGED_BASIS_BOOK)
+def test_eur_positions_earn_exactly_no_fx(book):
+    portfolio, _, views = _views(book)
+    for mode, view in views.items():
+        for pos, attributed in zip(portfolio.positions, view.positions):
+            if pos.currency == "EUR":
+                assert all(r.fx == 0.0 for r in (*attributed.subperiods, attributed.aggregate)), (mode, attributed)
+
+
+@settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(book=books(eur=True))
+@example(book=EUR_DEMO_BOOK)
+@example(book=OUT_OF_ORDER_BOOK)
+@example(book=EUR_HEDGED_BASIS_BOOK)
+def test_every_view_is_the_reference_loop_bit_for_bit(book):
+    portfolio, snapshots, views = _views(book)
+    for (fx, carry), view in views.items():
+        for pos, attributed in zip(portfolio.positions, view.positions):
+            expected = reference_subperiods(pos, snapshots, view.grid, fx, carry)
+            got = list(attributed.subperiods)
+            assert got == expected and repr(got) == repr(expected), (fx, carry, pos.id)
