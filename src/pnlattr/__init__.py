@@ -15,17 +15,18 @@ attribute engine loads without numpy, and the path-oracle names load numpy.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "conventions": "CarryMode FxMode fx_split",
-    "attribution": """AttributionResult Bucket Portfolio PortfolioAttribution Position PositionAttribution
-        Transaction attribute_every_mode attribute_portfolio attribute_position four_way_split segment_period""",
+    "conventions": "CarryMode FxMode",
+    "attribution": """AttributionResult Bucket CashflowSchedule Portfolio PortfolioAttribution Position
+        PositionAttribution Transaction attribute_every_mode attribute_portfolio attribute_position
+        four_way_split segment_period""",
     "errors": """DuplicateDate DuplicatePositionId EmptyNodes EmptyPeriod EmptyResults EngineError
         InvalidCorrelation LengthMismatch MissingField MissingSnapshot MixedCurrencies NonFiniteDerivative
         NonFiniteReport NonMonotoneTenors ParseError PastMaturity PricerEvaluationFailed ScheduleOutsideGrid
         SimulationError UnknownBucket""",
     "market_data": "FxQuote MarketFactors MarketSnapshot ZeroCurve dump_market_snapshots load_market_snapshots",
     "portfolio_io": "load_portfolio",
-    "pricers": """BondPricer BondSpec CashflowSchedule CashPricer CashSpec CdsPricer CdsSpec Pricer
-        ProtectionSide bond_cashflows price_bond price_cash price_cds""",
+    "pricers": """BondPricer BondSpec CashPricer CashSpec CdsPricer CdsSpec Pricer ProtectionSide
+        bond_cashflows price_bond price_cash price_cds""",
     "reporting": "ReportRow bps build_report_rows render_report",
     "path_oracle": """GbmSpec GridDecomposition ItoDecomposition PathSet
         SimulationParams StudyResult compare_coarse_vs_fine covariation_study grid_ito_decomposition

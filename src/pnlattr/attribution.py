@@ -36,7 +36,7 @@ from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from ._record import Record
-from .conventions import CarryMode, FxMode, _fx_rate, _fx_weights, _price_fn
+from .conventions import CarryMode, FxMode, _fx_weights, _price_fn
 from .errors import (
     DuplicatePositionId,
     EmptyPeriod,
@@ -47,7 +47,6 @@ from .errors import (
     PricerEvaluationFailed,
     ScheduleOutsideGrid,
 )
-from .pricers import CashflowSchedule
 
 #: Additivity tolerance, relative to max(1, |total|, scale).
 ADDITIVITY_TOL = 1e-9
@@ -200,6 +199,31 @@ def checked_transaction(date, quantity_change: float, cost_eur: float) -> Transa
     return Transaction(date, quantity_change, cost_eur)
 
 
+class CashflowSchedule(Record):
+    """Dated cash amounts leaving an instrument, in payment order.
+
+    Amounts are in the instrument currency and in the same units as the
+    pricer output they accompany: a position-level schedule is scaled by
+    notional. Dates may be calendar dates or plain numbers, as long as
+    they are mutually comparable.
+    """
+
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Any, float], ...] = ()):
+        entries = tuple((d, float(a)) for d, a in entries)
+        for (d1, _), (d2, _) in zip(entries, entries[1:]):
+            if not d1 < d2:
+                raise ValueError(f"cashflow dates must be strictly increasing: {d1} >= {d2}")
+        for d, amount in entries:
+            if not (math.isfinite(amount) and amount >= 0.0):
+                raise ValueError(f"cashflow amounts must be finite and >= 0, got {amount} at {d}")
+        self.__dict__.update(entries=entries, _by_date=dict(entries))
+
+    def amount_on(self, when) -> float:
+        return self._by_date.get(when, 0.0)
+
+
 @dataclass(frozen=True)
 class Position:
     """One holding: a pricer plus its cashflow schedule and trade history.
@@ -274,6 +298,14 @@ def segment_period(scope, t, T) -> list:
 _Subperiod = namedtuple("_Subperiod", "start end curve_start factors_start curve_end factors_end "
                                       "chi_start chi_end quantity start_coupon coupon chi_last")
 
+
+def _fx_rate(quote) -> float:
+    rate = float(getattr(quote, "rate", quote))
+    if not 0.0 < rate < float("inf"):
+        raise ValueError(f"fx quote must be finite and > 0, got {rate}")
+    return rate
+
+
 def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
     """Check a run before its first price, then lay out each position's tuple of _Subperiods. The
     checks, in order: a grid of two dates or more that increases at every step; at most one foreign
@@ -314,6 +346,15 @@ def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
     return tuple(subperiods)
 
 
+def _checked_modes(fx_mode, carry_mode) -> tuple[FxMode, CarryMode]:
+    """(fx_mode, carry_mode); raises ValueError unless each is a member of its enum."""
+    if not isinstance(fx_mode, FxMode):
+        raise ValueError(f"unknown fx mode {fx_mode!r}")
+    if not isinstance(carry_mode, CarryMode):
+        raise ValueError(f"unknown carry mode {carry_mode!r}")
+    return fx_mode, carry_mode
+
+
 def _attribute(price, subperiods: Sequence[_Subperiod], modes: Sequence[tuple[FxMode, CarryMode]]) -> list:
     """Price one position's planned subperiods in turn, each once, and split each in every
     (fx_mode, carry_mode) of modes; returns each mode's (results, their sum), in mode order."""
@@ -347,6 +388,7 @@ def attribute_position(
     reproducing the shortfall that motivates the correction. `_plan` checks
     the run, then each cashflow and rebalance inside the period must be on the grid.
     """
+    modes = (_checked_modes(fx_mode, carry_mode),)
     grid = list(grid)
     [subperiods] = _plan((position,), snapshots, grid)
     grid_set, start, end = set(grid), grid[0], grid[-1]
@@ -356,7 +398,7 @@ def attribute_position(
     for txn in position.transactions:
         if start < txn.date < end and txn.quantity_change != 0.0 and txn.date not in grid_set:
             raise ScheduleOutsideGrid(f"transaction at {txn.date} not on the attribution grid")
-    return _attribute(_price_fn(position.pricer), subperiods, ((fx_mode, carry_mode),))[0]
+    return _attribute(_price_fn(position.pricer), subperiods, modes)[0]
 
 
 class PositionAttribution(Record):
@@ -371,10 +413,12 @@ class PositionAttribution(Record):
 
 
 class PortfolioAttribution(Record):
-    _fields = ("period", "grid", "positions")
+    """Every position's outcome over the grid, whose first and last dates are the period."""
 
-    def __init__(self, period: tuple[Any, Any], grid: tuple, positions: tuple[PositionAttribution, ...]):
-        self.__dict__.update(period=period, grid=grid, positions=positions)
+    _fields = ("grid", "positions")
+
+    def __init__(self, grid: tuple, positions: tuple[PositionAttribution, ...]):
+        self.__dict__.update(grid=grid, positions=positions)
 
     def by_id(self, position_id: str) -> PositionAttribution:
         for pos in self.positions:
@@ -394,12 +438,13 @@ def attribute_portfolio(
     """Attribute every position on the common transaction/coupon grid.
 
     EUR positions convert at 1 and all others at the market's one fx
-    column. segment_period checks t < T, then `_plan` checks the run once;
-    an error names the position, the first one for a missing snapshot.
+    column. A mode outside its enum is a ValueError; segment_period checks t < T,
+    then `_plan` checks the run once; an error names the position, the first one
+    for a missing snapshot.
     Positions come back in input order; bucket and fund totals are the
     report's job (see reporting.render_report).
     """
-    [view] = _attribute_views(portfolio, snapshots, t, T, ((fx_mode, carry_mode),))
+    [view] = _attribute_views(portfolio, snapshots, t, T, (_checked_modes(fx_mode, carry_mode),))
     return view
 
 
@@ -426,4 +471,4 @@ def _attribute_views(portfolio: Portfolio, snapshots, t, T, modes) -> list:
         costs = pos.costs_in(t, T)
         for view, (trail, aggregate) in zip(views, results):
             view.append(PositionAttribution(pos.id, pos.bucket, tuple(trail), aggregate, costs))
-    return [PortfolioAttribution(period=(t, T), grid=tuple(grid), positions=tuple(view)) for view in views]
+    return [PortfolioAttribution(tuple(grid), tuple(view)) for view in views]

@@ -25,28 +25,9 @@ class CarryMode(Enum):
                              # quote, as the SOPHIS front-office column does
 
 
-def _fx_rate(quote) -> float:
-    rate = float(getattr(quote, "rate", quote))
-    if not 0.0 < rate < float("inf"):
-        raise ValueError(f"fx quote must be finite and > 0, got {rate}")
-    return rate
-
-
-def fx_split(a_start, a_end, chi_start, chi_end, mode: FxMode = FxMode.AVERAGE):
-    """Split a_end*chi_end - a_start*chi_start into (fx_part, asset_part).
-
-    AVERAGE earns the full quote change on the mean asset value and
-    converts the asset move at the mean quote; START_END earns the quote
-    change on the start value and converts at the end quote. Both splits
-    sum to the same total exactly.
-    """
-    cs, ce = _fx_rate(chi_start), _fx_rate(chi_end)
-    value_weight, quote_weight = _fx_weights(a_start, a_end, cs, ce, mode)
-    return value_weight * (ce - cs), quote_weight * (a_end - a_start)
-
-
 def _fx_weights(a_start, a_end, cs, ce, mode: FxMode):
-    """(asset value that earns the quote change, quote that converts the asset move)."""
+    """(asset value that earns the quote change, quote that converts the asset move). AVERAGE
+    takes the mean value and the mean quote, START_END the start value and the end quote."""
     if mode is FxMode.AVERAGE:
         return 0.5 * (a_start + a_end), 0.5 * (cs + ce)
     if mode is FxMode.START_END:

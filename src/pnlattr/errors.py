@@ -1,7 +1,7 @@
 """Exception types for the attribution engine.
 
 Value constructors (FxQuote, ZeroCurve, BondSpec, GbmSpec, ...) and pure
-functions such as fx_split raise ValueError for an argument outside their
+functions such as price_cash raise ValueError for an argument outside their
 domain. The loaders and the engine turn it into an EngineError naming a
 row or a date; the CLI maps EngineError to exit code 1.
 

@@ -146,9 +146,9 @@ def _correlation_factor(correlation, size: int):
         raise InvalidCorrelation(f"correlation must be {size}x{size}, got {corr.shape}")
     if not np.isfinite(corr).all():
         raise InvalidCorrelation("correlation entries must be finite")
-    if not np.allclose(corr, corr.T, atol=1e-12):
+    if not np.allclose(corr, corr.T, rtol=0.0, atol=1e-12):
         raise InvalidCorrelation("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
+    if not np.allclose(np.diag(corr), 1.0, rtol=0.0, atol=1e-12):
         raise InvalidCorrelation("correlation diagonal must be 1")
     if np.any(np.abs(corr) > 1.0 + 1e-12):
         raise InvalidCorrelation("correlation entries must lie in [-1, 1]")
@@ -382,7 +382,7 @@ def _columns(a: np.ndarray, chi: np.ndarray, fx_mode: FxMode) -> tuple[np.ndarra
     float64 arrays, one entry per row of (rows, points) asset and fx paths. The sums are
     _exact_row_sums's, math.fsum of each row of terms, so batching does not change them.
     Every row passes GridDecomposition's telescoping check, in the same operations, or the
-    first failing row raises its ValueError. The split is fx_split's, without its fx > 0 check.
+    first failing row raises its ValueError. The coarse split is _fx_weights', with no fx > 0 check.
     """
     at, chit = a.T, chi.T  # (points, rows): the terms are laid out step-major for _exact_row_sums
     da = at[1:] - at[:-1]
@@ -395,7 +395,7 @@ def _columns(a: np.ndarray, chi: np.ndarray, fx_mode: FxMode) -> tuple[np.ndarra
     fine_fx, fine_asset, covariation = sums
     a0, a1, chi0, chi1 = a[:, 0], a[:, -1], chi[:, 0], chi[:, -1]
     total = a1 * chi1 - a0 * chi0
-    with np.errstate(all="ignore"):  # as the float arithmetic of fx_split, which never warns
+    with np.errstate(all="ignore"):  # as the engine's float arithmetic, which never warns
         scale = np.maximum(1.0, np.abs(sums).max(axis=0))
         gap = total - (fine_fx + fine_asset + covariation)
         failed = np.abs(gap) > 1e-9 * scale
@@ -553,9 +553,9 @@ def grid_ito_decomposition(pricer, path_r, path_x, grid) -> ItoDecomposition:
     )
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of a 1-D array; nan, without a warning, for no values and one."""
-    n = len(values)
+def _mean_stderr(values: tuple[float, ...]) -> tuple[float, float]:
+    """Mean and standard error of the values; nan, without a warning, for no values and one."""
+    values, n = np.array(values), len(values)
     return (float(values.mean()) if n else math.nan), (float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan)
 
 
@@ -584,16 +584,13 @@ class StudyResult(Record):
         study.__dict__.update(zip(_STUDY_COLUMNS, map(tuple, columns)))
         return study
 
-    def covariations(self) -> np.ndarray:
-        return np.array(self.covariation)
-
     @property
     def covariation_mean(self) -> float:
-        return _mean_stderr(self.covariations())[0]
+        return _mean_stderr(self.covariation)[0]
 
     @property
     def covariation_stderr(self) -> float:
-        return _mean_stderr(self.covariations())[1]
+        return _mean_stderr(self.covariation)[1]
 
 
 def compare_coarse_vs_fine(paths: PathSet, fx_mode: FxMode = FxMode.AVERAGE) -> StudyResult:

@@ -41,14 +41,13 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, NamedTuple
 
-from .attribution import Bucket, Portfolio, Position, checked_transaction, currency_code
+from .attribution import Bucket, CashflowSchedule, Portfolio, Position, checked_transaction, currency_code
 from .dates import parse_date
 from .errors import DuplicatePositionId, ParseError, UnknownBucket
 from .market_data import input_lines
 from .pricers import (
     BondPricer,
     BondSpec,
-    CashflowSchedule,
     CashPricer,
     CashSpec,
     CdsPricer,

@@ -39,37 +39,13 @@ import math
 from bisect import bisect_right
 from datetime import date
 from enum import Enum
-from typing import Any, Protocol
+from typing import Protocol
 
 from ._record import Record
+from .attribution import CashflowSchedule
 from .dates import DAYS_PER_YEAR, add_months, year_fraction
 from .errors import PastMaturity
 from .market_data import MarketFactors, ZeroCurve
-
-
-class CashflowSchedule(Record):
-    """Dated cash amounts leaving an instrument, in payment order.
-
-    Amounts are in the instrument currency and in the same units as the
-    pricer output they accompany: a position-level schedule is scaled by
-    notional. Dates may be calendar dates or plain numbers, as long as
-    they are mutually comparable.
-    """
-
-    _fields = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[Any, float], ...] = ()):
-        entries = tuple((d, float(a)) for d, a in entries)
-        for (d1, _), (d2, _) in zip(entries, entries[1:]):
-            if not d1 < d2:
-                raise ValueError(f"cashflow dates must be strictly increasing: {d1} >= {d2}")
-        for d, amount in entries:
-            if not (math.isfinite(amount) and amount >= 0.0):
-                raise ValueError(f"cashflow amounts must be finite and >= 0, got {amount} at {d}")
-        self.__dict__.update(entries=entries, _by_date=dict(entries))
-
-    def amount_on(self, when) -> float:
-        return self._by_date.get(when, 0.0)
 
 
 class Pricer(Protocol):

@@ -22,6 +22,13 @@ class ScalarState:
     as_of: object = None
 
 
+def two_value_pricer(a_start: float, a_end: float):
+    """A toy pricer worth a_start at time 0.0 and a_end at any other time, under any curve and factors."""
+    def price(s, r, x):
+        return a_start if s == 0.0 else a_end
+    return price
+
+
 def flat_snapshot(as_of: date, rate: float, hazard: float = 0.0, recovery: float = 0.0,
                   basis: float = 0.0, fx: float = 1.0) -> MarketSnapshot:
     return MarketSnapshot(

@@ -22,12 +22,11 @@ from pnlattr import (
     attribute_position,
     build_report_rows,
     four_way_split,
-    fx_split,
     render_report,
     segment_period,
 )
 
-from conftest import ScalarState
+from conftest import ScalarState, two_value_pricer
 
 
 def linear_pricer(alpha=100.0, theta=2.0, beta=-500.0, gamma=-300.0):
@@ -36,24 +35,32 @@ def linear_pricer(alpha=100.0, theta=2.0, beta=-500.0, gamma=-300.0):
     return price
 
 
-def test_fx_split_average_worked_example():
-    fx_part, asset_part = fx_split(100.0, 110.0, 1.0, 1.2, FxMode.AVERAGE)
-    assert fx_part == pytest.approx(21.0, rel=1e-12)
-    assert asset_part == pytest.approx(11.0, rel=1e-12)
-    assert fx_part + asset_part == pytest.approx(110 * 1.2 - 100 * 1.0, rel=1e-12)
+def fx_worked_example(fx_mode):
+    snap_t = ScalarState(curve=0.0, factors=0.0, fx=1.0)
+    snap_T = ScalarState(curve=0.0, factors=0.0, fx=1.2)
+    return four_way_split(two_value_pricer(100.0, 110.0), 0.0, 1.0, snap_t, snap_T, fx_mode)
 
 
-def test_fx_split_start_end_worked_example():
-    fx_part, asset_part = fx_split(100.0, 110.0, 1.0, 1.2, FxMode.START_END)
-    assert fx_part == pytest.approx(20.0, rel=1e-12)
-    assert asset_part == pytest.approx(12.0, rel=1e-12)
-    assert fx_part + asset_part == pytest.approx(110 * 1.2 - 100 * 1.0, rel=1e-12)
+def test_fx_average_worked_example():
+    res = fx_worked_example(FxMode.AVERAGE)
+    assert res.fx == pytest.approx(21.0, rel=1e-12)
+    assert (res.rate, res.market) == (0.0, 0.0)
+    assert res.carry == pytest.approx(11.0, rel=1e-12)
+    assert res.total == pytest.approx(110 * 1.2 - 100 * 1.0, rel=1e-12)
 
 
-def test_fx_split_no_move_gives_zero_fx_in_both_modes():
+def test_fx_start_end_worked_example():
+    res = fx_worked_example(FxMode.START_END)
+    assert res.fx == pytest.approx(20.0, rel=1e-12)
+    assert (res.rate, res.market) == (0.0, 0.0)
+    assert res.carry == pytest.approx(12.0, rel=1e-12)
+    assert res.total == pytest.approx(110 * 1.2 - 100 * 1.0, rel=1e-12)
+
+
+def test_no_quote_move_gives_zero_fx_in_both_modes():
+    snap_t, snap_T = ScalarState(0.0, 0.0, 1.1), ScalarState(0.0, 0.0, 1.1)
     for mode in FxMode:
-        fx_part, _ = fx_split(100.0, 137.5, 1.1, 1.1, mode)
-        assert fx_part == 0.0
+        assert four_way_split(two_value_pricer(100.0, 137.5), 0.0, 1.0, snap_t, snap_T, mode).fx == 0.0
 
 
 def test_four_way_linear_worked_example():
@@ -124,6 +131,9 @@ def test_four_way_reports_which_evaluation_failed():
     with pytest.raises(PricerEvaluationFailed, match="non-finite"):
         four_way_split(nan_price, 0.0, 1.0,
                        ScalarState(0.01, 0.0, 1.0), ScalarState(0.03, 0.0, 1.0))
+
+    with pytest.raises(TypeError, match="^pricer <object object at .*> is neither callable nor has a price method$"):
+        four_way_split(object(), 0.0, 1.0, ScalarState(0.01, 0.0, 1.0), ScalarState(0.03, 0.0, 1.0))
 
 
 def test_attribution_result_rejects_bad_sums():
@@ -396,8 +406,6 @@ def test_a_quote_not_above_zero_is_an_engine_error_naming_its_date_before_any_pr
             four_way_split(price, 0.0, 1.0, start, end)
         with pytest.raises(EngineError, match=r"^market snapshot at 1.0: "):
             attribute_position(usd, {0.0: start, 1.0: end}, [0.0, 1.0])
-        with pytest.raises(ValueError, match=r"^fx quote must be finite and > 0"):
-            fx_split(1.0, 2.0, 1.1, bad)
     assert calls == []
     # a EUR position converts at 1 and never reads the quote
     eur = Position(id="eur", bucket=Bucket.CASH, pricer=price, currency="EUR")
@@ -490,6 +498,31 @@ def test_a_grid_that_does_not_increase_fails_before_any_price():
         attribute_position(pos, snaps, [0.0, 0.5, 0.5, 1.0])
     with pytest.raises(EmptyPeriod, match=r"^attribution grid needs at least a start and an end date$"):
         attribute_position(pos, snaps, [0.0])
+    assert calls == []
+
+
+@pytest.mark.parametrize("fx_mode, carry_mode, message", [
+    # each used to run in corrected mode, as any carry mode not a CarryMode did
+    (FxMode.AVERAGE, "literal", "unknown carry mode 'literal'"),
+    (FxMode.AVERAGE, "sophis", "unknown carry mode 'sophis'"),
+    (FxMode.AVERAGE, None, "unknown carry mode None"),
+    ("average", CarryMode.CORRECTED, "unknown fx mode 'average'"),
+])
+def test_a_mode_outside_its_enum_is_a_value_error_before_any_price(fx_mode, carry_mode, message):
+    calls = []
+
+    def price(s, r, x):
+        calls.append(s)
+        return 100.0
+
+    pos = Position(id="p", bucket=Bucket.OTHER, pricer=price, schedule=CashflowSchedule(((0.5, 3.0),)))
+    snaps = {u: ScalarState(0.0, 0.0, 1.0) for u in (0.0, 0.5, 1.0)}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        attribute_position(pos, snaps, [0.0, 0.5, 1.0], fx_mode, carry_mode)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        attribute_portfolio(Portfolio(positions=(pos,)), snaps, 0.0, 1.0, fx_mode, carry_mode)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        attribute_portfolio(Portfolio(positions=()), snaps, 0.0, 1.0, fx_mode=fx_mode, carry_mode=carry_mode)
     assert calls == []
 
 

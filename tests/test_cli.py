@@ -186,14 +186,19 @@ def test_bad_nav_is_validation_error(inputs, nav, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("amount", ["inf", "-inf", "nan"])
-def test_non_finite_standalone_is_usage_error(inputs, amount, capsys):
+@pytest.mark.parametrize("text, message", [
+    *((f"X={amount}", f"EUR amount must be finite in 'X={amount}'") for amount in ("inf", "-inf", "nan")),
+    ("FEES", "expected LABEL=EUR, got 'FEES'"),
+    ("=5", "expected LABEL=EUR, got '=5'"),
+    ("FEES=abc", "bad EUR amount in 'FEES=abc'"),
+])
+def test_bad_standalone_is_usage_error(inputs, text, message, capsys):
     portfolio, market = inputs
-    code = run_cli(attribute_args(portfolio, market, "--standalone", f"X={amount}"))
+    code = run_cli(attribute_args(portfolio, market, "--standalone", text))
     captured = capsys.readouterr()
     assert code == 2
     assert "usage" in captured.err.lower()
-    assert f"EUR amount must be finite in 'X={amount}'" in captured.err
+    assert captured.err.endswith(f"error: argument --standalone: {message}\n")
     assert captured.out == ""
 
 
@@ -421,7 +426,17 @@ import pnlattr
 bound = set(globals()) - before - {"before", "pnlattr"}
 print(len(bound), bound == set(pnlattr.__all__), "numpy" in sys.modules, "simulate_paths" in bound)
 """)
-    assert result.stdout.split() == ["59", "True", "False", "False"], result.stderr
+    assert result.stdout.split() == ["58", "True", "False", "False"], result.stderr
+
+
+def test_the_attribute_engine_loads_no_instrument_module():
+    result = _python("""
+import sys
+import pnlattr.attribution
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "pnlattr")))
+""")
+    assert result.stdout.split() == [
+        "pnlattr,pnlattr._record,pnlattr.attribution,pnlattr.conventions,pnlattr.errors"], result.stderr
 
 
 def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path):

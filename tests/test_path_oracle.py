@@ -99,9 +99,12 @@ def test_simulation_params_reject_a_non_finite_number_naming_it(field, value):
     ([[1.0, math.nan], [math.nan, 1.0]], "correlation entries must be finite"),
     ([[1.0, math.inf], [0.5, 1.0]], "correlation entries must be finite"),  # checked before symmetry
     ([[0.9, 0.2], [0.2, 1.0]], "correlation diagonal must be 1"),
+    # off by less than numpy's default relative tolerance of 1e-5, which the checks do not apply
+    ([[0.999991, 0.5], [0.500004, 1.0]], "correlation matrix must be symmetric"),
+    ([[0.999991, 0.5], [0.5, 0.999991]], "correlation diagonal must be 1"),
     ([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]],
      r"correlation matrix not positive semidefinite \(min eigenvalue -0\.\d+\)"),
-], ids=["nan", "inf-asymmetric", "diagonal", "not-psd"])
+], ids=["nan", "inf-asymmetric", "diagonal", "asymmetric-within-rtol", "diagonal-within-rtol", "not-psd"])
 def test_bad_correlation_names_its_fault(matrix, message):
     processes = tuple(GbmSpec(f"p{i}", initial=1.0) for i in range(len(matrix)))
     with pytest.raises(InvalidCorrelation, match=f"^{message}$"):
@@ -332,6 +335,12 @@ def test_coarse_and_fine_agree_on_the_total():
             assert coarse_total == pytest.approx(cmp.total[0], rel=1e-12)
 
 
+def test_fx_mode_that_is_not_an_fx_mode_is_a_value_error():
+    paths = simulate_paths(TWO_GBM, n_steps=4, seed=0)
+    with pytest.raises(ValueError, match="^unknown fx mode 'average'$"):
+        compare_coarse_vs_fine(paths, "average")
+
+
 def test_zero_vol_study_has_no_discrepancy():
     params = SimulationParams(processes=(
         GbmSpec("asset", initial=100.0),
@@ -482,7 +491,7 @@ def test_study_is_one_record_of_columns_that_one_row_studies_join_into(monkeypat
     text = write_discrepancy_csv(study)
     assert math.isfinite(study.covariation_mean) and study.covariation_stderr > 0.0
     assert study.seeds == tuple(range(40)) and study.n_steps == (16,) * 40
-    assert list(study.covariation) == study.covariations().tolist()
+    assert study.covariation_mean == np.mean(study.covariation)
     rows = [compare_coarse_vs_fine(simulate_paths(CLI_PARAMS, 16, seed)) for seed in range(40)]
     assert built == []
     assert all(type(value) is float for row in rows for column in row._values()[2:] for value in column)

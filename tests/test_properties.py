@@ -14,13 +14,12 @@ from pnlattr import (
     ZeroCurve,
     attribute_position,
     four_way_split,
-    fx_split,
     grid_ito_decomposition,
     grid_product_decomposition,
 )
 from pnlattr.path_oracle import DERIVATIVE_STEP
 
-from conftest import ScalarState
+from conftest import ScalarState, two_value_pricer
 
 values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 quotes = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -28,18 +27,23 @@ coeffs = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
 states = st.floats(min_value=-0.2, max_value=0.5, allow_nan=False)
 
 
+def two_value_split(a_start, a_end, chi_start, chi_end, mode):
+    snap_t, snap_T = ScalarState(0.0, 0.0, chi_start), ScalarState(0.0, 0.0, chi_end)
+    return four_way_split(two_value_pricer(a_start, a_end), 0.0, 1.0, snap_t, snap_T, mode)
+
+
 @given(a_start=values, a_end=values, chi_start=quotes, chi_end=quotes,
        mode=st.sampled_from(FxMode))
-def test_fx_split_sums_to_total(a_start, a_end, chi_start, chi_end, mode):
-    fx_part, asset_part = fx_split(a_start, a_end, chi_start, chi_end, mode)
-    total = a_end * chi_end - a_start * chi_start
-    assert fx_part + asset_part == pytest.approx(total, rel=1e-9, abs=1e-6)
+def test_fx_and_asset_parts_sum_to_total(a_start, a_end, chi_start, chi_end, mode):
+    res = two_value_split(a_start, a_end, chi_start, chi_end, mode)
+    assert res.total == a_end * chi_end - a_start * chi_start
+    assert (res.rate, res.market) == (0.0, 0.0)  # the asset part is all carry
+    assert res.fx + res.carry == pytest.approx(res.total, rel=1e-9, abs=1e-6)
 
 
 @given(a_start=values, a_end=values, chi=quotes, mode=st.sampled_from(FxMode))
 def test_fx_isolation_constant_quote(a_start, a_end, chi, mode):
-    fx_part, _ = fx_split(a_start, a_end, chi, chi, mode)
-    assert fx_part == 0.0
+    assert two_value_split(a_start, a_end, chi, chi, mode).fx == 0.0
 
 
 @given(

@@ -123,9 +123,8 @@ CASES = [
          repr="PositionAttribution(position_id='A', bucket=<Bucket.HEDGE: 'Hedge'>, "
               "subperiods=(AttributionResult(fx=1.0, rate=2.0, market=0.5, carry=-0.5, total=3.0),), "
               "aggregate=AttributionResult(fx=1.0, rate=2.0, market=0.5, carry=-0.5, total=3.0), costs=1.5)"),
-    Case(PortfolioAttribution, {"period": (D1, D2), "grid": (D1, D2), "positions": ()},
-         repr="PortfolioAttribution(period=(datetime.date(2022, 6, 15), datetime.date(2022, 12, 15)), "
-              "grid=(datetime.date(2022, 6, 15), datetime.date(2022, 12, 15)), positions=())"),
+    Case(PortfolioAttribution, {"grid": (D1, D2), "positions": ()},
+         repr="PortfolioAttribution(grid=(datetime.date(2022, 6, 15), datetime.date(2022, 12, 15)), positions=())"),
     Case(ReportRow, {"position": "A", "bucket": "Cash", "fx_eur": 1.0, "rate_eur": 2.0, "market_eur": 3.0,
                      "carry_eur": 4.0, "costs_eur": 0.5, "total_eur": 10.0},
          repr="ReportRow(position='A', bucket='Cash', fx_eur=1.0, rate_eur=2.0, market_eur=3.0, carry_eur=4.0, "
