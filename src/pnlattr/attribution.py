@@ -25,6 +25,9 @@ evaluations on n subperiods, each starting at the last one's end price),
 and the pure `_split` applies both conventions in every mode asked for: an
 ex-coupon start, the coupon in carry at the FX level around its payment
 (literal: pre-coupon start; sophis: end quote), and the FX mode's weights.
+Every entry point has one front end: `_plan` makes every check before the
+first price, and `_attribute` is the one caller of `_priced` and `_split`,
+driven per position by `_attribute_views` (four_way_split: one subperiod).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from ._record import Record
-from .conventions import CarryMode, FxMode, _fx_weights, _price_fn
+from .conventions import CarryMode, FxMode, _checked_modes, _fx_weights, _price_fn
 from .errors import (
     DuplicatePositionId,
     EmptyPeriod,
@@ -112,8 +115,10 @@ def four_way_split(pricer, t, T, snap_t, snap_T, fx_mode: FxMode = FxMode.AVERAG
     snapshots need curve, factors and fx attributes and go to it opaquely, so production curve
     objects and scalar toy states both work. It is `_plan`'s one subperiod of a unit position.
     """
-    [[sub]] = _plan((Position("", Bucket.OTHER, pricer),), {t: snap_t, T: snap_T}, [t, T])
-    return _split(sub, next(_priced(_price_fn(pricer), (sub,))), fx_mode, CarryMode.CORRECTED)
+    modes = (_checked_modes(fx_mode),)
+    [subperiods] = _plan((Position("", Bucket.OTHER, pricer),), {t: snap_t, T: snap_T}, [t, T])
+    [([result], _)] = _attribute(_price_fn(pricer), subperiods, modes)
+    return result
 
 
 def _priced(price, subperiods: Iterable[_Subperiod]):
@@ -259,8 +264,11 @@ class Position:
         return q
 
     def costs_in(self, start, end) -> float:
-        """EUR transaction costs booked on dates in [start, end]."""
-        return math.fsum(t.cost_eur for t in self.transactions if start <= t.date <= end)
+        """EUR transaction costs booked on dates in [start, end]; NonFiniteReport if their sum overflows."""
+        try:
+            return math.fsum(t.cost_eur for t in self.transactions if start <= t.date <= end)
+        except OverflowError as exc:
+            raise NonFiniteReport(f"transaction costs overflow when summed: {exc}") from exc
 
 
 class Portfolio(Record):
@@ -309,8 +317,9 @@ def _fx_rate(quote) -> float:
 def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
     """Check a run before its first price, then lay out each position's tuple of _Subperiods. The
     checks, in order: a grid of two dates or more that increases at every step; at most one foreign
-    currency; a snapshot at every grid date; and, unless the book is all EUR, fx quotes finite and > 0.
-    This is the one reader of a snapshot: every leg's curve, factors and quote are resolved here."""
+    currency; a snapshot at every grid date; unless the book is all EUR, fx quotes finite and > 0;
+    and each position's non-zero cashflows in (start, end] and quantity changes in (start, end) on
+    the grid. This is the one reader of a snapshot: every leg's curve, factors and quote are resolved here."""
     if len(grid) < 2:
         raise EmptyPeriod("attribution grid needs at least a start and an end date")
     for start, end in zip(grid, grid[1:]):
@@ -335,8 +344,14 @@ def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
             quotes.append(_fx_rate(snap.fx))
         except ValueError as exc:
             raise EngineError(f"market snapshot at {u}: {exc}") from exc
-    subperiods = []
+    subperiods, on_grid, start, end = [], set(grid), grid[0], grid[-1]
     for pos in positions:
+        for d, amount in pos.schedule.entries:
+            if start < d <= end and amount != 0.0 and d not in on_grid:
+                raise ScheduleOutsideGrid(f"cashflow at {d} not on the attribution grid")
+        for txn in pos.transactions:
+            if start < txn.date < end and txn.quantity_change != 0.0 and txn.date not in on_grid:
+                raise ScheduleOutsideGrid(f"transaction at {txn.date} not on the attribution grid")
         chi, amount_on = eur if pos.currency == "EUR" else quotes, pos.schedule.amount_on
         subperiods.append(tuple(
             _Subperiod(grid[i - 1], grid[i], curves[i - 1], factors[i - 1], curves[i], factors[i],
@@ -344,15 +359,6 @@ def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
                        amount_on(grid[i]), chi[-1])
             for i in range(1, len(grid))))
     return tuple(subperiods)
-
-
-def _checked_modes(fx_mode, carry_mode) -> tuple[FxMode, CarryMode]:
-    """(fx_mode, carry_mode); raises ValueError unless each is a member of its enum."""
-    if not isinstance(fx_mode, FxMode):
-        raise ValueError(f"unknown fx mode {fx_mode!r}")
-    if not isinstance(carry_mode, CarryMode):
-        raise ValueError(f"unknown carry mode {carry_mode!r}")
-    return fx_mode, carry_mode
 
 
 def _attribute(price, subperiods: Sequence[_Subperiod], modes: Sequence[tuple[FxMode, CarryMode]]) -> list:
@@ -382,23 +388,15 @@ def attribute_position(
     """Attribute one position over a snapshot grid, subperiod by subperiod.
 
     Returns the per-subperiod results over (grid[i-1], grid[i]] and their
-    componentwise sum. In CORRECTED mode the aggregate total equals the
-    realized EUR PnL including coupons converted around their payment
-    dates; in LITERAL mode each subperiod starts at the pre-coupon price,
-    reproducing the shortfall that motivates the correction. `_plan` checks
-    the run, then each cashflow and rebalance inside the period must be on the grid.
+    componentwise sum: attribute_portfolio's record of a one-position book on
+    this grid, whose cashflows and rebalances inside the period `_plan` checks
+    are on it. In CORRECTED mode the total is the realized EUR PnL, coupons
+    included; LITERAL mode starts each subperiod at the pre-coupon price.
     """
     modes = (_checked_modes(fx_mode, carry_mode),)
-    grid = list(grid)
-    [subperiods] = _plan((position,), snapshots, grid)
-    grid_set, start, end = set(grid), grid[0], grid[-1]
-    for d, amount in position.schedule.entries:
-        if start < d <= end and amount != 0.0 and d not in grid_set:
-            raise ScheduleOutsideGrid(f"cashflow at {d} not on the attribution grid")
-    for txn in position.transactions:
-        if start < txn.date < end and txn.quantity_change != 0.0 and txn.date not in grid_set:
-            raise ScheduleOutsideGrid(f"transaction at {txn.date} not on the attribution grid")
-    return _attribute(_price_fn(position.pricer), subperiods, modes)[0]
+    [view] = _attribute_views((position,), snapshots, list(grid), modes)
+    [result] = view.positions
+    return list(result.subperiods), result.aggregate
 
 
 class PositionAttribution(Record):
@@ -437,14 +435,12 @@ def attribute_portfolio(
 ) -> PortfolioAttribution:
     """Attribute every position on the common transaction/coupon grid.
 
-    EUR positions convert at 1 and all others at the market's one fx
-    column. A mode outside its enum is a ValueError; segment_period checks t < T,
-    then `_plan` checks the run once; an error names the position, the first one
-    for a missing snapshot.
-    Positions come back in input order; bucket and fund totals are the
-    report's job (see reporting.render_report).
+    EUR positions convert at 1 and all others at the market's one fx column. A mode outside
+    its enum is a ValueError; segment_period checks t < T, then `_plan` checks the run once.
+    Positions come back in input order; bucket and fund totals are the report's job.
     """
-    [view] = _attribute_views(portfolio, snapshots, t, T, (_checked_modes(fx_mode, carry_mode),))
+    modes = (_checked_modes(fx_mode, carry_mode),)
+    [view] = _attribute_views(portfolio.positions, snapshots, segment_period(portfolio, t, T), modes)
     return view
 
 
@@ -452,23 +448,24 @@ def attribute_every_mode(portfolio: Portfolio, snapshots, t, T) -> dict[tuple[Fx
     """attribute_portfolio's result in each of the six modes, keyed by (FxMode, CarryMode), from
     one pricing pass: the modes differ only after pricing, so all six make one mode's pricer calls."""
     modes = [(fx_mode, carry_mode) for fx_mode in FxMode for carry_mode in CarryMode]
-    return dict(zip(modes, _attribute_views(portfolio, snapshots, t, T, modes)))
+    return dict(zip(modes, _attribute_views(portfolio.positions, snapshots, segment_period(portfolio, t, T), modes)))
 
 
-def _attribute_views(portfolio: Portfolio, snapshots, t, T, modes) -> list:
-    """attribute_portfolio's result in each mode of modes, in order, from one plan priced once."""
-    grid = segment_period(portfolio, t, T)  # every cashflow and transaction date is on it
+def _attribute_views(positions: Sequence[Position], snapshots, grid: list, modes) -> list:
+    """Each mode's PortfolioAttribution of positions over grid, in mode order, from one plan priced
+    once. A missing snapshot names the first position; an error raised while pricing, splitting or
+    summing a position's costs names that position."""
     try:
-        plan = _plan(portfolio.positions, snapshots, grid)
+        plan = _plan(positions, snapshots, grid)
     except MissingSnapshot as exc:
-        raise exc.at(f"position {portfolio.positions[0].id}")
+        raise exc.at(f"position {positions[0].id}")
     views: list[list[PositionAttribution]] = [[] for _ in modes]
-    for pos, subperiods in zip(portfolio.positions, plan):
+    for pos, subperiods in zip(positions, plan):
         try:
             results = _attribute(_price_fn(pos.pricer), subperiods, modes)
+            costs = pos.costs_in(grid[0], grid[-1])
         except EngineError as exc:
             raise exc.at(f"position {pos.id}")
-        costs = pos.costs_in(t, T)
         for view, (trail, aggregate) in zip(views, results):
             view.append(PositionAttribution(pos.id, pos.bucket, tuple(trail), aggregate, costs))
     return [PortfolioAttribution(tuple(grid), tuple(view)) for view in views]

@@ -1,4 +1,4 @@
-"""The FX and carry conventions, and the pricer-call rule, both engines share.
+"""The FX and carry conventions, their mode check, and the pricer-call rule, both engines share.
 
 `attribution` splits a position's PnL under them, and `path_oracle` splits
 simulated path endpoints the same way. This module imports only `enum`, so
@@ -23,6 +23,15 @@ class CarryMode(Enum):
                              # then falls short of realized PnL by interior coupons
     SOPHIS = "sophis"        # ex-coupon starts, but coupons converted at the period-end
                              # quote, as the SOPHIS front-office column does
+
+
+def _checked_modes(fx_mode, carry_mode=CarryMode.CORRECTED) -> tuple[FxMode, CarryMode]:
+    """(fx_mode, carry_mode); ValueError unless each is in its enum. Entry points call it first."""
+    if not isinstance(fx_mode, FxMode):
+        raise ValueError(f"unknown fx mode {fx_mode!r}")
+    if not isinstance(carry_mode, CarryMode):
+        raise ValueError(f"unknown carry mode {carry_mode!r}")
+    return fx_mode, carry_mode
 
 
 def _fx_weights(a_start, a_end, cs, ce, mode: FxMode):

@@ -38,7 +38,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from ._record import Record
-from .conventions import FxMode, _fx_weights, _price_fn
+from .conventions import FxMode, _checked_modes, _fx_weights, _price_fn
 from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative, PricerEvaluationFailed, SimulationError
 
 #: Relative finite-difference step for the Taylor-ladder partials.
@@ -616,7 +616,9 @@ def covariation_study(
     Equal bit for bit to StudyResult(compare_coarse_vs_fine(simulate_paths(params,
     n_steps, seed), fx_mode) for seed in seeds), but a block of seeds is simulated
     per array pass, and the study keeps the column pass's columns as they are.
+    A mode that is not an FxMode is a ValueError before any seed is simulated.
     """
+    _checked_modes(fx_mode)
     # freeing 2 MB lifts glibc's mmap and trim thresholds above a block's
     # temporaries, so every block reuses the heap pages of the one before
     np.empty(1 << 18)

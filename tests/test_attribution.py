@@ -12,12 +12,14 @@ from pnlattr import (
     EngineError,
     FxMode,
     MissingSnapshot,
+    MixedCurrencies,
     NonFiniteReport,
     Portfolio,
     Position,
     PricerEvaluationFailed,
     ScheduleOutsideGrid,
     Transaction,
+    attribute_every_mode,
     attribute_portfolio,
     attribute_position,
     build_report_rows,
@@ -224,16 +226,6 @@ def test_grid_refinement_keeps_the_total():
     _, fine = attribute_position(pos, snaps, [0.0, 0.37, 1.0])
     assert fine.total == pytest.approx(coarse.total, rel=1e-12)
     # the split itself may move; only the total is pinned
-
-
-def test_missing_snapshot_and_offgrid_schedule():
-    pos = coupon_position()
-    with pytest.raises(MissingSnapshot):
-        attribute_position(pos, {0.0: ScalarState(0, 0, 1.0), 1.0: ScalarState(0, 0, 1.0)},
-                           [0.0, 0.5, 1.0])
-    with pytest.raises(ScheduleOutsideGrid):
-        attribute_position(pos, {0.0: ScalarState(0, 0, 1.0), 1.0: ScalarState(0, 0, 1.0)},
-                           [0.0, 1.0])
 
 
 def test_quantity_changes_scale_subperiods():
@@ -526,6 +518,86 @@ def test_a_mode_outside_its_enum_is_a_value_error_before_any_price(fx_mode, carr
     assert calls == []
 
 
+def _run_entry_point(entry, positions, snaps, grid, fx_mode):
+    """Run one entry point on a book over grid: attribute_position and four_way_split take its one
+    position (four_way_split only its pricer and the grid's ends), the others the grid's ends."""
+    if entry is attribute_position:
+        [pos] = positions
+        return attribute_position(pos, snaps, grid, fx_mode)
+    if entry is four_way_split:
+        [pos] = positions
+        return four_way_split(pos.pricer, grid[0], grid[-1], snaps[grid[0]], snaps[grid[-1]], fx_mode)
+    if entry is attribute_portfolio:
+        return attribute_portfolio(Portfolio(tuple(positions)), snaps, grid[0], grid[-1], fx_mode)
+    return attribute_every_mode(Portfolio(tuple(positions)), snaps, grid[0], grid[-1])
+
+
+#: Each check's error on the book of the test below, and the entry points that can meet it:
+#: only a book holds two positions, four_way_split is handed both its snapshots, and
+#: attribute_every_mode takes no mode.
+_CHECKS = {
+    "grid": (EmptyPeriod, r"period start 1.0 not before end 0.0"),
+    "snapshot": (MissingSnapshot, r"position p: no market snapshot at 0.5"),
+    "quote": (EngineError, r"market snapshot at 1.0: fx quote must be finite and > 0, got -1.0"),
+    "currencies": (MixedCurrencies,
+                   r"position p is in USD and position q in GBP; the market quotes one foreign currency"),
+    "mode": (ValueError, r"unknown fx mode 'average'"),
+    "off-grid": (ScheduleOutsideGrid, r"cashflow at 0.5 not on the attribution grid"),
+}
+_ENTRY_CHECKS = {
+    attribute_position: ("grid", "snapshot", "quote", "mode", "off-grid"),
+    attribute_portfolio: ("grid", "snapshot", "quote", "currencies", "mode"),
+    attribute_every_mode: ("grid", "snapshot", "quote", "currencies"),
+    four_way_split: ("grid", "quote", "mode"),
+}
+
+
+@pytest.mark.parametrize("entry, failure", [(entry, failure) for entry, failures in _ENTRY_CHECKS.items()
+                                            for failure in failures], ids=lambda v: getattr(v, "__name__", v))
+def test_every_entry_point_makes_every_check_before_any_price(entry, failure):
+    calls = []
+
+    def price(s, r, x):
+        calls.append(s)
+        return 100.0
+
+    positions = [Position(id="p", bucket=Bucket.OTHER, pricer=price, schedule=CashflowSchedule(((0.5, 3.0),)))]
+    snaps = {u: ScalarState(0.0, 0.0, 1.1) for u in (0.0, 0.5, 1.0)}
+    grid, fx_mode = [0.0, 0.5, 1.0], FxMode.AVERAGE
+    if failure == "grid":
+        grid = [1.0, 0.0]
+    elif failure == "snapshot":
+        del snaps[0.5]
+    elif failure == "quote":
+        snaps[1.0] = ScalarState(0.0, 0.0, -1.0)
+    elif failure == "currencies":
+        positions.append(Position(id="q", bucket=Bucket.OTHER, pricer=price, currency="GBP"))
+    elif failure == "mode":
+        fx_mode = "average"
+    elif failure == "off-grid":
+        grid = [0.0, 1.0]
+    error, message = _CHECKS[failure]
+    with pytest.raises(error, match=f"^{message}$"):
+        _run_entry_point(entry, positions, snaps, grid, fx_mode)
+    assert calls == []
+
+
+def test_costs_that_overflow_are_a_non_finite_report_naming_the_position():
+    pos = Position(id="P", bucket=Bucket.OTHER, pricer=linear_pricer(),
+                   transactions=(Transaction(0.5, 0.0, 1e308), Transaction(1.0, 0.0, 1e308)))
+    with pytest.raises(NonFiniteReport, match=r"^transaction costs overflow when summed: "):
+        pos.costs_in(0.0, 1.0)
+    snaps = {u: ScalarState(0.01, 0.02, 1.1) for u in (0.0, 0.5, 1.0)}
+    message = r"^position P: transaction costs overflow when summed: "
+    with pytest.raises(NonFiniteReport, match=message):
+        attribute_portfolio(Portfolio((pos,)), snaps, 0.0, 1.0)
+    with pytest.raises(NonFiniteReport, match=message):
+        attribute_every_mode(Portfolio((pos,)), snaps, 0.0, 1.0)
+    # attribute_position returns no costs but sums them, as the portfolio path does
+    with pytest.raises(NonFiniteReport, match=message):
+        attribute_position(pos, snaps, [0.0, 0.5, 1.0])
+
+
 def test_engine_errors_print_dates_as_iso():
     from datetime import date
 
@@ -537,7 +609,7 @@ def test_engine_errors_print_dates_as_iso():
         four_way_split(lambda s, r, x: 1.0, T, t, state, state)
     pos = Position(id="p", bucket=Bucket.OTHER, pricer=lambda s, r, x: 1.0,
                    schedule=CashflowSchedule(((date(2022, 1, 15), 1.0),)))
-    with pytest.raises(MissingSnapshot, match=r"^no market snapshot at 2022-02-01$"):
+    with pytest.raises(MissingSnapshot, match=r"^position p: no market snapshot at 2022-02-01$"):
         attribute_position(pos, {t: state}, [t, T])
     with pytest.raises(ScheduleOutsideGrid, match=r"^cashflow at 2022-01-15 not on the attribution grid$"):
         attribute_position(pos, {t: state, T: state}, [t, T])
@@ -576,7 +648,7 @@ def test_parts_that_overflow_are_a_non_finite_report_naming_the_subperiod_or_per
                     transactions=(Transaction(0.0, 1e308, 0.0),))
     with pytest.raises(NonFiniteReport) as info:
         attribute_position(held, {u: ScalarState(0.0, 0.0, 1.0) for u in (0.0, 1.0)}, [0.0, 1.0])
-    assert str(info.value) == ("subperiod (0.0, 1.0]: attribution parts must be finite, "
+    assert str(info.value) == ("position P: subperiod (0.0, 1.0]: attribution parts must be finite, "
                                "got (0.0, 0.0, 0.0, inf, inf)")
     huge = AttributionResult(fx=1e308, rate=0.0, market=0.0, carry=0.0, total=1e308)
     with pytest.raises(NonFiniteReport, match="attribution parts overflow when summed"):
@@ -589,7 +661,7 @@ def test_parts_that_overflow_are_a_non_finite_report_naming_the_subperiod_or_per
     snaps = {u: ScalarState(0.0, 0.0, 1.0) for u in grid}
     with pytest.raises(NonFiniteReport) as info:
         attribute_position(pos, snaps, grid)
-    assert str(info.value).startswith("period (0.0, 3.0]: attribution parts overflow when summed")
+    assert str(info.value).startswith("position P: period (0.0, 3.0]: attribution parts overflow when summed")
     with pytest.raises(NonFiniteReport) as info:
         attribute_position(pos, snaps, [0.0, 3.0])
-    assert str(info.value).startswith("subperiod (0.0, 3.0]: attribution parts must be finite")
+    assert str(info.value).startswith("position P: subperiod (0.0, 3.0]: attribution parts must be finite")

@@ -528,6 +528,18 @@ def test_missing_snapshot_error_prints_an_iso_date(tmp_path, market_csv, portfol
 DEMO_PERIOD = ["--from", "2021-12-31", "--to", "2022-04-01"]
 
 
+def test_transaction_costs_that_overflow_are_an_error_naming_the_position(tmp_path, capsys):
+    # each cost is finite, so the book validates; only their sum over the period overflows
+    portfolio = tmp_path / "portfolio.txt"
+    portfolio.write_text((DEMO_DATA / "portfolio.txt").read_text().replace(
+        "transaction = 2022-03-01 0 1500", "transaction = 2022-02-15 0 1e308\ntransaction = 2022-03-01 0 1e308"))
+    inputs = ["--portfolio", str(portfolio), "--market", str(DEMO_DATA / "market.csv")]
+    assert run_cli(["validate", *inputs]) == 0
+    assert capsys.readouterr().err == "market OK: 4 snapshots\nportfolio OK: 3 positions\n"
+    assert run_cli(["attribute", *inputs, *DEMO_PERIOD]) == 1
+    assert capsys.readouterr().err.startswith("error: position NBB_BOND: transaction costs overflow when summed: ")
+
+
 @pytest.mark.parametrize("args, message", [
     (["validate", "--portfolio", "missing.txt"], "no such file or directory: missing.txt"),
     (["attribute", "--portfolio", ".", "--market", str(DEMO_DATA / "market.csv"), *DEMO_PERIOD],

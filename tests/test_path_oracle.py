@@ -339,6 +339,17 @@ def test_fx_mode_that_is_not_an_fx_mode_is_a_value_error():
     paths = simulate_paths(TWO_GBM, n_steps=4, seed=0)
     with pytest.raises(ValueError, match="^unknown fx mode 'average'$"):
         compare_coarse_vs_fine(paths, "average")
+    # a study checks it before it draws, and so simulates, a seed
+    drawn = []
+
+    def seeds():
+        for seed in range(1000):
+            drawn.append(seed)
+            yield seed
+
+    with pytest.raises(ValueError, match="^unknown fx mode 'average'$"):
+        covariation_study(TWO_GBM, 256, seeds(), "average")
+    assert drawn == []
 
 
 def test_zero_vol_study_has_no_discrepancy():
