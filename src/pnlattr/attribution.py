@@ -348,10 +348,10 @@ def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
     for pos in positions:
         for d, amount in pos.schedule.entries:
             if start < d <= end and amount != 0.0 and d not in on_grid:
-                raise ScheduleOutsideGrid(f"cashflow at {d} not on the attribution grid")
+                raise ScheduleOutsideGrid(f"position {pos.id}: cashflow at {d} not on the attribution grid")
         for txn in pos.transactions:
             if start < txn.date < end and txn.quantity_change != 0.0 and txn.date not in on_grid:
-                raise ScheduleOutsideGrid(f"transaction at {txn.date} not on the attribution grid")
+                raise ScheduleOutsideGrid(f"position {pos.id}: transaction at {txn.date} not on the attribution grid")
         chi, amount_on = eur if pos.currency == "EUR" else quotes, pos.schedule.amount_on
         subperiods.append(tuple(
             _Subperiod(grid[i - 1], grid[i], curves[i - 1], factors[i - 1], curves[i], factors[i],
@@ -453,8 +453,8 @@ def attribute_every_mode(portfolio: Portfolio, snapshots, t, T) -> dict[tuple[Fx
 
 def _attribute_views(positions: Sequence[Position], snapshots, grid: list, modes) -> list:
     """Each mode's PortfolioAttribution of positions over grid, in mode order, from one plan priced
-    once. A missing snapshot names the first position; an error raised while pricing, splitting or
-    summing a position's costs names that position."""
+    once. A missing snapshot names the first position; a date off the grid, or an error raised while
+    pricing, splitting or summing a position's costs, names that position."""
     try:
         plan = _plan(positions, snapshots, grid)
     except MissingSnapshot as exc:

@@ -384,14 +384,13 @@ def _columns(a: np.ndarray, chi: np.ndarray, fx_mode: FxMode) -> tuple[np.ndarra
     Every row passes GridDecomposition's telescoping check, in the same operations, or the
     first failing row raises its ValueError. The coarse split is _fx_weights', with no fx > 0 check.
     """
-    at, chit = a.T, chi.T  # (points, rows): the terms are laid out step-major for _exact_row_sums
-    da = at[1:] - at[:-1]
-    dchi = chit[1:] - chit[:-1]
-    terms = np.empty((len(da), len(a), 3))
-    np.multiply(at[:-1], dchi, out=terms[:, :, 0])
-    np.multiply(chit[:-1], da, out=terms[:, :, 1])
-    np.multiply(da, dchi, out=terms[:, :, 2])
-    sums = np.array(_exact_row_sums(terms.reshape(len(da), -1).T)).reshape(-1, 3).T
+    da = a[:, 1:] - a[:, :-1]
+    dchi = chi[:, 1:] - chi[:, :-1]
+    terms = np.empty((len(a), 3, da.shape[1]))  # each path's three rows of terms, in path order
+    np.multiply(a[:, :-1], dchi, out=terms[:, 0])
+    np.multiply(chi[:, :-1], da, out=terms[:, 1])
+    np.multiply(da, dchi, out=terms[:, 2])
+    sums = np.array(_exact_row_sums(terms.reshape(-1, da.shape[1]))).reshape(-1, 3).T
     fine_fx, fine_asset, covariation = sums
     a0, a1, chi0, chi1 = a[:, 0], a[:, -1], chi[:, 0], chi[:, -1]
     total = a1 * chi1 - a0 * chi0
@@ -456,23 +455,21 @@ def _exact_row_sums(x: np.ndarray) -> list[float]:
     underflows or is infinite. fsum's own errors, such as inf + -inf, are
     therefore raised as before, in row order. Arrays with fewer than
     _ARRAY_ROWS rows, or rows of 2**26 values or more, go to math.fsum
-    whole. The pass reduces along axis 0 of x.T, which reads contiguous
-    memory when x is Fortran-ordered.
+    whole.
     """
     rows, n = x.shape
     if rows < _ARRAY_ROWS or n >= 2**26:
         return [math.fsum(memoryview(row)) for row in x]
-    xt = x.T
     with np.errstate(all="ignore"):
-        q = np.abs(xt)  # one buffer holds |x|, then q, then p and |p|
-        m = q.max(axis=0)
-        sigma = np.ldexp(1.0, np.frexp(m)[1] + (n + 1).bit_length())
-        np.add(xt, sigma, out=q)
+        q = np.abs(x)  # one buffer holds |x|, then q, then p and |p|
+        m = q.max(axis=1)
+        sigma = np.ldexp(1.0, np.frexp(m)[1] + (n + 1).bit_length())[:, None]
+        np.add(x, sigma, out=q)
         q -= sigma
-        tau1 = q.sum(axis=0)
-        p = np.subtract(xt, q, out=q)
-        r, r_err = _two_sum(tau1, p.sum(axis=0))
-        delta = np.abs(p, out=p).sum(axis=0) * (4 * n * 2.0**-53) + _TINY
+        tau1 = q.sum(axis=1)
+        p = np.subtract(x, q, out=q)
+        r, r_err = _two_sum(tau1, p.sum(axis=1))
+        delta = np.abs(p, out=p).sum(axis=1) * (4 * n * 2.0**-53) + _TINY
         up = (np.nextafter(r, np.inf) - r) * 0.5
         down = (r - np.nextafter(r, -np.inf)) * 0.5
         size = np.abs(r)

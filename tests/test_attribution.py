@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pnlattr import attribution
 from pnlattr import (
     AttributionResult,
     Bucket,
@@ -247,11 +248,21 @@ def test_rebalance_inside_a_subperiod_is_rejected():
     pos = Position(id="p", bucket=Bucket.OTHER, pricer=lambda s, r, x: prices[s],
                    transactions=(Transaction(0.5, 1.0, 0.0), Transaction(0.25, 0.0, 3.0)))
     snaps = {u: ScalarState(0.0, 0.0, 1.0) for u in prices}
-    with pytest.raises(ScheduleOutsideGrid, match=r"^transaction at 0.5 not on the attribution grid$"):
+    with pytest.raises(ScheduleOutsideGrid, match=r"^position p: transaction at 0.5 not on the attribution grid$"):
         attribute_position(pos, snaps, [0.0, 1.0])
     # a cost-only transaction off the grid moves no holding, so it is not checked
     _, agg = attribute_position(pos, snaps, [0.0, 0.5, 1.0])
     assert agg.total == pytest.approx(16.0, rel=1e-12)
+
+
+def test_a_date_off_the_grid_names_its_own_position():
+    # segment_period puts every date of a book on its grid, so the plan is asked directly
+    snaps = {u: ScalarState(0.0, 0.0, 1.0) for u in (0.0, 1.0)}
+    on = Position(id="p", bucket=Bucket.OTHER, pricer=lambda s, r, x: 1.0)
+    off = Position(id="q", bucket=Bucket.OTHER, pricer=lambda s, r, x: 1.0,
+                   schedule=CashflowSchedule(((0.5, 3.0),)))
+    with pytest.raises(ScheduleOutsideGrid, match=r"^position q: cashflow at 0.5 not on the attribution grid$"):
+        attribution._plan((on, off), snaps, [0.0, 1.0])
 
 
 def test_short_position_flips_signs():
@@ -542,7 +553,7 @@ _CHECKS = {
     "currencies": (MixedCurrencies,
                    r"position p is in USD and position q in GBP; the market quotes one foreign currency"),
     "mode": (ValueError, r"unknown fx mode 'average'"),
-    "off-grid": (ScheduleOutsideGrid, r"cashflow at 0.5 not on the attribution grid"),
+    "off-grid": (ScheduleOutsideGrid, r"position p: cashflow at 0.5 not on the attribution grid"),
 }
 _ENTRY_CHECKS = {
     attribute_position: ("grid", "snapshot", "quote", "mode", "off-grid"),
@@ -611,7 +622,7 @@ def test_engine_errors_print_dates_as_iso():
                    schedule=CashflowSchedule(((date(2022, 1, 15), 1.0),)))
     with pytest.raises(MissingSnapshot, match=r"^position p: no market snapshot at 2022-02-01$"):
         attribute_position(pos, {t: state}, [t, T])
-    with pytest.raises(ScheduleOutsideGrid, match=r"^cashflow at 2022-01-15 not on the attribution grid$"):
+    with pytest.raises(ScheduleOutsideGrid, match=r"^position p: cashflow at 2022-01-15 not on the attribution grid$"):
         attribute_position(pos, {t: state, T: state}, [t, T])
 
 

@@ -228,6 +228,13 @@ def test_round_trip_is_numerically_identical(market_csv):
     assert dump_market_snapshots(again) == text
 
 
+def test_dump_to_a_stream_writes_the_returned_text(market_csv):
+    snaps = load_market_snapshots(io.StringIO(market_csv))
+    stream = io.StringIO()
+    assert dump_market_snapshots(snaps, stream) is None
+    assert stream.getvalue() == dump_market_snapshots(snaps)
+
+
 @pytest.mark.parametrize("nodes", [
     ((1.0, 0.02), (float("nan"), 0.03), (5.0, 0.04)),
     ((1.0, 0.02), (3.0, float("inf")), (5.0, 0.04)),

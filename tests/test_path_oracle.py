@@ -647,7 +647,7 @@ def test_exact_row_sums_equal_fsum(rows, width, spread, special, seed, spoiled):
         spoiler = SPOILERS[rng.integers(len(SPOILERS))][:width]
         x[i, : len(spoiler)] = spoiler
     if seed % 2:
-        x = np.asfortranarray(x)  # as _columns lays the terms out
+        x = np.asfortranarray(x)  # the sums hold in either layout
     assert _outcome(path_oracle._exact_row_sums, x) == _outcome(_fsum_rows, x)
 
 
