@@ -83,17 +83,13 @@ class AttributionResult(Record):
 
     @classmethod
     def combine(cls, results: Iterable["AttributionResult"]) -> "AttributionResult":
-        """Componentwise sum (compensated) of any number of results."""
-        results = list(results)
+        """Componentwise sum (compensated) of any number of results, from one transposed pass."""
+        rows = [(r.fx, r.rate, r.market, r.carry, r.total, r.scale) for r in results]
+        fx, rate, market, carry, total, scale = list(zip(*rows)) or [()] * 6
+        fsum = math.fsum
         try:
-            return cls(
-                fx=math.fsum(r.fx for r in results),
-                rate=math.fsum(r.rate for r in results),
-                market=math.fsum(r.market for r in results),
-                carry=math.fsum(r.carry for r in results),
-                total=math.fsum(r.total for r in results),
-                scale=max((r.scale for r in results), default=0.0),
-            )
+            return cls(fx=fsum(fx), rate=fsum(rate), market=fsum(market), carry=fsum(carry), total=fsum(total),
+                       scale=max(scale, default=0.0))
         except OverflowError as exc:
             raise NonFiniteReport(f"attribution parts overflow when summed: {exc}") from exc
 

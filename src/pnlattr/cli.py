@@ -15,6 +15,7 @@ the report to stdout or --output; main() flushes both, then os._exit skips inter
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -244,6 +245,7 @@ def _error(message: str) -> int:
 
 
 def main() -> None:
+    gc.disable()  # the process ends in os._exit and builds no cyclic garbage worth collecting
     code = run_cli()  # an exception leaves through the normal exit, traceback included
     try:
         try:

@@ -191,11 +191,6 @@ _SHIFT = np.uint32(16)
 # PCG64's 128-bit LCG multiplier (pcg64.h, PCG_DEFAULT_MULTIPLIER_128).
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
-# Blocks of fewer seeds go to default_rng seed by seed. Deriving and setting
-# the states took about 4 us a seed against 13 us for default_rng over 256
-# seeds, but 110 us against 16 us for one seed; they broke even near 8-10.
-_MIN_DERIVED = 12
-
 
 def _hashmix(words, xors, mults):
     words = (words ^ xors) * mults
@@ -254,12 +249,11 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
     values must be finite and its fx path, if any, > 0; a SimulationError
     names the first seed that breaks this.
 
-    The stream is default_rng(seed)'s. In blocks of at least _MIN_DERIVED
-    seeds, the state default_rng's PCG64 would start from is derived for a
-    whole block at once by _pcg64_states, which follows numpy's seeding
-    step for step, and set on one reused generator. A PCG64 stream is
-    fixed by its state and nothing else, so the draws are the same. Other
-    seeds, and those that derivation does not cover, go to default_rng.
+    The stream is default_rng(seed)'s. The state default_rng's PCG64 would
+    start from is derived for a whole block at once by _pcg64_states, which
+    follows numpy's seeding step for step, and set on one reused generator.
+    A PCG64 stream is fixed by its state and nothing else, so the draws are
+    the same. Only seeds the derivation does not cover go to default_rng.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -291,7 +285,7 @@ def _simulate_values(params: SimulationParams, n_steps: int, seeds: Iterable[int
     generator = None
     seeds = iter(seeds)
     while block := list(islice(seeds, _BLOCK)):
-        states = _pcg64_states(block) if len(block) >= _MIN_DERIVED else [None] * len(block)
+        states = _pcg64_states(block)
         try:
             normals = np.empty((len(block), n_steps, len(specs)))
             counts = np.empty((len(block), n_steps), dtype=np.int64) if jumps else None
@@ -404,10 +398,6 @@ def _columns(a: np.ndarray, chi: np.ndarray, fx_mode: FxMode) -> tuple[np.ndarra
         return value_weight * (chi1 - chi0), quote_weight * (a1 - a0), fine_fx, fine_asset, covariation, total
 
 
-# Arrays with fewer rows than this are summed by math.fsum row by row: on
-# one 256-step path's three rows the array pass took about 90 us, against
-# 20 us for three fsum calls.
-_ARRAY_ROWS = 16
 _BIG = 2.0**1000
 _SMALL = 2.0**-900
 _TINY = 2.0**-1022
@@ -453,12 +443,11 @@ def _exact_row_sums(x: np.ndarray) -> list[float]:
     non-finite value or one of magnitude >= 2**1000, and sums outside
     [2**-900, 2**1000), so that a zero takes fsum's sign and no gap
     underflows or is infinite. fsum's own errors, such as inf + -inf, are
-    therefore raised as before, in row order. Arrays with fewer than
-    _ARRAY_ROWS rows, or rows of 2**26 values or more, go to math.fsum
-    whole.
+    therefore raised as before, in row order. Rows of 2**26 values or
+    more go to math.fsum whole.
     """
-    rows, n = x.shape
-    if rows < _ARRAY_ROWS or n >= 2**26:
+    n = x.shape[1]
+    if n >= 2**26:
         return [math.fsum(memoryview(row)) for row in x]
     with np.errstate(all="ignore"):
         q = np.abs(x)  # one buffer holds |x|, then q, then p and |p|

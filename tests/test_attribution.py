@@ -664,6 +664,8 @@ def test_parts_that_overflow_are_a_non_finite_report_naming_the_subperiod_or_per
     huge = AttributionResult(fx=1e308, rate=0.0, market=0.0, carry=0.0, total=1e308)
     with pytest.raises(NonFiniteReport, match="attribution parts overflow when summed"):
         AttributionResult.combine([huge, huge])
+    empty = AttributionResult.combine([])
+    assert [value.hex() for value in (*empty._values(), empty.scale)] == [(0.0).hex()] * 6
 
     # each subperiod's own total is finite; only their sum overflows
     grid = [0.0, 1.0, 2.0, 3.0]

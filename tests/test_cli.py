@@ -1,5 +1,6 @@
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -644,12 +645,26 @@ def _main(monkeypatch, *argv):
     return exited.value.args[0]
 
 
+@pytest.fixture
+def collector():
+    """Turns the garbage collector back on after a test that runs cli.main() in this process."""
+    yield
+    gc.enable()
+
+
+def test_main_turns_the_collector_off_and_run_cli_leaves_it_on(collector, monkeypatch, capsys):
+    assert run_cli(["validate", *DEMO_ARGS]) == 0
+    assert gc.isenabled()
+    assert _main(monkeypatch, "validate", *DEMO_ARGS) == 0
+    assert not gc.isenabled()
+
+
 @pytest.mark.parametrize("error, fail_write, message", [
     (ENOSPC, False, "no space left on device: <stdout>"),
     (ENOSPC, True, "no space left on device: <stdout>"),
     (("stream detached",), False, "stream detached: <stdout>"),
 ], ids=["final-flush", "write-and-final-flush", "no-strerror"])
-def test_failing_final_flush_is_one_error_line(error, fail_write, message, monkeypatch, capsys):
+def test_failing_final_flush_is_one_error_line(error, fail_write, message, collector, monkeypatch, capsys):
     # a write that failed inside run_cli is reported there, and not again by main()
     monkeypatch.setattr(sys, "stdout", _FailingStdout(error, fail_write))
     assert _main(monkeypatch, "attribute", *DEMO_ARGS, *DEMO_PERIOD) == 1

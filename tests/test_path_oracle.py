@@ -451,9 +451,7 @@ def test_batched_study_equals_seedwise_route(inputs):
         seedwise.append(compare_coarse_vs_fine(paths, fx_mode))
     expected_study = StudyResult(tuple(seedwise))
     expected = write_discrepancy_csv(expected_study)
-    # 20-seed blocks: up to 70 seeds cross up to three block edges, and a
-    # last block of fewer than _MIN_DERIVED seeds goes to default_rng
-    assert path_oracle._MIN_DERIVED < 20
+    # 20-seed blocks: up to 70 seeds cross up to three block edges
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(path_oracle, "_BLOCK", 20)
         assert write_discrepancy_csv(covariation_study(params, n_steps, seeds, fx_mode)) == expected
@@ -487,6 +485,22 @@ def test_seeds_outside_the_derivation_take_default_rngs_stream_or_error():
     with pytest.raises(ValueError) as got:
         covariation_study(params, 16, list(range(20)) + [-1])
     assert str(got.value) == str(want.value)
+
+
+def test_seeds_in_the_derivation_take_no_default_rng(monkeypatch):
+    # 69 seeds: a full block and a last block of 5, each derived, as is one seed alone
+    params = SimulationParams(processes=TWO_GBM.processes, jump_intensity=2.0)
+    references = [_seedwise_values(params, 16, seed) for seed in range(69)]
+
+    def refused(*args):
+        raise AssertionError(f"default_rng{args} called")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    study = covariation_study(params, 16, range(69))
+    paths = [simulate_paths(params, 16, seed) for seed in range(69)]
+    for path, reference in zip(paths, references):
+        assert np.array_equal(np.column_stack((path.paths["asset"], path.paths["fx"])), reference)
+    assert study == StudyResult(map(compare_coarse_vs_fine, paths))
 
 
 def test_study_is_one_record_of_columns_that_one_row_studies_join_into(monkeypatch):
@@ -607,7 +621,7 @@ SPOILERS = [[math.inf], [-math.inf], [math.nan], [math.inf, -math.inf], [2.0**10
 
 @settings(max_examples=80, deadline=None)
 @given(
-    rows=st.integers(16, 100),
+    rows=st.integers(1, 100),
     width=st.sampled_from(EDGE_WIDTHS) | st.integers(1, 300),
     spread=st.integers(0, 300),
     special=st.floats(0.0, 0.5),
@@ -643,7 +657,7 @@ def test_exact_row_sums_equal_fsum(rows, width, spread, special, seed, spoiled):
             x[i, 2 + 2 * pairs :] = 0.0
     x[4::7] = -0.0
     # non-finite and overflowing rows: fsum's first error, in row order, comes through
-    for i in rng.choice(rows, spoiled, replace=False):
+    for i in rng.choice(rows, min(spoiled, rows), replace=False):
         spoiler = SPOILERS[rng.integers(len(SPOILERS))][:width]
         x[i, : len(spoiler)] = spoiler
     if seed % 2:
@@ -661,6 +675,18 @@ def _counting_fsum(monkeypatch):
 
     monkeypatch.setattr(path_oracle.math, "fsum", counted)
     return calls
+
+
+def test_exact_row_sums_take_the_array_pass_on_few_rows(monkeypatch):
+    # rows of 256 values, as in the oracle workload: their exact sums hold bits far below
+    # the last place, so none is a tie, which the pass leaves to fsum (see the test below)
+    rng = np.random.default_rng(11)
+    arrays = [rng.standard_normal((rows, 256)) * 10.0 ** rng.integers(-5, 5, (rows, 1)) for rows in range(1, 16)]
+    expected = [_fsum_rows(x) for x in arrays]
+    calls = _counting_fsum(monkeypatch)
+    for x, sums in zip(arrays, expected):
+        assert _hex(path_oracle._exact_row_sums(x)) == _hex(sums)
+    assert calls == []
 
 
 def test_exact_row_sums_fall_back_to_fsum_on_special_rows(monkeypatch):
