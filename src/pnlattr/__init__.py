@@ -28,9 +28,8 @@ _EXPORTS = {
     "pricers": """BondPricer BondSpec CashPricer CashSpec CdsPricer CdsSpec Pricer ProtectionSide
         bond_cashflows price_bond price_cash price_cds""",
     "reporting": "ReportRow bps build_report_rows render_report",
-    "path_oracle": """GbmSpec GridDecomposition ItoDecomposition PathSet
-        SimulationParams StudyResult compare_coarse_vs_fine covariation_study grid_ito_decomposition
-        grid_product_decomposition simulate_paths write_discrepancy_csv""",
+    "path_oracle": """GbmSpec ItoDecomposition PathSet SimulationParams StudyResult compare_coarse_vs_fine
+        covariation_study grid_ito_decomposition simulate_paths write_discrepancy_csv""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = [name for name, module in _MODULE_OF.items() if module != "path_oracle"]  # no numpy

@@ -36,12 +36,11 @@ def _checked_modes(fx_mode, carry_mode=CarryMode.CORRECTED) -> tuple[FxMode, Car
 
 def _fx_weights(a_start, a_end, cs, ce, mode: FxMode):
     """(asset value that earns the quote change, quote that converts the asset move). AVERAGE
-    takes the mean value and the mean quote, START_END the start value and the end quote."""
+    takes the mean value and the mean quote, START_END the start value and the end quote.
+    Callers pass a mode _checked_modes has checked, so any mode but AVERAGE is START_END."""
     if mode is FxMode.AVERAGE:
         return 0.5 * (a_start + a_end), 0.5 * (cs + ce)
-    if mode is FxMode.START_END:
-        return a_start, ce
-    raise ValueError(f"unknown fx mode {mode!r}")
+    return a_start, ce
 
 
 def _price_fn(pricer):

@@ -345,37 +345,11 @@ def simulate_paths(params: SimulationParams, n_steps: int, seed: int) -> PathSet
     return PathSet(grid=grid, paths={name: values[0] for name, values in paths.items()}, seed=seed)
 
 
-class GridDecomposition(Record):
-    """The three product-rule sums; they add to `total` exactly."""
-
-    _fields = ("fx_integral", "asset_integral", "covariation", "total")
-
-    def __init__(self, fx_integral: float, asset_integral: float, covariation: float, total: float):
-        scale = max(1.0, abs(fx_integral), abs(asset_integral), abs(covariation))
-        gap = total - (fx_integral + asset_integral + covariation)
-        if abs(gap) > 1e-9 * scale:
-            raise ValueError(f"telescoping identity violated by {gap:g}")
-        self.__dict__.update(fx_integral=fx_integral, asset_integral=asset_integral, covariation=covariation,
-                             total=total)
-
-
-def grid_product_decomposition(path_asset, path_fx) -> GridDecomposition:
-    """Left-endpoint product-rule sums of two equal-length paths."""
-    a = np.asarray(path_asset, dtype=float)
-    chi = np.asarray(path_fx, dtype=float)
-    if a.ndim != 1 or chi.ndim != 1 or a.shape != chi.shape:
-        raise LengthMismatch(f"paths must be equal-length vectors, got {a.shape} and {chi.shape}")
-    if len(a) < 2:
-        raise LengthMismatch("paths need at least two points")
-    fine = _columns(a[None, :], chi[None, :], FxMode.AVERAGE)[2:]  # the endpoint split goes unused
-    return GridDecomposition(*(column.item() for column in fine))
-
-
 def _columns(a: np.ndarray, chi: np.ndarray, fx_mode: FxMode) -> tuple[np.ndarray, ...]:
     """The column pass: (coarse_fx, coarse_asset, fine_fx, fine_asset, covariation, total)
     float64 arrays, one entry per row of (rows, points) asset and fx paths. The sums are
     _exact_row_sums's, math.fsum of each row of terms, so batching does not change them.
-    Every row passes GridDecomposition's telescoping check, in the same operations, or the
+    Each row's three sums telescope to its total within 1e-9 * max(1, |largest sum|), or the
     first failing row raises its ValueError. The coarse split is _fx_weights', with no fx > 0 check.
     """
     da = a[:, 1:] - a[:, :-1]
@@ -585,8 +559,10 @@ def compare_coarse_vs_fine(paths: PathSet, fx_mode: FxMode = FxMode.AVERAGE) -> 
 
     Both sides reproduce the same endpoint total; only the split differs,
     and the covariation sum is exactly what the two-point scheme smears
-    into its fx and asset parts.
+    into its fx and asset parts. A mode that is not an FxMode is a
+    ValueError before any sum is taken.
     """
+    _checked_modes(fx_mode)
     columns = _columns(paths.paths["asset"][None, :], paths.paths["fx"][None, :], fx_mode)
     return StudyResult._from_columns(((paths.seed,), (paths.n_steps,), *(c.tolist() for c in columns)))
 

@@ -1,4 +1,4 @@
-"""Shared test helpers: scalar market states and toy pricers.
+"""Shared test helpers: scalar market states, toy pricers and the product-rule sums of a path.
 
 The attribution code never looks inside curve or factor objects, so tests
 drive it with plain floats where a closed-form answer is easy to state.
@@ -9,7 +9,7 @@ from datetime import date
 
 import pytest
 
-from pnlattr import FxQuote, MarketFactors, MarketSnapshot, ZeroCurve
+from pnlattr import FxQuote, MarketFactors, MarketSnapshot, PathSet, ZeroCurve, compare_coarse_vs_fine
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,12 @@ def two_value_pricer(a_start: float, a_end: float):
     def price(s, r, x):
         return a_start if s == 0.0 else a_end
     return price
+
+
+def product_rule(a, chi):
+    """The one-row study of asset path a against fx path chi, on grid 0, 1, ..., len(a) - 1: its
+    fine_fx, fine_asset, covariation and total hold the path's product-rule sums."""
+    return compare_coarse_vs_fine(PathSet(range(len(a)), {"asset": a, "fx": chi}, seed=0))
 
 
 def flat_snapshot(as_of: date, rate: float, hazard: float = 0.0, recovery: float = 0.0,

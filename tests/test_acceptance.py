@@ -27,12 +27,11 @@ from pnlattr import (
     covariation_study,
     four_way_split,
     grid_ito_decomposition,
-    grid_product_decomposition,
     render_report,
     simulate_paths,
 )
 
-from conftest import ScalarState
+from conftest import ScalarState, product_rule
 
 
 def _ok(number: int, label: str, detail: str = "") -> None:
@@ -202,12 +201,12 @@ def test_criterion_05_bucket_rollup_in_bps():
 
 
 def test_criterion_06_discrete_product_identity():
-    three_point = grid_product_decomposition([100.0, 105.0, 110.0], [1.0, 1.1, 1.2])
-    assert _rel_gap(three_point.fx_integral, 20.5) <= 1e-12
-    assert _rel_gap(three_point.asset_integral, 10.5) <= 1e-12
-    assert _rel_gap(three_point.covariation, 1.0) <= 1e-12
+    three_point = product_rule([100.0, 105.0, 110.0], [1.0, 1.1, 1.2])
+    assert _rel_gap(three_point.fine_fx[0], 20.5) <= 1e-12
+    assert _rel_gap(three_point.fine_asset[0], 10.5) <= 1e-12
+    assert _rel_gap(three_point.covariation[0], 1.0) <= 1e-12
     assert _rel_gap(
-        three_point.fx_integral + three_point.asset_integral + three_point.covariation, 32.0
+        three_point.fine_fx[0] + three_point.fine_asset[0] + three_point.covariation[0], 32.0
     ) <= 1e-12
 
     diffusions = SimulationParams(processes=(
@@ -226,8 +225,8 @@ def test_criterion_06_discrete_product_identity():
         for seed in range(50):
             paths = simulate_paths(params, n_steps=128, seed=seed)
             a, chi = paths.paths["asset"], paths.paths["fx"]
-            dec = grid_product_decomposition(a, chi)
-            gap = abs(dec.fx_integral + dec.asset_integral + dec.covariation
+            dec = product_rule(a, chi)
+            gap = abs(dec.fine_fx[0] + dec.fine_asset[0] + dec.covariation[0]
                       - (a[-1] * chi[-1] - a[0] * chi[0]))
             worst = max(worst, gap / max(1.0, abs(a[-1] * chi[-1]), abs(a[0] * chi[0])))
     assert worst <= 1e-12

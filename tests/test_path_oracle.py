@@ -14,7 +14,6 @@ from pnlattr import path_oracle
 from pnlattr import (
     FxMode,
     GbmSpec,
-    GridDecomposition,
     InvalidCorrelation,
     LengthMismatch,
     NonFiniteDerivative,
@@ -26,10 +25,11 @@ from pnlattr import (
     compare_coarse_vs_fine,
     covariation_study,
     grid_ito_decomposition,
-    grid_product_decomposition,
     simulate_paths,
     write_discrepancy_csv,
 )
+
+from conftest import product_rule
 
 TWO_GBM = SimulationParams(
     processes=(
@@ -134,42 +134,35 @@ def test_fx_path_stays_positive_even_with_huge_vol():
 
 
 def test_three_point_product_decomposition():
-    dec = grid_product_decomposition([100.0, 105.0, 110.0], [1.0, 1.1, 1.2])
-    assert dec.fx_integral == pytest.approx(20.5, rel=1e-12)
-    assert dec.asset_integral == pytest.approx(10.5, rel=1e-12)
-    assert dec.covariation == pytest.approx(1.0, rel=1e-12)
-    assert dec.total == pytest.approx(32.0, rel=1e-14)
-    assert dec.fx_integral + dec.asset_integral + dec.covariation == pytest.approx(32.0, rel=1e-14)
+    dec = product_rule([100.0, 105.0, 110.0], [1.0, 1.1, 1.2])
+    assert dec.fine_fx[0] == pytest.approx(20.5, rel=1e-12)
+    assert dec.fine_asset[0] == pytest.approx(10.5, rel=1e-12)
+    assert dec.covariation[0] == pytest.approx(1.0, rel=1e-12)
+    assert dec.total[0] == pytest.approx(32.0, rel=1e-14)
+    assert dec.fine_fx[0] + dec.fine_asset[0] + dec.covariation[0] == pytest.approx(32.0, rel=1e-14)
 
 
 def test_constant_fx_collapses_to_asset_integral():
-    dec = grid_product_decomposition([100.0, 103.0, 99.0, 108.0], [1.5, 1.5, 1.5, 1.5])
-    assert dec.fx_integral == 0.0
-    assert dec.covariation == 0.0
-    assert dec.asset_integral == pytest.approx(1.5 * 8.0, rel=1e-14)
+    dec = product_rule([100.0, 103.0, 99.0, 108.0], [1.5, 1.5, 1.5, 1.5])
+    assert dec.fine_fx[0] == 0.0
+    assert dec.covariation[0] == 0.0
+    assert dec.fine_asset[0] == pytest.approx(1.5 * 8.0, rel=1e-14)
 
 
 def test_single_step_decomposition():
-    dec = grid_product_decomposition([100.0, 110.0], [1.0, 1.2])
-    assert dec.fx_integral == pytest.approx(100 * 0.2, rel=1e-12)
-    assert dec.asset_integral == pytest.approx(1.0 * 10, rel=1e-12)
-    assert dec.covariation == pytest.approx(10 * 0.2, rel=1e-12)
-
-
-def test_length_mismatch_rejected():
-    with pytest.raises(LengthMismatch):
-        grid_product_decomposition([1.0, 2.0, 3.0], [1.0, 2.0])
-    with pytest.raises(LengthMismatch):
-        grid_product_decomposition([1.0], [1.0])
+    dec = product_rule([100.0, 110.0], [1.0, 1.2])
+    assert dec.fine_fx[0] == pytest.approx(100 * 0.2, rel=1e-12)
+    assert dec.fine_asset[0] == pytest.approx(1.0 * 10, rel=1e-12)
+    assert dec.covariation[0] == pytest.approx(10 * 0.2, rel=1e-12)
 
 
 def test_telescoping_identity_on_simulated_paths():
     for seed in range(20):
         paths = simulate_paths(TWO_GBM, n_steps=256, seed=seed)
         a, chi = paths.paths["asset"], paths.paths["fx"]
-        dec = grid_product_decomposition(a, chi)
+        dec = product_rule(a, chi)
         total = a[-1] * chi[-1] - a[0] * chi[0]
-        parts = dec.fx_integral + dec.asset_integral + dec.covariation
+        parts = dec.fine_fx[0] + dec.fine_asset[0] + dec.covariation[0]
         assert abs(parts - total) <= 1e-12 * max(1.0, abs(a[-1] * chi[-1]), abs(a[0] * chi[0]))
 
 
@@ -178,10 +171,10 @@ def test_manual_common_jump_lands_in_covariation():
     # exactly the product of the two jump sizes
     a = np.array([100.0, 100.0, 105.0, 105.0])
     chi = np.array([1.0, 1.0, 1.1, 1.1])
-    dec = grid_product_decomposition(a, chi)
-    assert dec.covariation == pytest.approx(5.0 * 0.1, rel=1e-12)
-    assert dec.fx_integral == pytest.approx(100 * 0.1, rel=1e-12)
-    assert dec.asset_integral == pytest.approx(1.0 * 5.0, rel=1e-12)
+    dec = product_rule(a, chi)
+    assert dec.covariation[0] == pytest.approx(5.0 * 0.1, rel=1e-12)
+    assert dec.fine_fx[0] == pytest.approx(100 * 0.1, rel=1e-12)
+    assert dec.fine_asset[0] == pytest.approx(1.0 * 5.0, rel=1e-12)
 
 
 def test_simulated_common_jumps_keep_the_identity():
@@ -196,9 +189,9 @@ def test_simulated_common_jumps_keep_the_identity():
     for seed in range(10):
         paths = simulate_paths(params, n_steps=128, seed=seed)
         a, chi = paths.paths["asset"], paths.paths["fx"]
-        dec = grid_product_decomposition(a, chi)
+        dec = product_rule(a, chi)
         total = a[-1] * chi[-1] - a[0] * chi[0]
-        assert abs(dec.fx_integral + dec.asset_integral + dec.covariation - total) <= 1e-12 * max(
+        assert abs(dec.fine_fx[0] + dec.fine_asset[0] + dec.covariation[0] - total) <= 1e-12 * max(
             1.0, abs(total), abs(a[0] * chi[0])
         )
         jumped = jumped or np.any(np.abs(np.diff(np.log(a))) > 0.05)
@@ -210,6 +203,11 @@ def test_pathset_validation():
         PathSet(grid=[0.0, 0.5, 1.0], paths={"asset": [1.0, 2.0]}, seed=0)
     with pytest.raises(ValueError):
         PathSet(grid=[0.0, 1.0], paths={"fx": [1.0, -0.5]}, seed=0)
+    # paths of unequal length, and paths of fewer than two points, have no product-rule sums
+    with pytest.raises(LengthMismatch):
+        product_rule([1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(LengthMismatch):
+        product_rule([1.0], [1.0])
 
 
 def test_pathset_copies_and_freezes_arrays_leaving_the_callers_writeable():
@@ -350,6 +348,15 @@ def test_fx_mode_that_is_not_an_fx_mode_is_a_value_error():
     with pytest.raises(ValueError, match="^unknown fx mode 'average'$"):
         covariation_study(TWO_GBM, 256, seeds(), "average")
     assert drawn == []
+
+
+def test_one_row_study_checks_its_mode_before_any_sum(monkeypatch):
+    def refused(x):
+        raise AssertionError("row sums taken")
+
+    monkeypatch.setattr(path_oracle, "_exact_row_sums", refused)
+    with pytest.raises(ValueError, match="^unknown fx mode 'average'$"):
+        compare_coarse_vs_fine(simulate_paths(TWO_GBM, n_steps=4, seed=0), "average")
 
 
 def test_zero_vol_study_has_no_discrepancy():
@@ -503,22 +510,13 @@ def test_seeds_in_the_derivation_take_no_default_rng(monkeypatch):
     assert study == StudyResult(map(compare_coarse_vs_fine, paths))
 
 
-def test_study_is_one_record_of_columns_that_one_row_studies_join_into(monkeypatch):
-    built = []
-    init = GridDecomposition.__init__
-
-    def counted(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(GridDecomposition, "__init__", counted)
+def test_study_is_one_record_of_columns_that_one_row_studies_join_into():
     study = covariation_study(CLI_PARAMS, 16, range(40))
     text = write_discrepancy_csv(study)
     assert math.isfinite(study.covariation_mean) and study.covariation_stderr > 0.0
     assert study.seeds == tuple(range(40)) and study.n_steps == (16,) * 40
     assert study.covariation_mean == np.mean(study.covariation)
     rows = [compare_coarse_vs_fine(simulate_paths(CLI_PARAMS, 16, seed)) for seed in range(40)]
-    assert built == []
     assert all(type(value) is float for row in rows for column in row._values()[2:] for value in column)
     for joined in (StudyResult(rows), StudyResult(iter(rows)), StudyResult((StudyResult(rows[:7]), StudyResult(),
                                                                               StudyResult(rows[7:])))):
@@ -788,8 +786,6 @@ def test_telescoping_failure_names_the_first_failing_row(monkeypatch):
     message = "^telescoping identity violated by -1e\\+06$"  # the block's second seed, not a later one
     with pytest.raises(ValueError, match=message):
         covariation_study(CLI_PARAMS, 16, range(40))
-    with pytest.raises(ValueError, match=message):  # the record's own check, in the same words
-        GridDecomposition(1e6, 0.0, 0.0, 0.0)
 
 
 def test_cli_simulation_error_after_the_first_block_writes_no_output(tmp_path, capsys):

@@ -15,11 +15,10 @@ from pnlattr import (
     attribute_position,
     four_way_split,
     grid_ito_decomposition,
-    grid_product_decomposition,
 )
 from pnlattr.path_oracle import DERIVATIVE_STEP
 
-from conftest import ScalarState, two_value_pricer
+from conftest import ScalarState, product_rule, two_value_pricer
 
 values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 quotes = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -93,11 +92,11 @@ def test_linear_pricer_closed_forms(theta, beta, gamma, r_t, r_T, x_t, x_T):
 def test_product_decomposition_telescopes(data):
     asset = [a for a, _ in data]
     fx = [c for _, c in data]
-    dec = grid_product_decomposition(asset, fx)
+    dec = product_rule(asset, fx)
     total = asset[-1] * fx[-1] - asset[0] * fx[0]
     # rounding scales with the largest product along the path, not the endpoints
     scale = max(1.0, max(abs(a * c) for a, c in zip(asset, fx)))
-    assert abs(dec.fx_integral + dec.asset_integral + dec.covariation - total) <= 1e-12 * scale
+    assert abs(dec.fine_fx[0] + dec.fine_asset[0] + dec.covariation[0] - total) <= 1e-12 * scale
 
 
 @given(

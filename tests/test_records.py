@@ -23,7 +23,6 @@ from pnlattr import (
     EmptyNodes,
     FxQuote,
     GbmSpec,
-    GridDecomposition,
     InvalidCorrelation,
     ItoDecomposition,
     LengthMismatch,
@@ -150,9 +149,6 @@ CASES = [
               ({"grid": [0.0, 1.0, 0.5]}, ValueError, "grid times must be strictly increasing"),
               ({"paths": {"fx": [1.0, 1.1]}}, LengthMismatch, "path 'fx' has 2 points, grid has 3"),
               ({"paths": {"fx": [1.0, 0.0, 1.2]}}, SimulationError, "fx trajectory must stay strictly positive")]),
-    Case(GridDecomposition, {"fx_integral": 1.0, "asset_integral": 2.0, "covariation": 0.5, "total": 3.5},
-         repr="GridDecomposition(fx_integral=1.0, asset_integral=2.0, covariation=0.5, total=3.5)",
-         bad=[({"total": 4.0}, ValueError, "telescoping identity violated by 0.5")]),
     Case(ItoDecomposition, {"carry": 1.0, "rate": 2.0, "market": 0.5, "total": 3.25},
          repr="ItoDecomposition(carry=1.0, rate=2.0, market=0.5, total=3.25)"),
     Case(StudyResult, {"studies": (ONE_ROW, StudyResult(), ONE_ROW)},
