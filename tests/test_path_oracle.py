@@ -156,6 +156,14 @@ def test_single_step_decomposition():
     assert dec.covariation[0] == pytest.approx(10 * 0.2, rel=1e-12)
 
 
+def test_length_mismatch_rejected():
+    # paths of unequal length, and paths of fewer than two points, have no product-rule sums
+    with pytest.raises(LengthMismatch):
+        product_rule([1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(LengthMismatch):
+        product_rule([1.0], [1.0])
+
+
 def test_telescoping_identity_on_simulated_paths():
     for seed in range(20):
         paths = simulate_paths(TWO_GBM, n_steps=256, seed=seed)
@@ -203,11 +211,6 @@ def test_pathset_validation():
         PathSet(grid=[0.0, 0.5, 1.0], paths={"asset": [1.0, 2.0]}, seed=0)
     with pytest.raises(ValueError):
         PathSet(grid=[0.0, 1.0], paths={"fx": [1.0, -0.5]}, seed=0)
-    # paths of unequal length, and paths of fewer than two points, have no product-rule sums
-    with pytest.raises(LengthMismatch):
-        product_rule([1.0, 2.0, 3.0], [1.0, 2.0])
-    with pytest.raises(LengthMismatch):
-        product_rule([1.0], [1.0])
 
 
 def test_pathset_copies_and_freezes_arrays_leaving_the_callers_writeable():
