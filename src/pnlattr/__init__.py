@@ -19,10 +19,9 @@ _EXPORTS = {
     "attribution": """AttributionResult Bucket CashflowSchedule Portfolio PortfolioAttribution Position
         PositionAttribution Transaction attribute_every_mode attribute_portfolio attribute_position
         four_way_split segment_period""",
-    "errors": """DuplicateDate DuplicatePositionId EmptyNodes EmptyPeriod EmptyResults EngineError
-        InvalidCorrelation LengthMismatch MissingField MissingSnapshot MixedCurrencies NonFiniteDerivative
-        NonFiniteReport NonMonotoneTenors ParseError PastMaturity PricerEvaluationFailed ScheduleOutsideGrid
-        SimulationError UnknownBucket""",
+    "errors": """DuplicateDate DuplicatePositionId EmptyPeriod EmptyResults EngineError MissingField
+        MissingSnapshot MixedCurrencies NonFiniteDerivative NonFiniteReport ParseError PricerEvaluationFailed
+        ScheduleOutsideGrid SimulationError UnknownBucket""",
     "market_data": "FxQuote MarketFactors MarketSnapshot ZeroCurve dump_market_snapshots load_market_snapshots",
     "portfolio_io": "load_portfolio",
     "pricers": """BondPricer BondSpec CashPricer CashSpec CdsPricer CdsSpec Pricer ProtectionSide

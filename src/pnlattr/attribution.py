@@ -41,7 +41,6 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 from ._record import Record
 from .conventions import CarryMode, FxMode, _checked_modes, _fx_weights, _price_fn
 from .errors import (
-    DuplicatePositionId,
     EmptyPeriod,
     EngineError,
     MissingSnapshot,
@@ -275,7 +274,7 @@ class Portfolio(Record):
         seen = set()
         for pos in positions:
             if pos.id in seen:
-                raise DuplicatePositionId(f"duplicate position id {pos.id!r}")
+                raise ValueError(f"duplicate position id {pos.id!r}")
             seen.add(pos.id)
         self.__dict__.update(positions=positions)
 

@@ -154,16 +154,16 @@ def _cmd_oracle(args) -> int:
     correlation = None
     if args.corr != 0.0:
         correlation = ((1.0, args.corr), (args.corr, 1.0))
-    params = SimulationParams(
-        processes=(
-            GbmSpec("asset", initial=100.0, volatility=args.asset_vol,
-                    jump_size=0.05 if args.jump_intensity > 0.0 else 0.0),
-            GbmSpec("fx", initial=1.0, volatility=args.fx_vol,
-                    jump_size=-0.03 if args.jump_intensity > 0.0 else 0.0),
-        ),
-        correlation=correlation,
-        jump_intensity=args.jump_intensity,
+    processes = (
+        GbmSpec("asset", initial=100.0, volatility=args.asset_vol,
+                jump_size=0.05 if args.jump_intensity > 0.0 else 0.0),
+        GbmSpec("fx", initial=1.0, volatility=args.fx_vol,
+                jump_size=-0.03 if args.jump_intensity > 0.0 else 0.0),
     )
+    try:
+        params = SimulationParams(processes, correlation=correlation, jump_intensity=args.jump_intensity)
+    except ValueError as exc:  # a --corr outside [-1, 1]
+        raise ParseError(str(exc)) from exc
     study = covariation_study(
         params,
         args.steps,

@@ -1,9 +1,16 @@
 """Exception types for the attribution engine.
 
-Value constructors (FxQuote, ZeroCurve, BondSpec, GbmSpec, ...) and pure
-functions such as price_cash raise ValueError for an argument outside their
-domain. The loaders and the engine turn it into an EngineError naming a
-row or a date; the CLI maps EngineError to exit code 1.
+One rule: value types (FxQuote, ZeroCurve, Position, Portfolio, BondSpec,
+GbmSpec, SimulationParams, PathSet, ...) and pure functions (the pricers,
+grid_ito_decomposition) raise ValueError for an argument outside their
+domain. EngineError is raised by the loaders, which name the input row; by
+the engine, which names the position and the subperiod; by the oracle,
+which names the seed or the grid index; by the report renderer; and by the
+CLI, which wraps a ValueError from its own arguments as a ParseError and
+maps every EngineError to exit code 1. Two records keep an EngineError of
+their own: AttributionResult's NonFiniteReport, to which the engine adds
+the position and the subperiod, and PathSet's SimulationError for an fx
+path not > 0, which is a ValueError too.
 
 A diagnostic says where it happened, innermost place last: the raiser
 passes the input `row` and `column` it stopped at, and each caller that
@@ -33,14 +40,6 @@ class EngineError(Exception):
         return self
 
 
-class EmptyNodes(EngineError):
-    """Curve construction received no nodes."""
-
-
-class NonMonotoneTenors(EngineError):
-    """Curve tenors must be nonnegative and strictly increasing."""
-
-
 class ParseError(EngineError):
     """Malformed input text."""
 
@@ -51,10 +50,6 @@ class DuplicateDate(EngineError):
 
 class MissingField(EngineError):
     """A required column or cell is absent from the input."""
-
-
-class PastMaturity(EngineError):
-    """Valuation date lies after the instrument's maturity."""
 
 
 class EmptyPeriod(EngineError):
@@ -78,17 +73,9 @@ class ScheduleOutsideGrid(EngineError):
     attribution grid."""
 
 
-class InvalidCorrelation(EngineError):
-    """Correlation matrix is not symmetric positive semidefinite."""
-
-
 class SimulationError(EngineError, ValueError):
     """Simulation inputs or simulated paths the oracle cannot use, such as an
     fx path that underflows to zero or a jump intensity numpy cannot draw."""
-
-
-class LengthMismatch(EngineError):
-    """Path arrays do not share a common grid length."""
 
 
 class NonFiniteDerivative(EngineError):

@@ -21,13 +21,7 @@ from typing import IO, Iterable
 
 from ._record import Record
 from .dates import parse_date
-from .errors import (
-    DuplicateDate,
-    EmptyNodes,
-    MissingField,
-    NonMonotoneTenors,
-    ParseError,
-)
+from .errors import DuplicateDate, MissingField, ParseError
 
 MARKET_CSV_COLUMNS = (
     "date",
@@ -53,14 +47,14 @@ class ZeroCurve(Record):
     def __init__(self, anchor_date: date, nodes: tuple[tuple[float, float], ...]):
         nodes = tuple((float(t), float(r)) for t, r in nodes)
         if not nodes:
-            raise EmptyNodes("zero curve needs at least one node")
+            raise ValueError("zero curve needs at least one node")
         if not all(math.isfinite(t) and math.isfinite(r) for t, r in nodes):
             raise ValueError(f"curve nodes must be finite, got {nodes}")
         tenors, rates = zip(*nodes)
         if tenors[0] < 0.0:
-            raise NonMonotoneTenors(f"tenors must be >= 0, got {tenors[0]}")
+            raise ValueError(f"tenors must be >= 0, got {tenors[0]}")
         if any(b <= a for a, b in zip(tenors, tenors[1:])):
-            raise NonMonotoneTenors(f"tenors must be strictly increasing, got {list(tenors)}")
+            raise ValueError(f"tenors must be strictly increasing, got {list(tenors)}")
         slopes = tuple((r1 - r0) / (t1 - t0) for t0, t1, r0, r1 in zip(tenors, tenors[1:], rates, rates[1:]))
         # _table is (tenors, rates, slopes): slopes[j] is the slope from node j to node j + 1
         self.__dict__.update(anchor_date=anchor_date, nodes=nodes, _table=(tenors, rates, slopes))
@@ -162,6 +156,19 @@ def input_lines(source):
         raise ParseError(f"{os.fsdecode(source)}: {exc}") from exc
 
 
+def _csv_rows(lines):
+    """csv.reader's rows; a csv.Error, such as a cell over csv.field_size_limit(), is a ParseError naming its row."""
+    reader = csv.reader(lines)
+    for row_no in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(str(exc), row=row_no) from exc
+        yield row
+
+
 def load_market_snapshots(source) -> list[MarketSnapshot]:
     """Read snapshots from CSV with the documented schema, sorted by date.
 
@@ -176,7 +183,7 @@ def load_market_snapshots(source) -> list[MarketSnapshot]:
     required, and no row may have a non-empty cell beyond the header's
     last column.
     """
-    reader = csv.reader(input_lines(source))
+    reader = _csv_rows(input_lines(source))
     try:
         header = next(reader)
     except StopIteration:
@@ -235,7 +242,7 @@ def load_market_snapshots(source) -> list[MarketSnapshot]:
                 ),
                 fx=FxQuote(number("fx")),
             )
-        except (ValueError, EmptyNodes, NonMonotoneTenors) as exc:
+        except ValueError as exc:
             raise ParseError(str(exc), row=row_no) from exc
         snapshots[as_of] = snapshot
 

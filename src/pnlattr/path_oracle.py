@@ -39,7 +39,7 @@ import numpy as np
 
 from ._record import Record
 from .conventions import FxMode, _checked_modes, _fx_weights, _price_fn
-from .errors import InvalidCorrelation, LengthMismatch, NonFiniteDerivative, PricerEvaluationFailed, SimulationError
+from .errors import NonFiniteDerivative, PricerEvaluationFailed, SimulationError
 
 #: Relative finite-difference step for the Taylor-ladder partials.
 DERIVATIVE_STEP = 1e-5
@@ -105,14 +105,14 @@ class PathSet(Record):
     def __init__(self, grid: np.ndarray, paths: Mapping[str, np.ndarray], seed: int):
         grid = np.array(grid, dtype=float)  # a copy: the caller's arrays stay writeable
         if grid.ndim != 1 or len(grid) < 2:
-            raise LengthMismatch("grid must be one-dimensional with at least two points")
+            raise ValueError("grid must be one-dimensional with at least two points")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid times must be strictly increasing")
         arrays = {}
         for name, values in paths.items():
             arr = np.array(values, dtype=float)
             if arr.shape != grid.shape:
-                raise LengthMismatch(
+                raise ValueError(
                     f"path {name!r} has {arr.shape[0] if arr.ndim == 1 else 'bad'} points, grid has {len(grid)}"
                 )
             arrays[name] = arr
@@ -143,21 +143,21 @@ def _correlation_factor(correlation, size: int):
         return None
     corr = np.asarray(correlation, dtype=float)
     if corr.shape != (size, size):
-        raise InvalidCorrelation(f"correlation must be {size}x{size}, got {corr.shape}")
+        raise ValueError(f"correlation must be {size}x{size}, got {corr.shape}")
     if not np.isfinite(corr).all():
-        raise InvalidCorrelation("correlation entries must be finite")
+        raise ValueError("correlation entries must be finite")
     if not np.allclose(corr, corr.T, rtol=0.0, atol=1e-12):
-        raise InvalidCorrelation("correlation matrix must be symmetric")
+        raise ValueError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(corr), 1.0, rtol=0.0, atol=1e-12):
-        raise InvalidCorrelation("correlation diagonal must be 1")
+        raise ValueError("correlation diagonal must be 1")
     if np.any(np.abs(corr) > 1.0 + 1e-12):
-        raise InvalidCorrelation("correlation entries must lie in [-1, 1]")
+        raise ValueError("correlation entries must lie in [-1, 1]")
     try:
         return np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
         eigenvalues, eigenvectors = np.linalg.eigh(corr)
         if eigenvalues.min() < -1e-10:
-            raise InvalidCorrelation(
+            raise ValueError(
                 f"correlation matrix not positive semidefinite (min eigenvalue {eigenvalues.min():g})"
             ) from None
         return eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
@@ -473,9 +473,9 @@ def grid_ito_decomposition(pricer, path_r, path_x, grid) -> ItoDecomposition:
     x = np.asarray(path_x, dtype=float)
     u = np.asarray(grid, dtype=float)
     if not (len(r) == len(x) == len(u)):
-        raise LengthMismatch(f"lengths differ: grid {len(u)}, r {len(r)}, x {len(x)}")
+        raise ValueError(f"lengths differ: grid {len(u)}, r {len(r)}, x {len(x)}")
     if len(u) < 2:
-        raise LengthMismatch("grid needs at least two points")
+        raise ValueError("grid needs at least two points")
 
     carry_terms, rate_terms, market_terms = [], [], []
     for i in range(1, len(u)):

@@ -44,7 +44,6 @@ from typing import Protocol
 from ._record import Record
 from .attribution import CashflowSchedule
 from .dates import DAYS_PER_YEAR, add_months, year_fraction
-from .errors import PastMaturity
 from .market_data import MarketFactors, ZeroCurve
 
 
@@ -95,7 +94,7 @@ def bond_cashflows(spec: BondSpec) -> CashflowSchedule:
 def price_bond(spec: BondSpec, s: date, curve: ZeroCurve, factors: MarketFactors) -> float:
     """Dirty reduced-form bond value at s; see the module docstring for the model."""
     if s > spec.maturity:
-        raise PastMaturity(f"valuation {s} after maturity {spec.maturity}")
+        raise ValueError(f"valuation {s} after maturity {spec.maturity}")
     tenors, rates, slopes = curve._table
     last = len(tenors) - 1
     basis, lam = factors.basis_spread, factors.hazard_rate
@@ -163,7 +162,7 @@ def price_cds(spec: CdsSpec, s: date, curve: ZeroCurve, factors: MarketFactors) 
     enter: it belongs to bond discounting only.
     """
     if s > spec.maturity:
-        raise PastMaturity(f"valuation {s} after maturity {spec.maturity}")
+        raise ValueError(f"valuation {s} after maturity {spec.maturity}")
     tau = year_fraction(s, spec.maturity)
     if tau <= 0.0:
         return 0.0

@@ -8,7 +8,6 @@ from pnlattr import (
     Bucket,
     CarryMode,
     CashflowSchedule,
-    DuplicatePositionId,
     EmptyPeriod,
     EngineError,
     FxMode,
@@ -436,7 +435,7 @@ def test_engine_error_names_the_position_and_the_subperiod():
 
 def test_portfolio_rejects_duplicate_ids():
     pos = Position(id="same", bucket=Bucket.OTHER, pricer=lambda s, r, x: 1.0)
-    with pytest.raises(DuplicatePositionId):
+    with pytest.raises(ValueError, match="^duplicate position id 'same'$"):
         Portfolio(positions=(pos, pos))
 
 

@@ -108,6 +108,15 @@ def test_validate_rejects_a_market_date_outside_yyyy_mm_dd(tmp_path, market_csv,
         f"error: {market}: row 2, column 'date': bad date: Invalid isoformat string: '20211231'\n")
 
 
+def test_validate_names_the_row_of_a_cell_over_the_csv_field_limit(tmp_path, market_csv, capsys):
+    market = tmp_path / "market.csv"
+    header = market_csv.splitlines()[0]
+    tenors = ";".join(str(i / 100) for i in range(1, 40_001))
+    market.write_text(f"{header}\n2022-01-03,1.1,0.02,0.4,0,{tenors},0.01\n")
+    assert run_cli(["validate", "--market", str(market)]) == 1
+    assert capsys.readouterr().err == f"error: {market}: row 2: field larger than field limit (131072)\n"
+
+
 def test_from_after_to_is_validation_error(inputs, capsys):
     portfolio, market = inputs
     code = run_cli(["attribute", "--portfolio", portfolio, "--market", market,
@@ -323,6 +332,15 @@ def test_oracle_bad_numeric_flag_is_validation_error(flags, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags", [["--corr", "2"], ["--corr=-1.5"]], ids=["2", "-1.5"])
+def test_oracle_correlation_outside_unit_interval_is_a_validation_error(flags, tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    code = run_cli(["oracle", "--num-seeds", "2", *flags, "--output", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: correlation entries must lie in [-1, 1]\n")
+    assert not out.exists()
+
+
 DEMO_DATA = Path(__file__).parents[1] / "demos" / "data"
 
 
@@ -427,7 +445,7 @@ import pnlattr
 bound = set(globals()) - before - {"before", "pnlattr"}
 print(len(bound), bound == set(pnlattr.__all__), "numpy" in sys.modules, "simulate_paths" in bound)
 """)
-    assert result.stdout.split() == ["58", "True", "False", "False"], result.stderr
+    assert result.stdout.split() == ["53", "True", "False", "False"], result.stderr
 
 
 def test_the_attribute_engine_loads_no_instrument_module():

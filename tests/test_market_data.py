@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import re
@@ -8,12 +9,10 @@ import pytest
 
 from pnlattr import (
     DuplicateDate,
-    EmptyNodes,
     FxQuote,
     MarketFactors,
     MarketSnapshot,
     MissingField,
-    NonMonotoneTenors,
     ParseError,
     ZeroCurve,
     dump_market_snapshots,
@@ -39,11 +38,11 @@ def test_linear_interpolation_between_nodes():
 
 
 def test_non_monotone_tenors_rejected():
-    with pytest.raises(NonMonotoneTenors):
+    with pytest.raises(ValueError):
         ZeroCurve(ANCHOR, ((2.0, 0.01), (1.0, 0.02)))
-    with pytest.raises(NonMonotoneTenors):
+    with pytest.raises(ValueError):
         ZeroCurve(ANCHOR, ((-0.5, 0.01), (1.0, 0.02)))
-    with pytest.raises(EmptyNodes):
+    with pytest.raises(ValueError):
         ZeroCurve(ANCHOR, ())
 
 
@@ -189,6 +188,19 @@ def test_header_errors_name_row_1():
         load_market_snapshots(["date,fx,recovery,basis,curve_tenors,curve_rates", row])
     with pytest.raises(ParseError, match=r"^row 1: market CSV header names column 'fx' twice$"):
         load_market_snapshots(["date,fx,fx,hazard,recovery,basis,curve_tenors,curve_rates", row])
+
+
+@pytest.mark.parametrize("row", [1, 3], ids=["header", "data"])
+def test_cell_over_the_csv_field_limit_names_its_row(row):
+    # 40,000 curve nodes make a cell longer than csv.field_size_limit(), 131,072 by default
+    header = "date,fx,hazard,recovery,basis,curve_tenors,curve_rates"
+    good = "2022-01-01,1.1,0.02,0.4,0,1,0.01"
+    tenors = ";".join(str(i / 100) for i in range(1, 40_001))
+    lines = [f"{header},{tenors}", good] if row == 1 else [header, good, f"2022-01-02,1.1,0.02,0.4,0,{tenors},0.01"]
+    limit = csv.field_size_limit()
+    with pytest.raises(ParseError, match=rf"^row {row}: field larger than field limit \({limit}\)$"):
+        load_market_snapshots(lines)
+    assert csv.field_size_limit() == limit
 
 
 def test_series_of_separators_only_is_an_empty_column():

@@ -19,16 +19,11 @@ from pnlattr import (
     CashSpec,
     CdsPricer,
     CdsSpec,
-    DuplicatePositionId,
-    EmptyNodes,
     FxQuote,
     GbmSpec,
-    InvalidCorrelation,
     ItoDecomposition,
-    LengthMismatch,
     MarketFactors,
     NonFiniteReport,
-    NonMonotoneTenors,
     PathSet,
     Portfolio,
     PortfolioAttribution,
@@ -59,10 +54,10 @@ Case = namedtuple("Case", "cls args defaults repr bad derived", defaults=({}, {}
 CASES = [
     Case(ZeroCurve, {"anchor_date": D1, "nodes": ((0.5, 0.01), (2, 0.02))},
          repr="ZeroCurve(anchor_date=datetime.date(2022, 6, 15), nodes=((0.5, 0.01), (2.0, 0.02)))",
-         bad=[({"nodes": ()}, EmptyNodes, "at least one node"),
+         bad=[({"nodes": ()}, ValueError, "at least one node"),
               ({"nodes": ((0.5, float("nan")),)}, ValueError, "curve nodes must be finite"),
-              ({"nodes": ((-0.5, 0.01),)}, NonMonotoneTenors, "tenors must be >= 0"),
-              ({"nodes": ((2.0, 0.01), (2.0, 0.02))}, NonMonotoneTenors, "strictly increasing")],
+              ({"nodes": ((-0.5, 0.01),)}, ValueError, "tenors must be >= 0"),
+              ({"nodes": ((2.0, 0.01), (2.0, 0.02))}, ValueError, "strictly increasing")],
          derived={"_table": ((0.5, 2.0), (0.01, 0.02), ((0.02 - 0.01) / 1.5,))}),
     Case(MarketFactors, {"hazard_rate": 0.02, "recovery": 0.4, "basis_spread": 0.001},
          defaults={"recovery": 0.0, "basis_spread": 0.0},
@@ -116,7 +111,7 @@ CASES = [
     Case(Portfolio, {"positions": [Position("A", "Cash", None)]},
          repr="Portfolio(positions=(Position(id='A', bucket=<Bucket.CASH: 'Cash'>, pricer=None, notional_sign=1, "
               "schedule=CashflowSchedule(entries=()), transactions=(), currency='USD'),))",
-         bad=[({"positions": [Position("A", "Cash", None)] * 2}, DuplicatePositionId, "duplicate position id 'A'")]),
+         bad=[({"positions": [Position("A", "Cash", None)] * 2}, ValueError, "duplicate position id 'A'")]),
     Case(PositionAttribution, {"position_id": "A", "bucket": Bucket.HEDGE, "subperiods": (RESULT,),
                                "aggregate": RESULT, "costs": 1.5},
          repr="PositionAttribution(position_id='A', bucket=<Bucket.HEDGE: 'Hedge'>, "
@@ -141,13 +136,13 @@ CASES = [
          bad=[({"processes": []}, ValueError, "need at least one process"),
               ({"horizon": 0.0}, ValueError, "horizon must be > 0"),
               ({"jump_intensity": -1.0}, ValueError, "jump_intensity must be >= 0"),
-              ({"correlation": ((1.0, 0.5), (0.5, 1.0))}, InvalidCorrelation, r"correlation must be 1x1, got \(2, 2\)")],
+              ({"correlation": ((1.0, 0.5), (0.5, 1.0))}, ValueError, r"correlation must be 1x1, got \(2, 2\)")],
          derived={"_factor": ((1.0,),)}),
     Case(PathSet, {"grid": [0.0, 0.5, 1.0], "paths": {"fx": [1.0, 1.1, 1.2]}, "seed": 7},
          repr="PathSet(grid=array([0. , 0.5, 1. ]), paths={'fx': array([1. , 1.1, 1.2])}, seed=7)",
-         bad=[({"grid": [0.0]}, LengthMismatch, "grid must be one-dimensional with at least two points"),
+         bad=[({"grid": [0.0]}, ValueError, "grid must be one-dimensional with at least two points"),
               ({"grid": [0.0, 1.0, 0.5]}, ValueError, "grid times must be strictly increasing"),
-              ({"paths": {"fx": [1.0, 1.1]}}, LengthMismatch, "path 'fx' has 2 points, grid has 3"),
+              ({"paths": {"fx": [1.0, 1.1]}}, ValueError, "path 'fx' has 2 points, grid has 3"),
               ({"paths": {"fx": [1.0, 0.0, 1.2]}}, SimulationError, "fx trajectory must stay strictly positive")]),
     Case(ItoDecomposition, {"carry": 1.0, "rate": 2.0, "market": 0.5, "total": 3.25},
          repr="ItoDecomposition(carry=1.0, rate=2.0, market=0.5, total=3.25)"),
