@@ -4,6 +4,11 @@ A subclass names its compared fields, in order, in `_fields`. Its `__init__`
 checks the arguments and stores every field, derived ones too, with one
 `self.__dict__.update(...)`. ==, hash and repr read `_fields` only, and ==
 holds only within one class. The plain `__dict__` makes copy and pickle work.
+
+`DataclassFields`, set as a record's `__dataclass_fields__`, lets
+`dataclasses.replace` and `fields` accept it: on first read it imports
+`dataclasses` and caches the field table of `make_dataclass(name, _fields)` on
+the class, and `replace` then calls `__init__`, so every check runs again.
 """
 
 
@@ -28,3 +33,13 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{self.__class__.__qualname__}({fields})"
+
+
+class DataclassFields:
+    def __get__(self, instance, owner):
+        import dataclasses
+
+        made = dataclasses.make_dataclass(owner.__name__, owner._fields)
+        table = {field.name: field for field in dataclasses.fields(made)}
+        owner.__dataclass_fields__ = table
+        return table

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
-from ._record import Record
+from ._record import DataclassFields, Record
 from .conventions import CarryMode, FxMode, _checked_modes, _fx_weights, _price_fn
 from .errors import (
     EmptyPeriod,
@@ -224,8 +223,7 @@ class CashflowSchedule(Record):
         return self._by_date.get(when, 0.0)
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(Record):
     """One holding: a pricer plus its cashflow schedule and trade history.
 
     The schedule carries absolute amounts in `currency`, matching the
@@ -234,21 +232,19 @@ class Position:
     separately from the four parts, never netted into them.
     """
 
-    id: str
-    bucket: Bucket
-    pricer: Any
-    notional_sign: int = 1
-    schedule: CashflowSchedule = CashflowSchedule()
-    transactions: tuple[Transaction, ...] = ()
-    currency: str = "USD"
+    _fields = ("id", "bucket", "pricer", "notional_sign", "schedule", "transactions", "currency")
+    __dataclass_fields__ = DataclassFields()
 
-    def __post_init__(self):
-        if self.notional_sign not in (1, -1):
-            raise ValueError(f"notional_sign must be +1 or -1, got {self.notional_sign}")
-        object.__setattr__(self, "bucket", Bucket(self.bucket))
-        object.__setattr__(self, "currency", currency_code(self.currency))
-        txns = tuple(checked_transaction(*t) for t in self.transactions)
-        object.__setattr__(self, "transactions", txns)
+    def __init__(self, id: str, bucket: Bucket, pricer: Any, notional_sign: int = 1,
+                 schedule: CashflowSchedule = CashflowSchedule(), transactions: tuple[Transaction, ...] = (),
+                 currency: str = "USD"):
+        if notional_sign not in (1, -1):
+            raise ValueError(f"notional_sign must be +1 or -1, got {notional_sign}")
+        bucket = Bucket(bucket)
+        currency = currency_code(currency)
+        transactions = tuple(checked_transaction(*t) for t in transactions)
+        self.__dict__.update(id=id, bucket=bucket, pricer=pricer, notional_sign=notional_sign, schedule=schedule,
+                             transactions=transactions, currency=currency)
 
     def quantity_at(self, when) -> float:
         """Holdings in force just after `when` (sign plus booked changes)."""

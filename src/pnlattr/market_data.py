@@ -15,11 +15,10 @@ import io
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from datetime import date
 from typing import IO, Iterable
 
-from ._record import Record
+from ._record import DataclassFields, Record
 from .dates import parse_date
 from .errors import DuplicateDate, MissingField, ParseError
 
@@ -108,20 +107,16 @@ class FxQuote(Record):
         self.__dict__.update(rate=rate)
 
 
-@dataclass(frozen=True)
-class MarketSnapshot:
+class MarketSnapshot(Record):
     """Dated bundle (curve, factors, fx) fed to pricers as one state."""
 
-    as_of: date
-    curve: ZeroCurve
-    factors: MarketFactors
-    fx: FxQuote
+    _fields = ("as_of", "curve", "factors", "fx")
+    __dataclass_fields__ = DataclassFields()
 
-    def __post_init__(self):
-        if self.curve.anchor_date != self.as_of:
-            raise ValueError(
-                f"curve anchored at {self.curve.anchor_date} but snapshot dated {self.as_of}"
-            )
+    def __init__(self, as_of: date, curve: ZeroCurve, factors: MarketFactors, fx: FxQuote):
+        if curve.anchor_date != as_of:
+            raise ValueError(f"curve anchored at {curve.anchor_date} but snapshot dated {as_of}")
+        self.__dict__.update(as_of=as_of, curve=curve, factors=factors, fx=fx)
 
 
 def _split_series(cell: str, row: int, column: str) -> list[float]:
@@ -254,23 +249,35 @@ def load_market_snapshots(source) -> list[MarketSnapshot]:
 def dump_market_snapshots(snapshots: Iterable[MarketSnapshot], stream: IO[str] | None = None):
     """Serialize snapshots to CSV; numbers use repr so reloading round-trips.
 
-    Returns the CSV text when no stream is given.
+    Every snapshot is checked before the first row is written: a curve cell
+    longer than csv.field_size_limit(), which the loader would refuse, is a
+    ValueError naming the snapshot's date. Returns the CSV text when no
+    stream is given.
     """
-    out = stream if stream is not None else io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(MARKET_CSV_COLUMNS)
+    limit = csv.field_size_limit()
+    rows = []
     for snap in snapshots:
-        writer.writerow(
+        tenors = ";".join(repr(t) for t, _ in snap.curve.nodes)
+        rates = ";".join(repr(r) for _, r in snap.curve.nodes)
+        for column, cell in (("curve_tenors", tenors), ("curve_rates", rates)):
+            if len(cell) > limit:
+                raise ValueError(f"snapshot {snap.as_of.isoformat()}, column {column!r}: "
+                                 f"field larger than field limit ({limit})")
+        rows.append(
             [
                 snap.as_of.isoformat(),
                 repr(snap.fx.rate),
                 repr(snap.factors.hazard_rate),
                 repr(snap.factors.recovery),
                 repr(snap.factors.basis_spread),
-                ";".join(repr(t) for t, _ in snap.curve.nodes),
-                ";".join(repr(r) for _, r in snap.curve.nodes),
+                tenors,
+                rates,
             ]
         )
+    out = stream if stream is not None else io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(MARKET_CSV_COLUMNS)
+    writer.writerows(rows)
     if stream is None:
         return out.getvalue()
     return None

@@ -145,6 +145,26 @@ def test_attribution_result_rejects_bad_sums():
     assert ok.residual == 0.0
 
 
+def test_additivity_tolerance_is_one_part_in_a_billion():
+    # a residual of 1e-7 on a total of 1 passes a 1e-6 tolerance but not the 1e-9 one
+    with pytest.raises(ValueError, match="^parts do not sum to total"):
+        AttributionResult(1.0, 0.0, 0.0, 0.0, 1.0 + 1e-7)
+
+
+def test_additivity_tolerance_scales_with_scale_not_a_multiple_of_it():
+    # a residual of 2.0 is under 1e-9 * 1e9 * 1000 but over 1e-9 * 1e9
+    with pytest.raises(ValueError, match="^parts do not sum to total"):
+        AttributionResult(0.1, 0.2, 0.0, 0.0, 2.3, scale=1e9)
+
+
+def test_combine_keeps_the_largest_scale_for_its_own_check():
+    # each residual of 1e-8 is round-off against a scale of 1e9; their sum, 2e-8, is too, but only at that scale
+    r = AttributionResult(0.1, 0.2, 0.0, 0.0, 0.3 + 1e-8, scale=1e9)
+    combined = AttributionResult.combine([r, r])
+    assert combined.scale == 1e9
+    assert combined.total == 2 * (0.3 + 1e-8)
+
+
 def test_segment_period_degenerate_and_union():
     empty = Position(id="p", bucket=Bucket.OTHER, pricer=lambda s, r, x: 1.0)
     assert segment_period(empty, 0.0, 1.0) == [0.0, 1.0]

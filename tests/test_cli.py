@@ -487,15 +487,16 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "pnlattr")),
     assert result.stdout.splitlines() == [
         "pnlattr,pnlattr._record,pnlattr.conventions,pnlattr.errors,pnlattr.path_oracle False False",
     ], result.stderr
-    # a JSON report whose ids and labels need no escaping is written without the json module
+    # a JSON report whose ids and labels need no escaping is written without the json module, and no
+    # record builds dataclass code, so neither dataclasses nor the inspect module it imports is loaded
     result = _python("""
 import sys
 from pnlattr.cli import run_cli
 print(run_cli(["attribute", *sys.argv[2:], "--from", "2021-12-31", "--to", "2022-04-01", "--nav", "50000000",
                "--standalone", "FEES=-62500", "--format", "json", "--output", sys.argv[1]]),
-      "json" in sys.modules)
+      "json" in sys.modules, "dataclasses" in sys.modules, "inspect" in sys.modules)
 """, str(tmp_path / "report.json"), *DEMO_ARGS)
-    assert result.stdout.split() == ["0", "False"], result.stderr
+    assert result.stdout.split() == ["0", "False", "False", "False"], result.stderr
     golden = Path(__file__).parent / "data" / "demo_report_golden.json"
     assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
@@ -517,8 +518,9 @@ for info in pkgutil.iter_modules(pnlattr.__path__):
     printed = result.stdout.split()
     assert printed[:2] == ["False", "False"], result.stderr
     assert sorted(printed[2:]) == ["MarketSnapshot", "Position"], (
-        "only Position and MarketSnapshot may stay dataclasses, because perfbench/trace.py calls "
-        "dataclasses.replace on them; every other record is a plain frozen class")
+        "every record is a plain frozen class; only Position and MarketSnapshot answer is_dataclass, through "
+        "the __dataclass_fields__ table they build on first read, because perfbench/trace.py calls "
+        "dataclasses.replace on them")
 
 
 def test_validate_reports_invalid_holdings_value_without_traceback(tmp_path, portfolio_text, capsys):

@@ -240,6 +240,38 @@ def test_round_trip_is_numerically_identical(market_csv):
     assert dump_market_snapshots(again) == text
 
 
+def _long_curve_snapshot(as_of, n_nodes, rate=0.01):
+    return MarketSnapshot(as_of, ZeroCurve(as_of, tuple((i / 100, rate) for i in range(1, n_nodes + 1))),
+                          MarketFactors(0.02, 0.4), FxQuote(1.1))
+
+
+def test_dump_round_trips_a_curve_cell_just_under_the_csv_field_limit():
+    # 20,000 nodes dump a curve_tenors cell of 127,001 characters, under csv.field_size_limit()
+    # (131,072 by default)
+    snaps = [_long_curve_snapshot(date(2022, 1, 1), 20_000)]
+    text = dump_market_snapshots(snaps)
+    assert max(len(cell) for cell in text.splitlines()[1].split(",")) == 127_001
+    again = load_market_snapshots(io.StringIO(text))
+    assert again == snaps
+    assert dump_market_snapshots(again) == text
+
+
+@pytest.mark.parametrize("column", ["curve_tenors", "curve_rates"])
+def test_dump_refuses_a_curve_cell_over_the_csv_field_limit_before_writing(column):
+    # 22,000 nodes dump a curve_tenors cell of 140,801 characters, which the loader would refuse;
+    # 20,000 rates of 13 characters each make the curve_rates cell too long
+    limit = csv.field_size_limit()
+    fits = _long_curve_snapshot(date(2022, 1, 1), 20_000)
+    too_long = (_long_curve_snapshot(date(2022, 1, 2), 22_000) if column == "curve_tenors"
+                else _long_curve_snapshot(date(2022, 1, 2), 20_000, rate=0.01234567891))
+    stream = io.StringIO()
+    message = rf"^snapshot 2022-01-02, column '{column}': field larger than field limit \({limit}\)$"
+    with pytest.raises(ValueError, match=message):
+        dump_market_snapshots([fits, too_long], stream)
+    assert stream.getvalue() == ""
+    assert csv.field_size_limit() == limit
+
+
 def test_dump_to_a_stream_writes_the_returned_text(market_csv):
     snaps = load_market_snapshots(io.StringIO(market_csv))
     stream = io.StringIO()

@@ -2,6 +2,7 @@
 equality, hash, repr, immutability, copy and pickle, class by class."""
 
 import copy
+import dataclasses
 import pickle
 from collections import namedtuple
 from datetime import date
@@ -23,6 +24,7 @@ from pnlattr import (
     GbmSpec,
     ItoDecomposition,
     MarketFactors,
+    MarketSnapshot,
     NonFiniteReport,
     PathSet,
     Portfolio,
@@ -34,6 +36,7 @@ from pnlattr import (
     SimulationError,
     SimulationParams,
     StudyResult,
+    Transaction,
     ZeroCurve,
     compare_coarse_vs_fine,
 )
@@ -67,6 +70,13 @@ CASES = [
               ({"recovery": 1.0}, ValueError, r"recovery must be in \[0, 1\)")]),
     Case(FxQuote, {"rate": 1.1}, repr="FxQuote(rate=1.1)",
          bad=[({"rate": 0.0}, ValueError, "fx rate must be finite and > 0")]),
+    Case(MarketSnapshot, {"as_of": D1, "curve": ZeroCurve(D1, ((1.0, 0.02),)), "factors": MarketFactors(0.01),
+                          "fx": FxQuote(1.1)},
+         repr="MarketSnapshot(as_of=datetime.date(2022, 6, 15), "
+              "curve=ZeroCurve(anchor_date=datetime.date(2022, 6, 15), nodes=((1.0, 0.02),)), "
+              "factors=MarketFactors(hazard_rate=0.01, recovery=0.0, basis_spread=0.0), fx=FxQuote(rate=1.1))",
+         bad=[({"curve": ZeroCurve(D2, ((1.0, 0.02),))}, ValueError,
+               "^curve anchored at 2022-12-15 but snapshot dated 2022-06-15$")]),
     Case(CashflowSchedule, {"entries": ((D1, 5), (D2, 5.0))}, defaults={"entries": ()},
          repr="CashflowSchedule(entries=((datetime.date(2022, 6, 15), 5.0), (datetime.date(2022, 12, 15), 5.0)))",
          bad=[({"entries": ((D2, 5.0), (D1, 5.0))}, ValueError, "cashflow dates must be strictly increasing"),
@@ -102,6 +112,18 @@ CASES = [
               "contractual_spread=0.01, direction=<ProtectionSide.BOUGHT: 'bought'>))"),
     Case(CashPricer, {"spec": CASH},
          repr="CashPricer(spec=CashSpec(balance=1000000.0, deposit_rate=0.01, start=datetime.date(2022, 1, 1)))"),
+    Case(Position, {"id": "A", "bucket": "Hedge", "pricer": CashPricer(CASH), "notional_sign": -1,
+                    "schedule": CashflowSchedule(((D1, 5.0),)), "transactions": ((D1, 2, 10.0),), "currency": "gbp"},
+         defaults={"notional_sign": 1, "schedule": CashflowSchedule(), "transactions": (), "currency": "USD"},
+         repr="Position(id='A', bucket=<Bucket.HEDGE: 'Hedge'>, pricer=CashPricer(spec=CashSpec(balance=1000000.0, "
+              "deposit_rate=0.01, start=datetime.date(2022, 1, 1))), notional_sign=-1, "
+              "schedule=CashflowSchedule(entries=((datetime.date(2022, 6, 15), 5.0),)), "
+              "transactions=(Transaction(date=datetime.date(2022, 6, 15), quantity_change=2, cost_eur=10.0),), "
+              "currency='GBP')",
+         bad=[({"notional_sign": 0}, ValueError, r"^notional_sign must be \+1 or -1, got 0$"),
+              ({"bucket": "Nope"}, ValueError, "'Nope' is not a valid Bucket"),
+              ({"currency": "US"}, ValueError, "currency must be a three-letter code, got 'US'"),
+              ({"transactions": ((D1, 2, -1.0),)}, ValueError, "cost must be finite and >= 0, got -1.0")]),
     Case(AttributionResult, {"fx": 1.0, "rate": 2.0, "market": 0.5, "carry": -0.5, "total": 3.0, "scale": 7.0},
          defaults={"scale": 0.0},
          repr="AttributionResult(fx=1.0, rate=2.0, market=0.5, carry=-0.5, total=3.0)",
@@ -205,6 +227,25 @@ def test_record_behaviour(case):
     assert copy.copy(record) == record
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert_same(twin, record)
+
+
+def test_dataclasses_replace_and_fields_work_on_position_and_market_snapshot():
+    # the benchmark's trace swaps in wrapped pricers and curves this way; replace rebuilds the record
+    # through its constructor, so every check runs again with its own message
+    position = Position("A", Bucket.HEDGE, CashPricer(CASH))
+    snapshot = MarketSnapshot(D1, ZeroCurve(D1, ((1.0, 0.02),)), MarketFactors(0.01), FxQuote(1.1))
+    for record in (position, snapshot):
+        assert tuple(field.name for field in dataclasses.fields(record)) == type(record)._fields
+        assert type(vars(type(record))["__dataclass_fields__"]) is dict  # built once, then cached on the class
+    assert dataclasses.replace(position, bucket="Cash", notional_sign=-1) == Position("A", Bucket.CASH,
+                                                                                      position.pricer, -1)
+    assert dataclasses.replace(position, transactions=((D1, 2, 0.0),)).transactions == (Transaction(D1, 2, 0.0),)
+    assert dataclasses.replace(snapshot, fx=FxQuote(1.2)) == MarketSnapshot(D1, snapshot.curve, snapshot.factors,
+                                                                            FxQuote(1.2))
+    with pytest.raises(ValueError, match=r"^notional_sign must be \+1 or -1, got 0$"):
+        dataclasses.replace(position, notional_sign=0)
+    with pytest.raises(ValueError, match="^curve anchored at 2022-12-15 but snapshot dated 2022-06-15$"):
+        dataclasses.replace(snapshot, curve=ZeroCurve(D2, ((1.0, 0.02),)))
 
 
 def test_simulation_params_keep_the_checked_correlation_as_float_rows():
