@@ -29,11 +29,11 @@ EUR and at most one foreign currency.
 (absolute currency amounts) replace the generated bond coupon schedule
 when present; bonds otherwise get their coupon schedule automatically.
 
-A value the instrument rejects (say `coupon_frequency = 3`, or bond dates
-whose coupon roll would run back past year 1) is a ParseError naming the
-position and its section header line; an out-of-order or negative
-`cashflow`, and a `transaction` with a non-finite quantity change or a
-non-finite or negative cost, name their own line.
+A value the instrument rejects (say `coupon_frequency = 3`, bond dates whose
+coupon roll runs back past year 1, or a `transaction` outside the spec's
+`life`) is a ParseError naming the position and its section header line; an
+out-of-order or negative `cashflow`, and a `transaction` with a non-finite
+quantity change or a non-finite or negative cost, name their own line.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .pricers import (
     CdsPricer,
     CdsSpec,
     ProtectionSide,
+    _check_life,
     bond_cashflows,
 )
 
@@ -152,13 +153,11 @@ class _Key(NamedTuple):
 
 
 class _Instrument(NamedTuple):
-    """How a section becomes an instrument: its spec and pricer, its keys in
-    read order, and the spec fields (or None) bounding its transaction dates."""
+    """How a section becomes an instrument: its spec and pricer, and its keys in read order."""
 
     spec: type
     pricer: type
     keys: tuple[_Key, ...]
-    life: tuple[str | None, str | None]
     coupons: Callable[[Any], CashflowSchedule] | None = None  # schedule without `cashflow` lines
 
 
@@ -171,19 +170,19 @@ _INSTRUMENTS = {
         _Key("issue", "issue", _DATE),
         _Key("maturity", "maturity", _DATE),
         _Key("coupon_rate", "coupon_rate", float),
-    ), ("issue", "maturity"), bond_cashflows),
+    ), bond_cashflows),
     "cds": _Instrument(CdsSpec, CdsPricer, (
         _Key("protection", "direction", _choice("protection", {s.value: s for s in ProtectionSide}),
              ProtectionSide.BOUGHT),
         _Key("notional", "notional", float),
         _Key("maturity", "maturity", _DATE),
         _Key("contractual_spread", "contractual_spread", float),
-    ), (None, "maturity")),
+    )),
     "cash": _Instrument(CashSpec, CashPricer, (
         _Key("balance", "balance", float),
         _Key("deposit_rate", "deposit_rate", float),
         _Key("start", "start", _DATE),
-    ), ("start", None)),
+    )),
 }
 
 
@@ -248,15 +247,8 @@ def _build_position(position_id, header_line, fields) -> Position:
     for key, (stray_line, _) in fields.items():
         raise ParseError(f"unknown key {key!r} for instrument {instrument!r}", row=stray_line)
 
-    start_life, end_life = (name and getattr(spec, name) for name in kind.life)
     for txn in transactions:
-        if start_life is not None and txn.date < start_life:
-            fault = f"before instrument start {start_life}"
-        elif end_life is not None and txn.date > end_life:
-            fault = f"after maturity {end_life}"
-        else:
-            continue
-        raise ParseError(f"position {position_id!r}: transaction {txn.date} {fault}", row=header_line)
+        _build(_check_life, position_id, header_line, spec, txn.date, what="transaction")
 
     return _build(
         Position, position_id, header_line,

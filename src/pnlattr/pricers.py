@@ -8,7 +8,8 @@ them in a market.
 
 Coupon convention: price(s, ...) excludes any cashflow dated exactly s, so
 the price path drops by the coupon amount at each payment date and the
-value at maturity is the redemption alone.
+value at maturity is the redemption alone. A valuation date outside the
+spec's `life = (start, end)` (None: no bound) raises, by `_check_life`.
 
 Models are reduced-form with a flat default intensity lambda:
 
@@ -53,6 +54,15 @@ class Pricer(Protocol):
     def price(self, s, curve: ZeroCurve, factors: MarketFactors) -> float: ...
 
 
+def _check_life(spec, when: date, what: str = "valuation") -> None:
+    """Raise ValueError if `when` falls outside spec.life, its (start, end) with None for no bound."""
+    start, end = spec.life
+    if start is not None and when < start:
+        raise ValueError(f"{what} {when} before instrument start {start}")
+    if end is not None and when > end:
+        raise ValueError(f"{what} {when} after maturity {end}")
+
+
 class BondSpec(Record):
     """Fixed-coupon bullet bond, with its coupon dates rolled once at construction."""
 
@@ -79,7 +89,7 @@ class BondSpec(Record):
             d = add_months(maturity, -len(dates) * step)
         dates.reverse()
         self.__dict__.update(notional=notional, issue=issue, maturity=maturity, coupon_rate=coupon_rate,
-                             coupon_frequency=coupon_frequency, _coupon_dates=tuple(dates),
+                             coupon_frequency=coupon_frequency, life=(issue, maturity), _coupon_dates=tuple(dates),
                              _coupon_ordinals=tuple(d.toordinal() for d in dates))
 
 
@@ -93,8 +103,7 @@ def bond_cashflows(spec: BondSpec) -> CashflowSchedule:
 
 def price_bond(spec: BondSpec, s: date, curve: ZeroCurve, factors: MarketFactors) -> float:
     """Dirty reduced-form bond value at s; see the module docstring for the model."""
-    if s > spec.maturity:
-        raise ValueError(f"valuation {s} after maturity {spec.maturity}")
+    _check_life(spec, s)
     tenors, rates, slopes = curve._table
     last = len(tenors) - 1
     basis, lam = factors.basis_spread, factors.hazard_rate
@@ -150,7 +159,7 @@ class CdsSpec(Record):
         if not (math.isfinite(contractual_spread) and contractual_spread >= 0.0):
             raise ValueError(f"contractual_spread must be finite and >= 0, got {contractual_spread}")
         self.__dict__.update(notional=notional, maturity=maturity, contractual_spread=contractual_spread,
-                             direction=ProtectionSide(direction))
+                             direction=ProtectionSide(direction), life=(None, maturity))
 
 
 def price_cds(spec: CdsSpec, s: date, curve: ZeroCurve, factors: MarketFactors) -> float:
@@ -161,8 +170,7 @@ def price_cds(spec: CdsSpec, s: date, curve: ZeroCurve, factors: MarketFactors) 
     by the trapezoid rule on a quarterly grid. The basis spread does not
     enter: it belongs to bond discounting only.
     """
-    if s > spec.maturity:
-        raise ValueError(f"valuation {s} after maturity {spec.maturity}")
+    _check_life(spec, s)
     tau = year_fraction(s, spec.maturity)
     if tau <= 0.0:
         return 0.0
@@ -199,14 +207,13 @@ class CashSpec(Record):
     def __init__(self, balance: float, deposit_rate: float, start: date):
         if not math.isfinite(balance) or not math.isfinite(deposit_rate):
             raise ValueError("balance and deposit_rate must be finite")
-        self.__dict__.update(balance=balance, deposit_rate=deposit_rate, start=start)
+        self.__dict__.update(balance=balance, deposit_rate=deposit_rate, start=start, life=(start, None))
 
 
 def price_cash(spec: CashSpec, s: date, curve: ZeroCurve | None = None,
                factors: MarketFactors | None = None) -> float:
     """balance * exp(deposit_rate * elapsed); independent of curve and factors."""
-    if s < spec.start:
-        raise ValueError(f"valuation {s} before account start {spec.start}")
+    _check_life(spec, s)
     return spec.balance * math.exp(spec.deposit_rate * year_fraction(spec.start, s))
 
 

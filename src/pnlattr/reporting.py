@@ -15,7 +15,9 @@ order, `buckets` (the SUBTOTAL rows), `positions_total`, `standalones` as
 what `json.dumps(tree, indent=2)` writes for that object, plus a newline,
 but it is filled into one %-template per indentation level: only a value
 that needs escaping or is not a plain float, int or None loads `json`.
-Output is byte-stable.
+Output is byte-stable on every supported Python: subtotals and totals add
+their values left to right in row order, not by the builtin `sum`, which
+compensates float sums from Python 3.12.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import csv
 import io
 import math
 from collections import namedtuple
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 from ._record import Record
@@ -91,9 +95,14 @@ def build_report_rows(attribution: PortfolioAttribution) -> list[ReportRow]:
     return rows
 
 
+def _total(values: Iterable[float]) -> float:
+    """values added left to right from 0, as `sum` adds floats before Python 3.12 (3.12 compensates)."""
+    return reduce(add, values, 0)
+
+
 def _sum_rows(label: str, bucket: str, rows: Sequence[ReportRow]) -> ReportRow:
-    """Each stored field summed with plain `sum` in row order; the bytes depend on that order."""
-    return ReportRow(label, bucket, **{name: sum(getattr(row, name) for row in rows) for name in _AMOUNTS})
+    """Each stored field added by `_total` in row order; the bytes depend on that order."""
+    return ReportRow(label, bucket, **{name: _total(getattr(row, name) for row in rows) for name in _AMOUNTS})
 
 
 #: The report laid out once: each bucket's (members, SUBTOTAL) in bucket order,
@@ -116,7 +125,7 @@ def _lay_out(rows: Sequence[ReportRow], standalone_lines: Sequence[tuple[str, fl
                      for label, amount in standalone_lines],
         total=ReportRow(**(vars(positions_total) | {
             "position": "TOTAL",
-            "total_eur": positions_total.total_eur + sum(amount for _, amount in standalone_lines)})),
+            "total_eur": positions_total.total_eur + _total(amount for _, amount in standalone_lines)})),
     )
 
 

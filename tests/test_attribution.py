@@ -165,6 +165,46 @@ def test_combine_keeps_the_largest_scale_for_its_own_check():
     assert combined.total == 2 * (0.3 + 1e-8)
 
 
+def cross_pricer(start, end):
+    """A toy pricer worth `start` at 0.0 and `end` at 1.0 under one date's curve and factors, and about
+    1e12 when the curve of one date meets the factors of the other: the moves between them cancel."""
+    crossed = {(1.0, 0.0): 1e12 + 0.1, (1.0, 1.0): 1e12 + 0.7, (0.0, 1.0): 1e12 + 0.3, (0.0, 0.0): 1e12 + 0.9}
+
+    def price(s, r, x):
+        return (start if s == 0.0 else end) if r == x else crossed[s, r]
+    return price
+
+
+@pytest.mark.parametrize("fx_mode", list(FxMode))
+def test_split_scale_is_the_largest_of_the_six_prices(fx_mode):
+    # the four cross prices of about 1e12 leave a residual of about 7e-5 in the parts of a total of
+    # 0.2: round-off at a scale of 1e12, which a scale taken from the start and end prices would refuse
+    res = four_way_split(cross_pricer(1.1, 1.3), 0.0, 1.0, ScalarState(0.0, 0.0, 1.0),
+                         ScalarState(1.0, 1.0, 1.0), fx_mode)
+    assert res.total == pytest.approx(0.2, rel=1e-12)
+    assert 1e-5 < abs(res.residual) < 1e-3
+    assert res.scale == 1e12 + 0.9
+
+
+@pytest.mark.parametrize("fx_mode", list(FxMode))
+def test_split_scale_takes_the_larger_quote(fx_mode):
+    # quotes of 1e-9 and 1: the residual, about 4e-5 or 7e-5 by mode, is round-off at 1e12 times the
+    # end quote, and over 1e-9 of 1e12 times the start quote
+    res = four_way_split(cross_pricer(1.1, 1.3), 0.0, 1.0, ScalarState(0.0, 0.0, 1e-9),
+                         ScalarState(1.0, 1.0, 1.0), fx_mode)
+    assert res.total == pytest.approx(1.3, rel=1e-8)
+    assert 1e-5 < abs(res.residual) < 1e-3
+    assert res.scale == 1e12 + 0.9
+
+
+# The coupon term of `_split`'s scale, max(scale, |coupon_eur|), has no test that fails without it: it
+# is an equivalent mutant. The total is the price move plus coupon_eur, and the price move is at most
+# twice the price scale, so |coupon_eur| <= |total| + 2 * price scale, and dropping the term lowers the
+# tolerance 1e-9 * max(1, |total|, scale) at most threefold. The residual is round-off only (the parts
+# sum to the total exactly in real arithmetic), a few units in the last place of values no larger than
+# max(price scale, |coupon_eur|), so about 1e-15 of them: a thousandth of even the lowered tolerance.
+
+
 def test_segment_period_degenerate_and_union():
     empty = Position(id="p", bucket=Bucket.OTHER, pricer=lambda s, r, x: 1.0)
     assert segment_period(empty, 0.0, 1.0) == [0.0, 1.0]

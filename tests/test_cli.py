@@ -561,6 +561,20 @@ def test_transaction_costs_that_overflow_are_an_error_naming_the_position(tmp_pa
     assert capsys.readouterr().err.startswith("error: position NBB_BOND: transaction costs overflow when summed: ")
 
 
+def test_bond_issued_inside_the_period_is_an_error_not_pnl_before_issue(tmp_path, capsys):
+    # the bond does not exist at the period start, so it has no start price to attribute from
+    portfolio = tmp_path / "portfolio.txt"
+    portfolio.write_text("[position LATE]\nbucket = Other\ninstrument = bond\nnotional = 1000000\n"
+                         "issue = 2022-02-01\nmaturity = 2027-02-01\ncoupon_rate = 0.05\n")
+    report = tmp_path / "report.csv"
+    args = ["--portfolio", str(portfolio), "--market", str(DEMO_DATA / "market.csv"), *DEMO_PERIOD]
+    assert run_cli(["attribute", *args, "--output", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        "error: position LATE: subperiod (2021-12-31, 2022-04-01]: start price under start curve and start "
+        "factors raised: valuation 2021-12-31 before instrument start 2022-02-01\n")
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["validate", "--portfolio", "missing.txt"], "no such file or directory: missing.txt"),
     (["attribute", "--portfolio", ".", "--market", str(DEMO_DATA / "market.csv"), *DEMO_PERIOD],

@@ -716,6 +716,28 @@ def test_exact_row_sums_fall_back_to_fsum_on_special_rows(monkeypatch):
         assert str(got.value) == str(want.value)
 
 
+def test_exact_row_sums_leave_a_bound_that_reaches_the_half_gap_to_fsum(monkeypatch):
+    # 2**43 and its negative make the extraction's grid g = 2**-5, so the small values stay whole in p:
+    # tau1 = 0.75, tau2 = 2**-55 = r_err, and delta = 2**-7 * 32 * 2**-53 = 2**-55. Row 0's bound
+    # r_err + delta is exactly the half-gap 2**-54 above r = 0.75, and its negation's r_err - delta
+    # exactly the half-gap below -0.75. Each strict test sends its row to fsum, though the array pass
+    # would return fsum's value there too: the bound holds four times the error it covers.
+    row = [2.0**43, -2.0**43, 0.75, 2.0**-8 + 2.0**-56, -(2.0**-8 - 2.0**-56), 0.0, 0.0, 0.0]
+    x = np.array([row, [-v for v in row]])
+    calls = _counting_fsum(monkeypatch)
+    assert _hex(path_oracle._exact_row_sums(x)) == [(0.75).hex(), (-0.75).hex()]
+    assert calls == x.tolist()
+
+
+# sigma's exponent e + (n + 1).bit_length() cannot be told from e + (n - 1).bit_length() by any sum:
+# the smaller sigma = 2**(e + k) that the second gives when n or n + 1 is a power of two still has
+# 2**k >= n. q and p stay exact: for n >= 2, |x| < sigma / 2 keeps Sterbenz's lemma, and for n = 1 an
+# x + sigma below sigma / 2 is itself exact. Each |x| < 2**e rounds to a q of magnitude at most 2**e, a
+# multiple of g, so every partial sum of the q is a multiple of g at most n * 2**e <= sigma = 2**53 * g,
+# a float. tau1 is exact, delta still bounds tau2's error, and a certified row is still fsum's value:
+# only which rows the pass certifies can move.
+
+
 def test_exact_row_sums_send_rows_of_2_to_the_26_values_to_fsum_whole(monkeypatch):
     # one value repeated by a zero stride: no 512 MB array, and no array pass over it
     x = np.broadcast_to(np.float64(0.1), (1, 2**26))

@@ -63,6 +63,14 @@ def test_past_maturity_rejected():
         price_bond(spec, S, flat_curve(0.01), MarketFactors(0.0))
 
 
+def test_valuation_before_issue_rejected():
+    # a bond lives from issue to maturity: it prices on its issue date, not the day before
+    spec = BondSpec(notional=1.0, issue=S, maturity=FIVE_YEARS, coupon_rate=0.05)
+    with pytest.raises(ValueError, match="^valuation 2021-12-31 before instrument start 2022-01-01$"):
+        price_bond(spec, date(2021, 12, 31), flat_curve(0.01), MarketFactors(0.0))
+    assert price_bond(spec, S, flat_curve(0.0), MarketFactors(0.0)) == pytest.approx(1.25, rel=1e-15)
+
+
 def test_bond_price_decreases_in_hazard_and_rates():
     spec = BondSpec(notional=100.0, issue=date(2021, 1, 1), maturity=FIVE_YEARS,
                     coupon_rate=0.04, coupon_frequency=2)
@@ -174,7 +182,7 @@ def test_cash_identities():
     one_year_on = date(2022, 4, 1)
     assert price_cash(spec, one_year_on) == pytest.approx(1_000_000 * math.exp(-0.0078), rel=1e-12)
     assert price_cash(spec, one_year_on) == pytest.approx(992_230, abs=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^valuation 2021-01-01 before instrument start 2021-04-01$"):
         price_cash(spec, date(2021, 1, 1))
 
 

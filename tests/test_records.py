@@ -91,7 +91,8 @@ CASES = [
               ({"maturity": date(2021, 8, 31)}, ValueError, "maturity 2021-08-31 not after issue"),
               ({"coupon_rate": -0.01}, ValueError, "coupon_rate must be finite and >= 0"),
               ({"coupon_frequency": 3}, ValueError, "coupon_frequency must be 1, 2, 4 or 12")],
-         derived={"_coupon_dates": (date(2022, 2, 28), date(2022, 8, 28), date(2023, 2, 28)),
+         derived={"life": (date(2021, 8, 31), date(2023, 2, 28)),
+                  "_coupon_dates": (date(2022, 2, 28), date(2022, 8, 28), date(2023, 2, 28)),
                   "_coupon_ordinals": (738214, 738395, 738579)}),
     Case(CdsSpec, {"notional": 1e6, "maturity": date(2026, 12, 20), "contractual_spread": 0.01,
                    "direction": "sold"},
@@ -100,10 +101,12 @@ CASES = [
               "direction=<ProtectionSide.SOLD: 'sold'>)",
          bad=[({"notional": float("nan")}, ValueError, "notional must be finite and > 0"),
               ({"contractual_spread": -0.01}, ValueError, "contractual_spread must be finite and >= 0"),
-              ({"direction": "both"}, ValueError, "'both' is not a valid ProtectionSide")]),
+              ({"direction": "both"}, ValueError, "'both' is not a valid ProtectionSide")],
+         derived={"life": (None, date(2026, 12, 20))}),
     Case(CashSpec, {"balance": 1e6, "deposit_rate": 0.01, "start": date(2022, 1, 1)},
          repr="CashSpec(balance=1000000.0, deposit_rate=0.01, start=datetime.date(2022, 1, 1))",
-         bad=[({"deposit_rate": float("nan")}, ValueError, "balance and deposit_rate must be finite")]),
+         bad=[({"deposit_rate": float("nan")}, ValueError, "balance and deposit_rate must be finite")],
+         derived={"life": (date(2022, 1, 1), None)}),
     Case(BondPricer, {"spec": BOND},
          repr="BondPricer(spec=BondSpec(notional=100.0, issue=datetime.date(2021, 8, 31), "
               "maturity=datetime.date(2023, 2, 28), coupon_rate=0.05, coupon_frequency=2))"),

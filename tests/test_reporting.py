@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pnlattr import (Bucket, EmptyResults, ReportRow, attribute_portfolio, bps, load_market_snapshots,
                      load_portfolio, render_report)
+from pnlattr import reporting
 from pnlattr.reporting import _BPS_COLUMNS, CSV_COLUMNS, _lay_out
 
 # the frozen seed program, read only: the report must print what it printed
@@ -78,6 +79,18 @@ def test_standalone_lines_roll_into_total_only():
     assert float(by_pos["TOTAL"]["total_eur"]) == float(by_pos["POSITIONS"]["total_eur"]) - 330.0
     # the other columns of the grand total ignore standalone lines
     assert float(by_pos["TOTAL"]["fx_eur"]) == float(by_pos["POSITIONS"]["fx_eur"])
+
+
+def test_sums_add_left_to_right_on_every_python(monkeypatch):
+    # 1e16 + 1.0 rounds to 1e16, so adding in row order gives 0.0; from Python 3.12 the builtin sum
+    # compensates and gives 1.0. A compensated `sum` global in the module stands in for it on any version.
+    monkeypatch.setattr(reporting, "sum", math.fsum, raising=False)
+    amounts = (1e16, 1.0, -1e16)
+    rows = [row(name, "Other", fx=fx) for name, fx in zip("abc", amounts)]
+    layout = _lay_out(rows, [(name, amount) for name, amount in zip("xyz", amounts)])
+    assert layout.buckets[0][1].fx_eur == 0.0
+    assert layout.positions_total.fx_eur == 0.0
+    assert layout.total.total_eur == 0.0
 
 
 def test_bps_columns_present_iff_nav_supplied():
