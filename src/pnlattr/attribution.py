@@ -310,7 +310,9 @@ def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
     checks, in order: a grid of two dates or more that increases at every step; at most one foreign
     currency; a snapshot at every grid date; unless the book is all EUR, fx quotes finite and > 0;
     and each position's non-zero cashflows in (start, end] and quantity changes in (start, end) on
-    the grid. This is the one reader of a snapshot: every leg's curve, factors and quote are resolved here."""
+    the grid. A missing snapshot names the first position with a cashflow or transaction on its
+    date, else the first position. This is the one reader of a snapshot: every leg's curve, factors
+    and quote are resolved here."""
     if len(grid) < 2:
         raise EmptyPeriod("attribution grid needs at least a start and an end date")
     for start, end in zip(grid, grid[1:]):
@@ -326,7 +328,9 @@ def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
     mapped = snapshots if isinstance(snapshots, Mapping) else {snap.as_of: snap for snap in snapshots}
     for u in grid:
         if u not in mapped:
-            raise MissingSnapshot(f"no market snapshot at {u}")
+            owner = next((pos for pos in positions if any(d == u for d, _ in pos.schedule.entries)
+                          or any(txn.date == u for txn in pos.transactions)), positions[0])
+            raise MissingSnapshot(f"position {owner.id}: no market snapshot at {u}")
     snaps = tuple(mapped[u] for u in grid)
     curves, factors = [snap.curve for snap in snaps], [snap.factors for snap in snaps]
     eur, quotes = [1.0] * len(grid), []  # every other currency converts at the snapshot's fx quote
@@ -444,12 +448,9 @@ def attribute_every_mode(portfolio: Portfolio, snapshots, t, T) -> dict[tuple[Fx
 
 def _attribute_views(positions: Sequence[Position], snapshots, grid: list, modes) -> list:
     """Each mode's PortfolioAttribution of positions over grid, in mode order, from one plan priced
-    once. A missing snapshot names the first position; a date off the grid, or an error raised while
-    pricing, splitting or summing a position's costs, names that position."""
-    try:
-        plan = _plan(positions, snapshots, grid)
-    except MissingSnapshot as exc:
-        raise exc.at(f"position {positions[0].id}")
+    once. `_plan` names the position of a missing snapshot or of a date off the grid; an error raised
+    while pricing, splitting or summing a position's costs names that position here."""
+    plan = _plan(positions, snapshots, grid)
     views: list[list[PositionAttribution]] = [[] for _ in modes]
     for pos, subperiods in zip(positions, plan):
         try:

@@ -25,15 +25,15 @@ Instrument keys:
 other currency converts at the market's one fx column, so a book may hold
 EUR and at most one foreign currency.
 
-`transaction` and `cashflow` may repeat. `cashflow = DATE AMOUNT` entries
-(absolute currency amounts) replace the generated bond coupon schedule
-when present; bonds otherwise get their coupon schedule automatically.
+`transaction` may repeat. A bond's coupon schedule is `bond_cashflows(spec)`,
+the coupons its price drops by; a CDS or cash account has none. No key
+restates a schedule.
 
 A value the instrument rejects (say `coupon_frequency = 3`, bond dates whose
 coupon roll runs back past year 1, or a `transaction` outside the spec's
-`life`) is a ParseError naming the position and its section header line; an
-out-of-order or negative `cashflow`, and a `transaction` with a non-finite
-quantity change or a non-finite or negative cost, name their own line.
+`life`) is a ParseError naming the position and its section header line; a
+`transaction` with a non-finite quantity change or a non-finite or negative
+cost names its own line.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ _SECTION = re.compile(r"^\[position\s+(?P<id>\S+)\]$")
 _TRAILING_COMMENT = re.compile(r"\s+#.*")
 _DATE = parse_date
 _KINDS = {float: "number", _DATE: "date", int: "integer"}  # what a parse failure calls the value
-# keys that may repeat: the layout of their value and a parser per part
-_REPEATABLE = {
-    "transaction": ("DATE QUANTITY_CHANGE COST_EUR", (_DATE, float, float)),
-    "cashflow": ("DATE AMOUNT", (_DATE, float)),
-}
 
 
 def load_portfolio(source) -> Portfolio:
@@ -108,7 +103,7 @@ def _split_sections(lines):
         key, _, value = line.partition("=")
         key, value = key.strip().lower(), value.strip()
         fields = current[2]
-        if key in _REPEATABLE:
+        if key == "transaction":  # the one key that may repeat
             fields.setdefault(key, []).append((line_no, value))
         elif key in fields:
             raise ParseError(f"key {key!r} given twice for position {current[0]!r}", row=line_no)
@@ -158,7 +153,7 @@ class _Instrument(NamedTuple):
     spec: type
     pricer: type
     keys: tuple[_Key, ...]
-    coupons: Callable[[Any], CashflowSchedule] | None = None  # schedule without `cashflow` lines
+    coupons: Callable[..., CashflowSchedule] = lambda spec: CashflowSchedule()  # the spec's coupon schedule
 
 
 _DIRECTION = _Key("direction", "notional_sign", _choice("direction", {"long": 1, "short": -1}), 1)
@@ -193,14 +188,14 @@ def _value(fields, key: _Key, position_id, header_line):
     return _parse(key.parse, value, line_no, key.name)
 
 
-def _entries(fields, key):
-    """(line, parsed parts) of each line of a repeatable key, in file order."""
-    layout, parsers = _REPEATABLE[key]
-    for line_no, value in fields.pop(key, []):
+def _transactions(fields):
+    """(line, parsed date, quantity change and cost) of each `transaction` line, in file order."""
+    for line_no, value in fields.pop("transaction", []):
         parts = value.split()
-        if len(parts) != len(parsers):
-            raise ParseError(f"{key} needs {layout!r}, got {value!r}", row=line_no)
-        yield line_no, tuple(_parse(parse, part, line_no, key) for parse, part in zip(parsers, parts))
+        if len(parts) != 3:
+            raise ParseError(f"transaction needs 'DATE QUANTITY_CHANGE COST_EUR', got {value!r}", row=line_no)
+        yield line_no, tuple(_parse(parse, part, line_no, "transaction")
+                             for parse, part in zip((_DATE, float, float), parts))
 
 
 def _build(cls, position_id, row, *args, **kwargs):
@@ -224,12 +219,7 @@ def _build_position(position_id, header_line, fields) -> Position:
     sign = _value(fields, _DIRECTION, position_id, header_line)
 
     transactions = [_build(checked_transaction, position_id, txn_line, *parts)
-                    for txn_line, parts in _entries(fields, "transaction")]
-    explicit_cashflows = []
-    for cf_line, entry in _entries(fields, "cashflow"):
-        # the schedule's own checks, on this entry and the one before it
-        _build(CashflowSchedule, position_id, cf_line, entries=(*explicit_cashflows[-1:], entry))
-        explicit_cashflows.append(entry)
+                    for txn_line, parts in _transactions(fields)]
 
     currency = _value(fields, _CURRENCY, position_id, header_line)
     kind = _INSTRUMENTS.get(instrument)
@@ -239,10 +229,7 @@ def _build_position(position_id, header_line, fields) -> Position:
         )
     spec = _build(kind.spec, position_id, header_line,
                   **{key.field: _value(fields, key, position_id, header_line) for key in kind.keys})
-    if explicit_cashflows or kind.coupons is None:
-        schedule = CashflowSchedule(tuple(explicit_cashflows))
-    else:
-        schedule = _build(kind.coupons, position_id, header_line, spec=spec)
+    schedule = _build(kind.coupons, position_id, header_line, spec=spec)
 
     for key, (stray_line, _) in fields.items():
         raise ParseError(f"unknown key {key!r} for instrument {instrument!r}", row=stray_line)

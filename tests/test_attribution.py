@@ -401,18 +401,22 @@ def test_portfolio_error_names_the_position():
         attribute_portfolio(portfolio, snaps, 0.0, 1.0)
 
 
-def test_missing_rebalance_snapshot_names_the_first_position():
-    # the grid is common to the book, so the first position meets the gap
-    # that only the second position's rebalance put on the grid
+@pytest.mark.parametrize("dated_by", [
+    {"transactions": (Transaction(0.5, 1.0, 0.0),)},
+    {"schedule": CashflowSchedule(((0.5, 0.0),))},  # a zero amount puts its date on the grid too
+], ids=["rebalance", "zero-cashflow"])
+def test_missing_snapshot_names_the_position_that_dated_it(dated_by):
+    # the grid is common to the book, but only the second position put 0.5 on
+    # it; a period bound, which no position dates, names the first position
     portfolio = Portfolio(positions=(
         Position(id="a", bucket=Bucket.OTHER, pricer=linear_pricer()),
-        Position(id="b", bucket=Bucket.OTHER, pricer=linear_pricer(),
-                 transactions=(Transaction(0.5, 1.0, 0.0),)),
+        Position(id="b", bucket=Bucket.OTHER, pricer=linear_pricer(), **dated_by),
     ))
-    snaps = {u: ScalarState(0.01, 0.02, 1.1) for u in (0.0, 1.0)}
-    with pytest.raises(MissingSnapshot) as info:
-        attribute_portfolio(portfolio, snaps, 0.0, 1.0)
-    assert str(info.value) == "position a: no market snapshot at 0.5"
+    for quoted, message in [((0.0, 1.0), "position b: no market snapshot at 0.5"),
+                            ((0.0, 0.5), "position a: no market snapshot at 1.0")]:
+        with pytest.raises(MissingSnapshot) as info:
+            attribute_portfolio(portfolio, {u: ScalarState(0.01, 0.02, 1.1) for u in quoted}, 0.0, 1.0)
+        assert str(info.value) == message
 
 
 def test_empty_portfolio_needs_no_snapshots():

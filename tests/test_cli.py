@@ -561,18 +561,49 @@ def test_transaction_costs_that_overflow_are_an_error_naming_the_position(tmp_pa
     assert capsys.readouterr().err.startswith("error: position NBB_BOND: transaction costs overflow when summed: ")
 
 
-def test_bond_issued_inside_the_period_is_an_error_not_pnl_before_issue(tmp_path, capsys):
-    # the bond does not exist at the period start, so it has no start price to attribute from
+@pytest.mark.parametrize("book, message", [
+    # a bond issued inside the period has no start price to attribute from, so it
+    # is an error, not PnL from before its issue
+    ("[position LATE]\nbucket = Other\ninstrument = bond\nnotional = 1000000\n"
+     "issue = 2022-02-01\nmaturity = 2027-02-01\ncoupon_rate = 0.05\n",
+     "position LATE: subperiod (2021-12-31, 2022-04-01]: start price under start curve and start "
+     "factors raised: valuation 2021-12-31 before instrument start 2022-02-01"),
+    ("[position MAT]\nbucket = Other\ninstrument = bond\nnotional = 1000000\n"
+     "issue = 2020-03-01\nmaturity = 2022-03-01\ncoupon_rate = 0.04\n",
+     "position MAT: subperiod (2022-03-01, 2022-04-01]: end price under end curve and end "
+     "factors raised: valuation 2022-04-01 after maturity 2022-03-01"),
+    ("[position MATCDS]\nbucket = Hedge\ninstrument = cds\nnotional = 1000000\n"
+     "maturity = 2022-03-01\ncontractual_spread = 0.01\n",
+     "position MATCDS: subperiod (2021-12-31, 2022-04-01]: end price under end curve and end "
+     "factors raised: valuation 2022-04-01 after maturity 2022-03-01"),
+    ("[position C]\nbucket = Cash\ninstrument = cash\nbalance = 1000000\ndeposit_rate = 0.01\n"
+     "start = 2022-02-01\n",
+     "position C: subperiod (2021-12-31, 2022-04-01]: start price under start curve and start "
+     "factors raised: valuation 2021-12-31 before instrument start 2022-02-01"),
+], ids=["bond-issued", "bond-matures", "cds-matures", "cash-starts"])
+def test_instrument_that_starts_or_matures_inside_the_period_validates_then_fails_attribute(
+        book, message, tmp_path, capsys):
+    # these books pass validate, which checks no book against a market and a
+    # period; attribute then fails in a pricer, with a located error and no report
     portfolio = tmp_path / "portfolio.txt"
-    portfolio.write_text("[position LATE]\nbucket = Other\ninstrument = bond\nnotional = 1000000\n"
-                         "issue = 2022-02-01\nmaturity = 2027-02-01\ncoupon_rate = 0.05\n")
+    portfolio.write_text(book)
     report = tmp_path / "report.csv"
-    args = ["--portfolio", str(portfolio), "--market", str(DEMO_DATA / "market.csv"), *DEMO_PERIOD]
-    assert run_cli(["attribute", *args, "--output", str(report)]) == 1
-    assert capsys.readouterr().err == (
-        "error: position LATE: subperiod (2021-12-31, 2022-04-01]: start price under start curve and start "
-        "factors raised: valuation 2021-12-31 before instrument start 2022-02-01\n")
+    args = ["--portfolio", str(portfolio), "--market", str(DEMO_DATA / "market.csv")]
+    assert run_cli(["validate", *args]) == 0
+    assert capsys.readouterr().err == "market OK: 4 snapshots\nportfolio OK: 1 positions\n"
+    assert run_cli(["attribute", *args, *DEMO_PERIOD, "--output", str(report)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not report.exists()
+
+
+def test_missing_snapshot_names_the_position_whose_rebalance_dated_it(tmp_path, capsys):
+    # only SECOND trades on 2022-03-10, a date the market does not quote
+    cds = "bucket = Hedge\ninstrument = cds\nnotional = 1000000\nmaturity = 2026-08-15\ncontractual_spread = 0.01\n"
+    portfolio = tmp_path / "portfolio.txt"
+    portfolio.write_text(f"[position FIRST]\n{cds}\n[position SECOND]\n{cds}transaction = 2022-03-10 0.5 0\n")
+    args = ["--portfolio", str(portfolio), "--market", str(DEMO_DATA / "market.csv"), *DEMO_PERIOD]
+    assert run_cli(["attribute", *args]) == 1
+    assert capsys.readouterr().err == "error: position SECOND: no market snapshot at 2022-03-10\n"
 
 
 @pytest.mark.parametrize("args, message", [

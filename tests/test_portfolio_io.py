@@ -101,11 +101,9 @@ def test_unknown_key_rejected():
         load_portfolio(io.StringIO(MINIMAL_BOND + "color = blue\n"))
 
 
-def test_bad_transaction_and_cashflow_lines():
+def test_bad_transaction_line():
     with pytest.raises(ParseError, match="transaction"):
         load_portfolio(io.StringIO(MINIMAL_BOND + "transaction = 2022-01-01 0\n"))
-    with pytest.raises(ParseError, match="cashflow"):
-        load_portfolio(io.StringIO(MINIMAL_BOND + "cashflow = 2022-01-01\n"))
 
 
 def test_transaction_outside_life_rejected():
@@ -113,12 +111,6 @@ def test_transaction_outside_life_rejected():
         load_portfolio(io.StringIO(MINIMAL_BOND + "transaction = 2030-01-01 0 10\n"))
     with pytest.raises(ParseError, match="before instrument start"):
         load_portfolio(io.StringIO(MINIMAL_BOND + "transaction = 2020-01-01 0 10\n"))
-
-
-def test_explicit_cashflows_replace_generated_schedule():
-    text = MINIMAL_BOND + "cashflow = 2022-06-30 12345\n"
-    portfolio = load_portfolio(io.StringIO(text))
-    assert portfolio.positions[0].schedule.entries == ((date(2022, 6, 30), 12345.0),)
 
 
 def test_short_direction():
@@ -181,12 +173,7 @@ def test_trailing_comment_after_section_header_is_stripped():
     (MINIMAL_CDS.replace("0.01", "-0.01"), 1, "contractual_spread must be finite and >= 0"),
     (MINIMAL_CDS.replace("notional = 1000000", "notional = inf"), 1, "notional must be finite and > 0"),
     (MINIMAL_CASH.replace("balance = 1000000", "balance = inf"), 1, "balance and deposit_rate must be finite"),
-    (MINIMAL_BOND + "cashflow = 2022-07-15 10\ncashflow = 2022-01-15 10\n", 9,
-     "cashflow dates must be strictly increasing: 2022-07-15 >= 2022-01-15"),
-    (MINIMAL_BOND + "cashflow = 2022-01-15 10\ncashflow = 2022-07-15 -10\n", 9,
-     "cashflow amounts must be finite and >= 0, got -10.0 at 2022-07-15"),
-], ids=["frequency", "notional", "maturity", "coupon-nan", "spread", "notional-inf", "balance-inf",
-        "cashflow-order", "cashflow-negative"])
+], ids=["frequency", "notional", "maturity", "coupon-nan", "spread", "notional-inf", "balance-inf"])
 def test_invalid_values_name_the_position_and_the_line(text, row, message):
     with pytest.raises(ParseError) as info:
         load_portfolio(io.StringIO(text))
@@ -278,6 +265,13 @@ HOLDINGS_DIAGNOSTICS = [
      "row 7: unknown key 'maturity' for instrument 'cash'"),
     ("cash-cds-key", K + "protection = bought\n", ParseError,
      "row 7: unknown key 'protection' for instrument 'cash'"),
+    # a schedule is the instrument's own: no key restates it
+    ("bond-cashflow-key", B + "cashflow = 2022-02-15 1\n", ParseError,
+     "row 8: unknown key 'cashflow' for instrument 'bond'"),
+    ("cds-cashflow-key", C + "cashflow = 2022-02-15 50000\n", ParseError,
+     "row 7: unknown key 'cashflow' for instrument 'cds'"),
+    ("cash-cashflow-key", K + "cashflow = 2022-02-15 50000\n", ParseError,
+     "row 7: unknown key 'cashflow' for instrument 'cash'"),
     # a transaction outside the instrument's life
     ("bond-before-issue", B + "transaction = 2020-01-01 0 10\n", ParseError,
      "row 1: position 'ONE': transaction 2020-01-01 before instrument start 2021-01-15"),
@@ -292,8 +286,6 @@ HOLDINGS_DIAGNOSTICS = [
      "row 9: direction must be 'long' or 'short', got 'up'"),
     ("transaction-before-currency", B + "currency = EURO\ntransaction = 2022-01-01 x 0\n", ParseError,
      "row 9: bad number for 'transaction': 'x'"),
-    ("cashflow-before-currency", B + "currency = EURO\ncashflow = 2022-01-01 x\n", ParseError,
-     "row 9: bad number for 'cashflow': 'x'"),
     ("currency-before-instrument", _swap(B, "instrument", "swap") + "currency = EURO\n", ParseError,
      "row 8: currency must be a three-letter code, got 'EURO'"),
     ("currency-before-notional", _swap(B, "notional", "abc") + "currency = EURO\n", ParseError,
@@ -320,7 +312,6 @@ HOLDINGS_DIAGNOSTICS = [
      "row 5: bad date for 'maturity': '2026-W03-4'"),
     ("transaction-basic-form", B + "transaction = 20220101 0 10\n", ParseError,
      "row 8: bad date for 'transaction': '20220101'"),
-    ("cashflow-ordinal-form", B + "cashflow = 2022-001 5\n", ParseError, "row 8: bad date for 'cashflow': '2022-001'"),
 ]
 
 
@@ -331,14 +322,6 @@ def test_holdings_diagnostics(text, error, message):
         load_portfolio(io.StringIO(text))
     assert type(info.value) is error
     assert str(info.value) == message
-
-
-def test_coupon_roll_out_of_date_range_is_a_load_error_with_explicit_cashflows():
-    text = MINIMAL_BOND.replace("issue = 2021-01-15", "issue = 0001-01-01").replace(
-        "maturity = 2026-01-15", "maturity = 0001-03-01") + "cashflow = 0001-03-01 20000\n"
-    with pytest.raises(ParseError) as info:
-        load_portfolio(io.StringIO(text))
-    assert str(info.value) == "row 1: position 'ONE': year 0 is out of range"
 
 
 def test_docstring_instrument_keys_match_the_loader_table():
