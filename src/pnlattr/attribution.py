@@ -20,13 +20,15 @@ rejects anything worse.
 
 Coupons break the single-period telescope, so the period is segmented at
 every cashflow and transaction date, and subperiod results add up. The plan
-is mode-free: `_priced` makes each subperiod's six prices once (5n + 1
+is mode-free: one point per grid date and position, holding that date's
+curve, factors, quote, holding and coupon. `_attribute` makes each
+subperiod's six prices once from two neighbouring points (5n + 1
 evaluations on n subperiods, each starting at the last one's end price),
 and the pure `_split` applies both conventions in every mode asked for: an
 ex-coupon start, the coupon in carry at the FX level around its payment
 (literal: pre-coupon start; sophis: end quote), and the FX mode's weights.
 Every entry point has one front end: `_plan` makes every check before the
-first price, and `_attribute` is the one caller of `_priced` and `_split`,
+first price, and `_attribute` is the one caller of `_evaluate` and `_split`,
 driven per position by `_attribute_views` (four_way_split: one subperiod).
 """
 
@@ -110,35 +112,21 @@ def four_way_split(pricer, t, T, snap_t, snap_T, fx_mode: FxMode = FxMode.AVERAG
     objects and scalar toy states both work. It is `_plan`'s one subperiod of a unit position.
     """
     modes = (_checked_modes(fx_mode),)
-    [subperiods] = _plan((Position("", Bucket.OTHER, pricer),), {t: snap_t, T: snap_T}, [t, T])
-    [([result], _)] = _attribute(_price_fn(pricer), subperiods, modes)
+    [points] = _plan((Position("", Bucket.OTHER, pricer),), {t: snap_t, T: snap_T}, [t, T])
+    [([result], _)] = _attribute(_price_fn(pricer), points, modes)
     return result
 
 
-def _priced(price, subperiods: Iterable[_Subperiod]):
-    """Yield each subperiod's six prices, pricing it only when asked. A subperiod starts at the
-    previous one's end price A_u(r_u, x_u), so n subperiods cost 5n + 1 evaluations."""
-    start_old = None
-    for t, T, r_t, x_t, r_T, x_T, _, _, _, _, _, _ in subperiods:
-        end_new = _evaluate(price, "end price under end curve and end factors", T, r_T, x_T)
-        end_old_curve = _evaluate(price, "end price under start curve and end factors", T, r_t, x_T)
-        end_old_factors = _evaluate(price, "end price under end curve and start factors", T, r_T, x_t)
-        if start_old is None:
-            start_old = _evaluate(price, "start price under start curve and start factors", t, r_t, x_t)
-        start_new_curve = _evaluate(price, "start price under end curve and start factors", t, r_T, x_t)
-        start_new_factors = _evaluate(price, "start price under start curve and end factors", t, r_t, x_T)
-        yield end_new, end_old_curve, end_old_factors, start_old, start_new_curve, start_new_factors
-        start_old = end_new
-
-
-def _split(sub: _Subperiod, prices: tuple, fx_mode: FxMode, carry_mode: CarryMode) -> AttributionResult:
-    """One subperiod's EUR result in one mode from its six prices; evaluates nothing, and is the one
-    reader of either mode. Each part is the unit split times the quantity q. Literal mode adds the start
-    coupon to the three start prices; the end coupon, at q * coupon * the average quote around it (sophis:
-    chi_last), joins carry and total. The one record holds the final values, so its checks see what the
-    run reports. The zero guards keep a -0.0 price or part, which adding 0.0 would make 0.0."""
+def _split(t: _Point, T: _Point, prices: tuple, chi_last: float, fx_mode: FxMode,
+           carry_mode: CarryMode) -> AttributionResult:
+    """The EUR result of subperiod (t, T] in one mode from its two points and six prices; evaluates
+    nothing, and is the one reader of either mode. Each part is the unit split times t's holding q.
+    Literal mode adds t's coupon to the three start prices; T's, at q * coupon * the average quote
+    around it (sophis: chi_last, the period-end quote), joins carry and total. The one record holds
+    the final values, so its checks see what the run reports. The zero guards keep a -0.0 price or
+    part, which adding 0.0 would make 0.0."""
     end_new, end_old_curve, end_old_factors, start_old, start_new_curve, start_new_factors = prices
-    _, _, _, _, _, _, chi_t, chi_T, q, start_coupon, coupon, chi_last = sub
+    chi_t, chi_T, q, start_coupon, coupon = t.chi, T.chi, t.quantity, t.coupon, T.coupon
     if start_coupon != 0.0 and carry_mode is CarryMode.LITERAL:
         start_old += start_coupon
         start_new_curve += start_coupon
@@ -286,16 +274,18 @@ def segment_period(scope, t, T) -> list:
     positions = scope.positions if isinstance(scope, Portfolio) else (scope,)
     dates = {t, T}
     for pos in positions:
-        dates.update(txn.date for txn in pos.transactions if t < txn.date <= T)
-        dates.update(d for d, _ in pos.schedule.entries if t < d <= T)
+        dates.update(d for d in _grid_dates(pos) if t < d <= T)
     return sorted(dates)
 
 
-#: One position's subperiod (start, end], the same in every mode: the curve and factors _priced prices
-#: it under at each end, and every other input of _split: the quotes at both ends, the coupons paid at
-#: start and at end, and chi_last, the quote at the period's end.
-_Subperiod = namedtuple("_Subperiod", "start end curve_start factors_start curve_end factors_end "
-                                      "chi_start chi_end quantity start_coupon coupon chi_last")
+def _grid_dates(pos: Position) -> list:
+    """The dates `pos` puts on a grid: its schedule's dates, then its transactions' dates."""
+    return [d for d, _ in pos.schedule.entries] + [txn.date for txn in pos.transactions]
+
+
+#: One position at one grid date, the same in every mode: the snapshot's curve and factors, the quote
+#: that converts the position's currency, the holding just after the date and the coupon paid on it.
+_Point = namedtuple("_Point", "date curve factors chi quantity coupon")
 
 
 def _fx_rate(quote) -> float:
@@ -306,13 +296,13 @@ def _fx_rate(quote) -> float:
 
 
 def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
-    """Check a run before its first price, then lay out each position's tuple of _Subperiods. The
-    checks, in order: a grid of two dates or more that increases at every step; at most one foreign
-    currency; a snapshot at every grid date; unless the book is all EUR, fx quotes finite and > 0;
-    and each position's non-zero cashflows in (start, end] and quantity changes in (start, end) on
-    the grid. A missing snapshot names the first position with a cashflow or transaction on its
-    date, else the first position. This is the one reader of a snapshot: every leg's curve, factors
-    and quote are resolved here."""
+    """Check a run before its first price, then lay out each position as a tuple of _Points, one per
+    grid date. The checks, in order: a grid of two dates or more that increases at every step; at
+    most one foreign currency; a snapshot at every grid date; unless the book is all EUR, fx quotes
+    finite and > 0; and each position's non-zero cashflows in (start, end] and quantity changes in
+    (start, end) on the grid. A missing snapshot names the first position with a cashflow or
+    transaction on its date, else the first position. This is the one reader of a snapshot: each
+    date's curve, factors and quote are resolved here, once."""
     if len(grid) < 2:
         raise EmptyPeriod("attribution grid needs at least a start and an end date")
     for start, end in zip(grid, grid[1:]):
@@ -328,18 +318,16 @@ def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
     mapped = snapshots if isinstance(snapshots, Mapping) else {snap.as_of: snap for snap in snapshots}
     for u in grid:
         if u not in mapped:
-            owner = next((pos for pos in positions if any(d == u for d, _ in pos.schedule.entries)
-                          or any(txn.date == u for txn in pos.transactions)), positions[0])
+            owner = next((pos for pos in positions if u in _grid_dates(pos)), positions[0])
             raise MissingSnapshot(f"position {owner.id}: no market snapshot at {u}")
     snaps = tuple(mapped[u] for u in grid)
-    curves, factors = [snap.curve for snap in snaps], [snap.factors for snap in snaps]
     eur, quotes = [1.0] * len(grid), []  # every other currency converts at the snapshot's fx quote
     for u, snap in zip(grid, snaps) if foreign else ():
         try:
             quotes.append(_fx_rate(snap.fx))
         except ValueError as exc:
             raise EngineError(f"market snapshot at {u}: {exc}") from exc
-    subperiods, on_grid, start, end = [], set(grid), grid[0], grid[-1]
+    plan, on_grid, start, end = [], set(grid), grid[0], grid[-1]
     for pos in positions:
         for d, amount in pos.schedule.entries:
             if start < d <= end and amount != 0.0 and d not in on_grid:
@@ -348,29 +336,36 @@ def _plan(positions: Sequence[Position], snapshots, grid: list) -> tuple:
             if start < txn.date < end and txn.quantity_change != 0.0 and txn.date not in on_grid:
                 raise ScheduleOutsideGrid(f"position {pos.id}: transaction at {txn.date} not on the attribution grid")
         chi, amount_on = eur if pos.currency == "EUR" else quotes, pos.schedule.amount_on
-        subperiods.append(tuple(
-            _Subperiod(grid[i - 1], grid[i], curves[i - 1], factors[i - 1], curves[i], factors[i],
-                       chi[i - 1], chi[i], pos.quantity_at(grid[i - 1]), amount_on(grid[i - 1]),
-                       amount_on(grid[i]), chi[-1])
-            for i in range(1, len(grid))))
-    return tuple(subperiods)
+        plan.append(tuple(_Point(u, snap.curve, snap.factors, c, pos.quantity_at(u), amount_on(u))
+                          for u, snap, c in zip(grid, snaps, chi)))
+    return tuple(plan)
 
 
-def _attribute(price, subperiods: Sequence[_Subperiod], modes: Sequence[tuple[FxMode, CarryMode]]) -> list:
-    """Price one position's planned subperiods in turn, each once, and split each in every
-    (fx_mode, carry_mode) of modes; returns each mode's (results, their sum), in mode order."""
-    prices, trails = _priced(price, subperiods), [[] for _ in modes]
-    for sub in subperiods:
+def _attribute(price, points: Sequence[_Point], modes: Sequence[tuple[FxMode, CarryMode]]) -> list:
+    """Price each subperiod between one position's neighbouring points once, and split it in every
+    (fx_mode, carry_mode) of modes; returns each mode's (results, their sum), in mode order. A
+    subperiod starts at the previous one's end price A_u(r_u, x_u): n subperiods, 5n + 1 evaluations."""
+    trails, start_old, chi_last = [[] for _ in modes], None, points[-1].chi
+    for start, end in zip(points, points[1:]):
+        (t, r_t, x_t, *_), (T, r_T, x_T, *_) = start, end
         try:
-            six = next(prices)
+            end_new = _evaluate(price, "end price under end curve and end factors", T, r_T, x_T)
+            end_old_curve = _evaluate(price, "end price under start curve and end factors", T, r_t, x_T)
+            end_old_factors = _evaluate(price, "end price under end curve and start factors", T, r_T, x_t)
+            if start_old is None:
+                start_old = _evaluate(price, "start price under start curve and start factors", t, r_t, x_t)
+            start_new_curve = _evaluate(price, "start price under end curve and start factors", t, r_T, x_t)
+            start_new_factors = _evaluate(price, "start price under start curve and end factors", t, r_t, x_T)
+            six = end_new, end_old_curve, end_old_factors, start_old, start_new_curve, start_new_factors
             for results, (fx_mode, carry_mode) in zip(trails, modes):
-                results.append(_split(sub, six, fx_mode, carry_mode))
+                results.append(_split(start, end, six, chi_last, fx_mode, carry_mode))
         except EngineError as exc:
-            raise exc.at(f"subperiod ({sub.start}, {sub.end}]")
+            raise exc.at(f"subperiod ({t}, {T}]")
+        start_old = end_new
     try:
         return [(results, AttributionResult.combine(results)) for results in trails]
     except EngineError as exc:
-        raise exc.at(f"period ({subperiods[0].start}, {subperiods[-1].end}]")
+        raise exc.at(f"period ({points[0].date}, {points[-1].date}]")
 
 
 def attribute_position(
@@ -452,9 +447,9 @@ def _attribute_views(positions: Sequence[Position], snapshots, grid: list, modes
     while pricing, splitting or summing a position's costs names that position here."""
     plan = _plan(positions, snapshots, grid)
     views: list[list[PositionAttribution]] = [[] for _ in modes]
-    for pos, subperiods in zip(positions, plan):
+    for pos, points in zip(positions, plan):
         try:
-            results = _attribute(_price_fn(pos.pricer), subperiods, modes)
+            results = _attribute(_price_fn(pos.pricer), points, modes)
             costs = pos.costs_in(grid[0], grid[-1])
         except EngineError as exc:
             raise exc.at(f"position {pos.id}")

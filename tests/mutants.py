@@ -39,6 +39,10 @@ MUTANTS = [
      "test_attribution.py"),
     ("attribution.py", "        start_new_factors += start_coupon\n", "", "test_attribution.py"),
     ("attribution.py", "if coupon != 0.0:", "if True:", "test_evaluation_reuse.py"),
+    # the subperiod loop: evaluation reuse and the labels that name a failed price
+    ("attribution.py", "if start_old is None:", "if True:", "test_evaluation_reuse.py"),
+    ("attribution.py", '"end price under start curve and end factors"', '"end price under end curve and start factors"',
+     "test_attribution.py"),
     ("conventions.py", "return a_start, ce", "return a_start, cs", "test_attribution.py"),
     # holdings, costs and the plan's grid checks
     ("attribution.py", "start <= t.date <= end", "start < t.date <= end", "test_attribution.py"),

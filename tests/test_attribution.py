@@ -138,6 +138,33 @@ def test_four_way_reports_which_evaluation_failed():
         four_way_split(object(), 0.0, 1.0, ScalarState(0.01, 0.0, 1.0), ScalarState(0.03, 0.0, 1.0))
 
 
+#: Each of a subperiod's six prices as (time, curve, factors) on the grid 0, 1, 2, 3, whose state at u
+#: has curve 10 + u and factors 20 + u, with the subperiod that first evaluates it and its label. The
+#: start price under start curve and start factors is only evaluated in the first subperiod: every
+#: later one starts at the previous one's end price.
+SIX_PRICES = [
+    ((2.0, 12.0, 22.0), "(1.0, 2.0]", "end price under end curve and end factors"),
+    ((2.0, 11.0, 22.0), "(1.0, 2.0]", "end price under start curve and end factors"),
+    ((2.0, 12.0, 21.0), "(1.0, 2.0]", "end price under end curve and start factors"),
+    ((0.0, 10.0, 20.0), "(0.0, 1.0]", "start price under start curve and start factors"),
+    ((1.0, 12.0, 21.0), "(1.0, 2.0]", "start price under end curve and start factors"),
+    ((1.0, 11.0, 22.0), "(1.0, 2.0]", "start price under start curve and end factors"),
+]
+
+
+@pytest.mark.parametrize("triple, subperiod, label", SIX_PRICES, ids=[label for *_, label in SIX_PRICES])
+def test_a_failed_price_names_its_subperiod_and_its_label(triple, subperiod, label):
+    def price(s, r, x):
+        if (s, r, x) == triple:
+            raise RuntimeError("boom")
+        return 100.0 + s
+    pos = Position(id="p", bucket=Bucket.OTHER, pricer=price)
+    snaps = {u: ScalarState(10.0 + u, 20.0 + u, 1.0) for u in (0.0, 1.0, 2.0, 3.0)}
+    with pytest.raises(PricerEvaluationFailed) as failed:
+        attribute_position(pos, snaps, [0.0, 1.0, 2.0, 3.0])
+    assert str(failed.value) == f"position p: subperiod {subperiod}: {label} raised: boom"
+
+
 def test_attribution_result_rejects_bad_sums():
     with pytest.raises(ValueError):
         AttributionResult(fx=1.0, rate=1.0, market=1.0, carry=1.0, total=5.0)
